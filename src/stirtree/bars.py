@@ -32,6 +32,10 @@ class Bar(NamedTuple):
 
 def _distinct_heights(rng: np.random.Generator, k: int) -> tuple[float, ...]:
     """k i.i.d. heights, sorted, all distinct and strictly inside (0, 1)."""
+    if k == 1:  # fast path; draws exactly what rng.random(1) would
+        h = rng.random()
+        if h > 0.0:
+            return (h,)
     while True:
         hs = rng.random(k)
         if k == 0:
@@ -75,12 +79,64 @@ class _PoleIndexMixin:
         if len(v) < self.shape.n:
             for i in range(self.shape.d):
                 c = v + bytes((i,))
-                for h in self.heights_on(c):
-                    entries.append((h, c, c))
+                if self.count_on(c):
+                    for h in self.heights_on(c):
+                        entries.append((h, c, c))
         entries.sort()
         built = ([e[0] for e in entries], [(e[1], e[2]) for e in entries])
         self._poles[v] = built
         return built
+
+    def with_added(self, bar: Bar) -> "_WithAdded":
+        """This collection plus one bar (the two-level coupling B, B∪A)."""
+        if not is_valid_edge(self.shape, bar.edge):
+            raise ValueError(f"added bar edge {bar.edge!r} outside the tree")
+        if bar.height in self.heights_on(bar.edge):
+            raise ValueError("added bar coincides with an existing bar")
+        return _WithAdded(self, bar)
+
+
+class _WithAdded(_PoleIndexMixin):
+    """Overlay of one added bar on a base collection.
+
+    Shares the base's realized bars and pole index; only the two poles the
+    added bar touches are rebuilt, by inserting its joint.
+    """
+
+    __slots__ = ("shape", "_base", "_bar", "_poles")
+
+    def __init__(self, base, bar: Bar) -> None:
+        self.shape = base.shape
+        self._base = base
+        self._bar = bar
+        self._init_pole_cache()
+
+    @property
+    def count(self) -> int:
+        return self._base.count + 1
+
+    def heights_on(self, edge: bytes) -> tuple[float, ...]:
+        hs = self._base.heights_on(edge)
+        if edge != self._bar.edge:
+            return hs
+        pos = bisect_left(hs, self._bar.height)
+        return hs[:pos] + (self._bar.height,) + hs[pos:]
+
+    def pole(self, v: bytes):
+        e, h = self._bar
+        if v == e:
+            dest = e[:-1]
+        elif v == e[:-1]:
+            dest = e
+        else:
+            return self._base.pole(v)
+        cached = self._poles.get(v)
+        if cached is None:
+            heights, hops = self._base.pole(v)
+            i = bisect_left(heights, h)
+            cached = (heights[:i] + [h] + heights[i:], hops[:i] + [(e, dest)] + hops[i:])
+            self._poles[v] = cached
+        return cached
 
 
 class BarCollection(_PoleIndexMixin):
@@ -155,18 +211,6 @@ class BarCollection(_PoleIndexMixin):
             for h in self._by_edge[e]:
                 yield Bar(e, h)
 
-    def with_added(self, bar: Bar) -> "BarCollection":
-        """New collection with one extra bar (the two-level coupling B, B∪A)."""
-        if not is_valid_edge(self.shape, bar.edge):
-            raise ValueError(f"added bar edge {bar.edge!r} outside the tree")
-        hs = self._by_edge.get(bar.edge, ())
-        if bar.height in hs:
-            raise ValueError("added bar coincides with an existing bar")
-        pos = bisect_left(hs, bar.height)
-        by_edge = dict(self._by_edge)
-        by_edge[bar.edge] = hs[:pos] + (bar.height,) + hs[pos:]
-        return BarCollection(self.shape, by_edge, validate=False)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, BarCollection)
@@ -199,31 +243,36 @@ class LazyPoissonBars(_PoleIndexMixin):
 
     Per-edge counts (and then heights) are sampled the first time an edge is
     queried.  Query order is a deterministic function of the realized bars,
-    so a fixed (seed, trial) substream reproduces the same collection; the
-    joint law over every touched edge is exactly Poisson-t.  Used where
-    materializing all of E(T_n) is infeasible.
+    so a fixed (seed, trial) stream reproduces the same collection; the
+    joint law over every touched edge is exactly Poisson-t.  ``count`` is
+    the number of bars realized so far, which bounds every run that only
+    visits realized poles.
     """
 
-    __slots__ = ("shape", "t", "_rng", "_counts", "_heights", "_poles")
+    __slots__ = ("shape", "t", "count", "_rng", "_counts", "_heights", "_marks", "_poles")
 
     def __init__(self, shape: TreeShape, t: float, rng: np.random.Generator) -> None:
         self.shape = shape
         self.t = t
+        self.count = 0
         self._rng = rng
         self._counts: dict[bytes, int] = {}
         self._heights: dict[bytes, tuple[float, ...]] = {}
+        self._marks: dict[bytes, np.ndarray] = {}
         self._init_pole_cache()
 
     def prefill_counts(self, edges: Iterable[bytes], counts: Iterable[int]) -> None:
-        """Adopt externally sampled counts (e.g. a batched root layer)."""
+        """Adopt externally sampled counts (e.g. a conditioned root layer)."""
         for e, k in zip(edges, counts):
             self._counts[e] = int(k)
+            self.count += int(k)
 
     def count_on(self, edge: bytes) -> int:
         k = self._counts.get(edge)
         if k is None:
             k = int(self._rng.poisson(self.t))
             self._counts[edge] = k
+            self.count += k
         return k
 
     def heights_on(self, edge: bytes) -> tuple[float, ...]:
@@ -232,6 +281,19 @@ class LazyPoissonBars(_PoleIndexMixin):
             hs = _distinct_heights(self._rng, self.count_on(edge))
             self._heights[edge] = hs
         return hs
+
+    def marks_on(self, edge: bytes) -> np.ndarray:
+        """Uniform [0, 1) thinning marks, one per bar in height order."""
+        ms = self._marks.get(edge)
+        if ms is None:
+            ms = self._rng.random(self.count_on(edge))
+            self._marks[edge] = ms
+        return ms
+
+    def thinned(self, t: float) -> "_Thinned":
+        """The bars whose mark is at most t / self.t: a Poisson-t collection,
+        nested across t on one realization (the thinning coupling)."""
+        return _Thinned(self, t)
 
     def pole(self, v: bytes):
         cached = self._poles.get(v)
@@ -248,17 +310,33 @@ class LazyPoissonBars(_PoleIndexMixin):
                 if c not in self._counts:
                     unknown.append(c)
         if unknown:
-            ks = self._rng.poisson(self.t, size=len(unknown))
-            for e, k in zip(unknown, ks):
-                self._counts[e] = int(k)
+            ks = self._rng.poisson(self.t, size=len(unknown)).tolist()
+            self._counts.update(zip(unknown, ks))
+            self.count += sum(ks)
         return _PoleIndexMixin.pole(self, v)
 
 
-def sample_poisson(
-    shape: TreeShape, t: float, stream: np.random.Generator
-) -> BarCollection:
-    """Module-level alias for :meth:`BarCollection.sample_poisson`."""
-    return BarCollection.sample_poisson(shape, t, stream)
+class _Thinned(_PoleIndexMixin):
+    """Rate-t thinning of a lazy collection; see :meth:`LazyPoissonBars.thinned`."""
+
+    __slots__ = ("shape", "_base", "_keep", "_poles")
+
+    def __init__(self, base: LazyPoissonBars, t: float) -> None:
+        self.shape = base.shape
+        self._base = base
+        self._keep = t / base.t if base.t > 0 else 1.0
+        self._init_pole_cache()
+
+    @property
+    def count(self) -> int:
+        return self._base.count
+
+    def heights_on(self, edge: bytes) -> tuple[float, ...]:
+        hs = self._base.heights_on(edge)
+        if not hs:
+            return ()
+        marks = self._base.marks_on(edge)
+        return tuple(h for h, m in zip(hs, marks) if m <= self._keep)
 
 
 def sample_added(shape: TreeShape, stream: np.random.Generator) -> Bar:
@@ -298,6 +376,7 @@ class LocationSet:
                 lo_prev = b
 
     def measure(self) -> float:
+        """Total length of the set; the [0,1) factor carries Lebesgue measure."""
         if self._measure is None:
             self._measure = sum(
                 b - a for ivs in self.intervals.values() for a, b in ivs
@@ -341,11 +420,6 @@ def merge_intervals(ivs: list[tuple[float, float]]) -> tuple[tuple[float, float]
         else:
             out.append((a, b))
     return tuple(out)
-
-
-def measure(s: LocationSet) -> float:
-    """Total length of the set; the [0,1) factor carries Lebesgue measure."""
-    return s.measure()
 
 
 def sample_uniform_on(s: LocationSet, stream: np.random.Generator) -> Bar:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 
 from stirtree import estimators, verify
@@ -88,6 +89,13 @@ def _merge_config(args: argparse.Namespace) -> dict:
     return ns
 
 
+def _check_counts(ns: dict) -> None:
+    for key in ("trials", "workers"):
+        value = ns[key]
+        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+            raise ValueError(f"--{key} must be an integer >= 1, got {value!r}")
+
+
 def _emit(rows: list[dict], fmt: str, out: str | None, fieldnames=None) -> None:
     fh = open(out, "w", newline="") if out else sys.stdout
     try:
@@ -107,6 +115,8 @@ def _emit(rows: list[dict], fmt: str, out: str | None, fieldnames=None) -> None:
 def _parse_grid(text: str) -> list[float]:
     if ":" in text:
         lo, hi, step = (float(x) for x in text.split(":"))
+        if not (math.isfinite(lo) and math.isfinite(hi) and 0 < step < math.inf):
+            raise ValueError(f"t grid {text!r} needs finite bounds and a positive step")
         out = []
         k = 0
         while True:
@@ -240,6 +250,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     ns = _merge_config(args)
     try:
+        _check_counts(ns)
         if args.command == "sim":
             return cmd_sim(ns)
         if args.command == "estimate":

@@ -1,31 +1,28 @@
 """Monte Carlo estimators: boundary-hit probability, the derivative identity,
 viable-location mass, cluster and level-visit tails, and the branching bound.
 
-Every estimator is a pure function of its parameters and a seed.  Trials are
-grouped into fixed-size batches with counter-based substreams, so results
-are bit-identical for any worker count; failing checks can always be
-replayed from (seed, trial).
+Every estimator is a pure function of its parameters and a seed.  Each
+trial draws its bars lazily (:class:`LazyPoissonBars`) from its own counter
+block of one Philox key per (seed, purpose, shape, t), so results are
+bit-identical for any worker count; failing checks can always be replayed
+from (seed, trial).
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
 
-from stirtree.bars import Bar, BarCollection, LazyPoissonBars
+from stirtree.bars import Bar, LazyPoissonBars, sample_added
 from stirtree.events import multibar_cluster, root_trajectory, viable_locations
 from stirtree.meander import EngineError, hit_level
-from stirtree.rng import batch_ranges, substream
-from stirtree.tree import TreeShape, edge_from_index
-
-# Above these sizes collections are realized lazily, edge by edge.
-_MATERIALIZE_EDGE_LIMIT = 20_000
-_MATERIALIZE_MEAN_BARS = 64.0
+from stirtree.rng import TrialStreams
+from stirtree.tree import TreeShape
 
 
 @dataclass(frozen=True)
@@ -52,41 +49,19 @@ def _bernoulli(label: str, successes: int, trials: int, seed: int) -> Estimate:
     return Estimate(label, p, math.sqrt(p * (1.0 - p) / trials), trials, seed)
 
 
-@lru_cache(maxsize=16)
-def _edge_addresses(shape: TreeShape) -> list[bytes]:
-    return [edge_from_index(shape, i) for i in range(shape.edge_count)]
+# Trials are split into chunks of this size for the process pool; the values
+# drawn never depend on the chunking.
+_CHUNK = 4096
 
 
-class _RedrawTrial(Exception):
-    """Exact duplicate or exact-zero height in a batched draw (measure zero)."""
-
-
-def _collection_from_slices(shape, addresses, eidx, heights) -> BarCollection:
-    by_edge: dict[bytes, tuple[float, ...]] = {}
-    order = np.argsort(eidx, kind="stable")
-    k = len(order)
-    pos = 0
-    while pos < k:
-        stop = pos + 1
-        ei = eidx[order[pos]]
-        while stop < k and eidx[order[stop]] == ei:
-            stop += 1
-        hs = sorted(float(heights[order[j]]) for j in range(pos, stop))
-        if hs[0] <= 0.0 or any(hs[i] >= hs[i + 1] for i in range(len(hs) - 1)):
-            raise _RedrawTrial
-        by_edge[addresses[ei]] = tuple(hs)
-        pos = stop
-    return BarCollection(shape, by_edge, validate=False)
-
-
-def _use_lazy(shape: TreeShape, t: float) -> bool:
-    return (
-        shape.edge_count > _MATERIALIZE_EDGE_LIMIT
-        or t * shape.edge_count > _MATERIALIZE_MEAN_BARS
-    )
-
-
-def _map_batches(fn, jobs: list, workers: int) -> list:
+def _map_batches(
+    fn, shape: TreeShape, t: float, seed: int, trials: int, workers: int
+) -> list:
+    """``fn((shape, t, seed, lo, hi))`` over fixed chunks of ``range(trials)``."""
+    jobs = [
+        (shape, t, seed, lo, min(lo + _CHUNK, trials)) for lo in range(0, trials, _CHUNK)
+    ]
+    workers = min(workers, len(jobs), os.cpu_count() or 1)
     if workers <= 1:
         return [fn(job) for job in jobs]
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -97,34 +72,12 @@ def _map_batches(fn, jobs: list, workers: int) -> list:
 
 
 def _pn_batch(job) -> int:
-    shape, t, seed, b, lo, hi = job
-    m = hi - lo
-    hits = 0
-    if _use_lazy(shape, t):
-        for i in range(m):
-            gen = substream(seed, "pn", shape.d, shape.n, t, lo + i)
-            if hit_level(LazyPoissonBars(shape, t, gen)).reached:
-                hits += 1
-        return hits
-    addresses = _edge_addresses(shape)
-    gen = substream(seed, "pn", shape.d, shape.n, t, "batch", b)
-    counts = gen.poisson(t * shape.edge_count, size=m)
-    total = int(counts.sum())
-    eidx = gen.integers(0, shape.edge_count, size=total)
-    heights = gen.random(total)
-    pos = 0
-    for i in range(m):
-        k = int(counts[i])
-        try:
-            bars = _collection_from_slices(
-                shape, addresses, eidx[pos : pos + k], heights[pos : pos + k]
-            )
-        except _RedrawTrial:
-            bars = BarCollection.sample_poisson(shape, t, gen)
-        pos += k
-        if hit_level(bars).reached:
-            hits += 1
-    return hits
+    shape, t, seed, lo, hi = job
+    streams = TrialStreams(seed, "pn", shape.d, shape.n, t)
+    return sum(
+        hit_level(LazyPoissonBars(shape, t, streams.at(i))).reached
+        for i in range(lo, hi)
+    )
 
 
 def estimate_pn(
@@ -135,8 +88,7 @@ def estimate_pn(
         raise ValueError("trials must be >= 1")
     if t == 0.0:
         return Estimate(f"pn(d={shape.d},n={shape.n},t=0)", 0.0, 0.0, trials, seed)
-    jobs = [(shape, t, seed, b, lo, hi) for b, lo, hi in batch_ranges(trials)]
-    hits = sum(_map_batches(_pn_batch, jobs, workers))
+    hits = sum(_map_batches(_pn_batch, shape, t, seed, trials, workers))
     return _bernoulli(f"pn(d={shape.d},n={shape.n},t={t})", hits, trials, seed)
 
 
@@ -157,35 +109,18 @@ class RussoCheck:
 
 
 def _pair_batch(job) -> tuple[int, int]:
-    """One batch of joint (B, B with added bar) trials; returns (on, off)."""
-    shape, t, seed, b, lo, hi = job
-    m = hi - lo
-    addresses = _edge_addresses(shape)
-    ecount = shape.edge_count
-    gen = substream(seed, "russo-pairs", shape.d, shape.n, t, b)
-    counts = gen.poisson(t * ecount, size=m)
-    total = int(counts.sum())
-    eidx = gen.integers(0, ecount, size=total)
-    heights = gen.random(total)
-    a_idx = gen.integers(0, ecount, size=m)
-    a_h = gen.random(m)
+    """Joint (B, B with added bar) trials lo..hi-1; returns (on, off)."""
+    shape, t, seed, lo, hi = job
+    streams = TrialStreams(seed, "russo-pairs", shape.d, shape.n, t)
     on = off = 0
-    pos = 0
-    for i in range(m):
-        k = int(counts[i])
-        try:
-            bars = _collection_from_slices(
-                shape, addresses, eidx[pos : pos + k], heights[pos : pos + k]
-            )
-        except _RedrawTrial:
-            bars = BarCollection.sample_poisson(shape, t, gen)
-        pos += k
-        edge = addresses[int(a_idx[i])]
-        h = float(a_h[i])
-        while h == 0.0 or h in bars.heights_on(edge):
-            h = float(gen.random())
+    for i in range(lo, hi):
+        gen = streams.at(i)
+        added = sample_added(shape, gen)
+        bars = LazyPoissonBars(shape, t, gen)
+        while added.height in bars.heights_on(added.edge):
+            added = Bar(added.edge, float(gen.random()))
         reached = hit_level(bars).reached
-        reached_added = hit_level(bars.with_added(Bar(edge, h))).reached
+        reached_added = hit_level(bars.with_added(added)).reached
         if reached_added and not reached:
             on += 1
         elif reached and not reached_added:
@@ -210,8 +145,7 @@ def russo_check(
     """
     if not 0.0 < fd_step < t:
         raise ValueError("fd_step must lie in (0, t)")
-    jobs = [(shape, t, seed, b, lo, hi) for b, lo, hi in batch_ranges(trials)]
-    results = _map_batches(_pair_batch, jobs, workers)
+    results = _map_batches(_pair_batch, shape, t, seed, trials, workers)
     on = sum(r[0] for r in results)
     off = sum(r[1] for r in results)
     p_on = on / trials
@@ -240,10 +174,10 @@ def russo_check(
 
 def _z_batch(job) -> tuple[float, float, int]:
     shape, t, seed, lo, hi = job
+    streams = TrialStreams(seed, "z", shape.d, shape.n, t)
     s = s2 = 0.0
     for i in range(lo, hi):
-        gen = substream(seed, "z", shape.d, shape.n, t, i)
-        bars = LazyPoissonBars(shape, t, gen)
+        bars = LazyPoissonBars(shape, t, streams.at(i))
         traj = root_trajectory(bars)
         m = viable_locations(bars, traj).measure()
         s += m
@@ -255,8 +189,7 @@ def z_estimate(
     shape: TreeShape, t: float, trials: int, seed: int, workers: int = 1
 ) -> Estimate:
     """Mean Lebesgue mass of the viable-location set under Poisson-t bars."""
-    jobs = [(shape, t, seed, lo, hi) for _b, lo, hi in batch_ranges(trials)]
-    parts = _map_batches(_z_batch, jobs, workers)
+    parts = _map_batches(_z_batch, shape, t, seed, trials, workers)
     s = sum(p[0] for p in parts)
     s2 = sum(p[1] for p in parts)
     mean = s / trials
@@ -306,19 +239,18 @@ def cluster_size_bound(d: int, tau: float, ell: int) -> float:
 
 
 def _cluster_tail_batch(job) -> np.ndarray:
-    """Cluster sizes for one batch; vectorized root layer, lazy deep trials."""
-    shape, t, seed, b, lo, hi = job
-    m = hi - lo
+    """Cluster sizes for trials lo..hi-1; root layer first, deeper lazily."""
+    shape, t, seed, lo, hi = job
     root_edges = [bytes((i,)) for i in range(shape.d)]
-    gen_root = substream(seed, "tails-root", shape.d, shape.n, t, b)
-    counts = gen_root.poisson(t, size=(m, shape.d))
-    multi = (counts >= 2).sum(axis=1)
-    sizes = np.zeros(m, dtype=np.int64)
-    for i in np.nonzero(multi)[0]:
-        gen = substream(seed, "tails-deep", shape.d, shape.n, t, lo + int(i))
-        bars = LazyPoissonBars(shape, t, gen)
-        bars.prefill_counts(root_edges, counts[i])
-        sizes[i] = multibar_cluster(bars).size
+    streams = TrialStreams(seed, "tails-deep", shape.d, shape.n, t)
+    sizes = np.zeros(hi - lo, dtype=np.int64)
+    for i in range(lo, hi):
+        gen = streams.at(i)
+        counts = gen.poisson(t, size=shape.d).tolist()
+        if max(counts) >= 2:
+            bars = LazyPoissonBars(shape, t, gen)
+            bars.prefill_counts(root_edges, counts)
+            sizes[i - lo] = multibar_cluster(bars).size
     return sizes
 
 
@@ -347,8 +279,9 @@ def tail_checks(
     if d < 11 * tau * tau:
         skipped = f"cluster tail skipped: d={d} < 11*tau^2={11 * tau * tau:.3g}"
     else:
-        jobs = [(shape, t, seed, b, lo, hi) for b, lo, hi in batch_ranges(trials)]
-        sizes = np.concatenate(_map_batches(_cluster_tail_batch, jobs, workers))
+        sizes = np.concatenate(
+            _map_batches(_cluster_tail_batch, shape, t, seed, trials, workers)
+        )
         for ell in (1, 2, 3, 4):
             emp = float((sizes >= ell).mean())
             se = math.sqrt(emp * (1.0 - emp) / trials)
@@ -364,9 +297,9 @@ def tail_checks(
     if lv_trials > 0 and level_pairs:
         levels = sorted({i for i, _k in level_pairs})
         visit_counts = {i: np.zeros(lv_trials, dtype=np.int64) for i in levels}
+        streams = TrialStreams(seed, "tails-level", shape.d, shape.n, t)
         for j in range(lv_trials):
-            gen = substream(seed, "tails-level", shape.d, shape.n, t, j)
-            bars = LazyPoissonBars(shape, t, gen)
+            bars = LazyPoissonBars(shape, t, streams.at(j))
             cov = root_trajectory(bars).coverage()
             for i in levels:
                 visit_counts[i][j] = sum(1 for v in cov if len(v) == i)
@@ -494,44 +427,34 @@ def critical_scan(
 # --- coupled thinning ---------------------------------------------------------------
 
 
-def coupled_hit_indicators(
-    shape: TreeShape, t_values: Sequence[float], trials: int, seed: int
+def _coupled_indicators(
+    indicator, shape: TreeShape, t_values: Sequence[float], trials: int, seed: int
 ) -> np.ndarray:
-    """Hit indicators under the shared-bar thinning coupling.
+    """``indicator`` of the rate-t thinnings of one rate-t_max draw per trial.
 
-    Bars are drawn once per trial at the largest rate with uniform marks;
-    the collection at rate t keeps the bars with mark <= t, realizing the
-    nested coupling of collections across rates on every seed.
+    Every bar carries a uniform mark; the collection at rate t keeps the bars
+    with mark <= t / t_max, realizing the nested coupling of collections
+    across rates on every seed.
     """
     ts = list(t_values)
     if ts != sorted(ts):
         raise ValueError("t values must be ascending")
     t_max = ts[-1]
-    addresses = _edge_addresses(shape)
+    streams = TrialStreams(seed, "coupled", shape.d, shape.n, t_max)
     out = np.zeros((trials, len(ts)), dtype=bool)
-    for b, lo, hi in batch_ranges(trials):
-        gen = substream(seed, "coupled", shape.d, shape.n, t_max, b)
-        m = hi - lo
-        counts = gen.poisson(t_max * shape.edge_count, size=m)
-        total = int(counts.sum())
-        eidx = gen.integers(0, shape.edge_count, size=total)
-        heights = gen.random(total)
-        marks = gen.random(total) * t_max
-        pos = 0
-        for i in range(m):
-            k = int(counts[i])
-            sl = slice(pos, pos + k)
-            pos += k
-            for j, t in enumerate(ts):
-                keep = marks[sl] <= t
-                try:
-                    bars = _collection_from_slices(
-                        shape, addresses, eidx[sl][keep], heights[sl][keep]
-                    )
-                except _RedrawTrial:
-                    bars = BarCollection.sample_poisson(shape, t, gen)
-                out[lo + i, j] = hit_level(bars).reached
+    for i in range(trials):
+        bars = LazyPoissonBars(shape, t_max, streams.at(i))
+        out[i] = [indicator(bars.thinned(t)) for t in ts]
     return out
+
+
+def coupled_hit_indicators(
+    shape: TreeShape, t_values: Sequence[float], trials: int, seed: int
+) -> np.ndarray:
+    """Hit indicators under the shared-bar thinning coupling."""
+    return _coupled_indicators(
+        lambda bars: hit_level(bars).reached, shape, t_values, trials, seed
+    )
 
 
 def bar_cluster_reaches_boundary(bars) -> bool:
@@ -555,42 +478,9 @@ def coupled_percolation_indicators(
     shape: TreeShape, t_values: Sequence[float], trials: int, seed: int
 ) -> np.ndarray:
     """Percolation indicators under the same thinning coupling."""
-    ts = list(t_values)
-    if ts != sorted(ts):
-        raise ValueError("t values must be ascending")
-    t_max = ts[-1]
-    addresses = _edge_addresses(shape)
-    out = np.zeros((trials, len(ts)), dtype=bool)
-    for b, lo, hi in batch_ranges(trials):
-        gen = substream(seed, "coupled", shape.d, shape.n, t_max, b)
-        m = hi - lo
-        counts = gen.poisson(t_max * shape.edge_count, size=m)
-        total = int(counts.sum())
-        eidx = gen.integers(0, shape.edge_count, size=total)
-        gen.random(total)  # heights: drawn to keep the stream aligned
-        marks = gen.random(total) * t_max
-        pos = 0
-        for i in range(m):
-            k = int(counts[i])
-            sl = slice(pos, pos + k)
-            pos += k
-            for j, t in enumerate(ts):
-                keep = marks[sl] <= t
-                kept_edges = {addresses[int(e)] for e in eidx[sl][keep]}
-                out[lo + i, j] = _edges_reach_boundary(shape, kept_edges)
-    return out
-
-
-def _edges_reach_boundary(shape: TreeShape, kept: set[bytes]) -> bool:
-    stack = [bytes((i,)) for i in range(shape.d)]
-    while stack:
-        e = stack.pop()
-        if e not in kept:
-            continue
-        if len(e) == shape.n:
-            return True
-        stack.extend(e + bytes((i,)) for i in range(shape.d))
-    return False
+    return _coupled_indicators(
+        bar_cluster_reaches_boundary, shape, t_values, trials, seed
+    )
 
 
 # --- gain-channel check --------------------------------------------------------------
@@ -609,17 +499,17 @@ def bare_root_gain_check(
     if shape.n < 2:
         raise ValueError("needs depth >= 2")
     d = shape.d
+    root_edges = [bytes((i,)) for i in range(d)]
+    streams = TrialStreams(seed, "bare-root-gain", d, shape.n, t)
     hits = 0
     for i in range(trials):
-        gen = substream(seed, "bare-root-gain", d, shape.n, t, i)
-        sampled = BarCollection.sample_poisson(shape, t, gen)
-        bars = BarCollection.from_bars(
-            shape, (b for b in sampled.iter_bars() if len(b.edge) > 1)
-        )
+        gen = streams.at(i)
         edge = bytes((int(gen.integers(0, d)),))
         h = float(gen.random())
         while h == 0.0:
             h = float(gen.random())
+        bars = LazyPoissonBars(shape, t, gen)
+        bars.prefill_counts(root_edges, [0] * d)
         if hit_level(bars).reached:
             raise EngineError("bar-free root layer cannot reach depth n unaided")
         if hit_level(bars.with_added(Bar(edge, h))).reached:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import NamedTuple, Optional
 
 from stirtree.bars import merge_intervals
@@ -161,9 +162,9 @@ def run(
     """Simulate from ``start`` until a stop target or the return to start.
 
     Engine invariants enforced on every run: no state is ever visited twice
-    (each bar is crossed at most twice, each pole covered at most once), and
-    for materialized collections the crossing count stays within twice the
-    bar count and the wrap count within the vertex count.
+    (each bar is crossed at most twice, each pole covered at most once), the
+    crossing count stays within twice the bar count (for lazy collections,
+    the bars realized so far) and the wrap count within the vertex count.
     """
     shape = bars.shape
     v0, h0 = start
@@ -175,7 +176,6 @@ def run(
     search = bisect_left if _joint_search_inclusive else bisect_right
     points = stop.points
     stop_level = stop.level
-    max_cross = 2 * bars.count if isinstance(getattr(bars, "count", None), int) else None
     max_wraps = shape.vertex_count
 
     v, h = v0, h0
@@ -214,7 +214,7 @@ def run(
                 segments.append((v, h, hb))
                 crossings.append((edge_k, hb, w == edge_k, t_ev))
             ncross += 1
-            if max_cross is not None and ncross > max_cross:
+            if ncross > 2 * bars.count:
                 raise EngineError("crossing count exceeded twice the bar count")
             state = (w, hb)
             if w == v0 and hb == h0:
@@ -261,6 +261,14 @@ def run(
     )
 
 
+_ORIGIN = SpaceTimePoint(ROOT, 0.0)
+
+
+@lru_cache(maxsize=None)
+def _level_rule(n: int) -> StopRule:
+    return StopRule(level=n)
+
+
 def hit_level(bars, record: bool = False) -> HitResult:
     """Whether the meander from the root origin reaches the depth-n poles.
 
@@ -268,8 +276,7 @@ def hit_level(bars, record: bool = False) -> HitResult:
     origin; on the finite tree this dichotomy is exhaustive, and a return
     decides non-reaching exactly (the continuation is periodic).
     """
-    n = bars.shape.n
-    traj = run(bars, SpaceTimePoint(ROOT, 0.0), StopRule(level=n), record=record)
+    traj = run(bars, _ORIGIN, _level_rule(bars.shape.n), record=record)
     kind = traj.outcome.kind
     if kind == "hit_level":
         return HitResult(True, traj.outcome.time, traj)

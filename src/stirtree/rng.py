@@ -1,8 +1,11 @@
 """Counter-based random streams for reproducible parallel Monte Carlo.
 
-Every consumer derives its own Philox stream from ``(seed, *tags)``, so the
-realized randomness is a pure function of seed, purpose tag and trial (or
-batch) index — independent of scheduling, worker count and call order.
+Every consumer derives its Philox key from ``(seed, *tags)``, so the
+realized randomness is a pure function of seed, purpose tag and trial index
+— independent of scheduling, worker count and call order.  Per-trial
+streams are counter blocks of one key (:class:`TrialStreams`), the
+counter-based design of Salmon et al., "Parallel random numbers: as easy as
+1, 2, 3" (SC'11).
 """
 
 from __future__ import annotations
@@ -10,10 +13,6 @@ from __future__ import annotations
 import hashlib
 
 import numpy as np
-
-# Trials are grouped in fixed-size batches for vectorized sampling; the size
-# is part of the reproducibility contract and must not depend on workers.
-BATCH = 4096
 
 
 def stream_key(seed: int, *tags) -> np.ndarray:
@@ -27,8 +26,26 @@ def substream(seed: int, *tags) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=stream_key(seed, *tags)))
 
 
-def batch_ranges(trials: int):
-    """Yield (batch_index, lo, hi) covering ``range(trials)`` in fixed batches."""
-    for b in range((trials + BATCH - 1) // BATCH):
-        lo = b * BATCH
-        yield b, lo, min(lo + BATCH, trials)
+class TrialStreams:
+    """Per-trial streams of one key: trial i starts at counter ``[0, 0, i, 0]``.
+
+    ``at(i)`` resets one shared Philox to trial i's block and returns its
+    generator, so the stream of trial i is that of a fresh
+    ``Philox(key, counter=[0, 0, i, 0])`` whatever order trials are visited
+    in, and ``at(0)`` equals ``substream(seed, *tags)``.  The returned
+    generator is valid until the next ``at`` call.
+    """
+
+    __slots__ = ("key", "_bitgen", "_gen", "_state")
+
+    def __init__(self, seed: int, *tags) -> None:
+        self.key = stream_key(seed, *tags)
+        self._bitgen = np.random.Philox(key=self.key)
+        self._gen = np.random.Generator(self._bitgen)
+        self._state = self._bitgen.state
+
+    def at(self, trial: int) -> np.random.Generator:
+        state = self._state
+        state["state"]["counter"][2] = trial
+        self._bitgen.state = state
+        return self._gen

@@ -48,6 +48,7 @@ class TreeShape:
 
     @property
     def edge_count(self) -> int:
+        """Total number of edges of the depth-n tree."""
         return self.d * (self.d**self.n - 1) // (self.d - 1)
 
     def level_vertex_count(self, i: int) -> int:
@@ -61,11 +62,6 @@ class TreeShape:
         if not 0 <= i <= self.n - 1:
             raise ValueError(f"edge level {i} outside [0, {self.n - 1}]")
         return self.d ** (i + 1)
-
-
-def edge_count(shape: TreeShape) -> int:
-    """Total number of edges of the depth-n tree."""
-    return shape.edge_count
 
 
 def level(v: bytes) -> int:

@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 
 from stirtree.bars import (
     BarCollection,
@@ -177,6 +176,7 @@ def check_shift_invariance(
     Truncated runs (depth-n poles hit first) enter as +inf, so the censoring
     pattern is compared too.  Two-sample KS on every pair of start heights.
     """
+    from scipy import stats  # lazy: scipy dominates the CLI start-up time
     samples = {}
     for h in heights:
         vals = np.empty(trials)
@@ -214,6 +214,7 @@ def check_conditional_sampler(
     direct route draws from the viable-location set; positions normalized by
     the set's inverse CDF pool into one two-sample KS test.
     """
+    from scipy import stats  # lazy: scipy dominates the CLI start-up time
     rej, direct = [], []
     tries_total = 0
     for b_i in range(instances):
@@ -259,6 +260,7 @@ def check_exploration_law(
     part: the uncrossed counts match a Poisson with the untouched mass, and
     their positions are uniform within the region.
     """
+    from scipy import stats  # lazy: scipy dominates the CLI start-up time
     count_excess = 0.0
     mu_total = 0.0
     positions = []

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import stirtree.meander as meander
-from stirtree.bars import sample_poisson
+from stirtree.bars import BarCollection
 from stirtree.estimators import (
     cluster_size_bound,
     coupled_hit_indicators,
@@ -222,7 +222,7 @@ def test_c11_engine_bounds_always_on():
     gen = substream(SEED, "c11")
     outcomes = set()
     for _ in range(2_000):
-        bars = sample_poisson(shape, 0.5, gen)
+        bars = BarCollection.sample_poisson(shape, 0.5, gen)
         res = hit_level(bars, record=True)
         traj = res.trajectory
         outcomes.add(traj.outcome.kind)

@@ -5,27 +5,27 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from stirtree.bars import (
     Bar,
     BarCollection,
     LazyPoissonBars,
     LocationSet,
-    measure,
     merge_intervals,
     normalized_position,
     sample_added,
-    sample_poisson,
     sample_uniform_on,
 )
+from stirtree.meander import hit_level
 from stirtree.rng import substream
-from stirtree.tree import TreeShape
+from stirtree.tree import TreeShape, edge_from_index
 
 SHAPE22 = TreeShape(2, 2)
 
 
 def test_zero_intensity_empty():
-    bars = sample_poisson(SHAPE22, 0.0, substream(1, "t0"))
+    bars = BarCollection.sample_poisson(SHAPE22, 0.0, substream(1, "t0"))
     assert bars.count == 0
     assert bars.heights_on(b"\x00") == ()
 
@@ -38,7 +38,7 @@ def test_poisson_mean_and_void_probability():
     void = 0
     gen = substream(17, "poisson-mean")
     for _ in range(trials):
-        bars = sample_poisson(SHAPE22, t, gen)
+        bars = BarCollection.sample_poisson(SHAPE22, t, gen)
         total += bars.count
         if not bars.heights_on(b"\x00"):
             void += 1
@@ -54,7 +54,7 @@ def test_poisson_mean_and_void_probability():
 def test_heights_strictly_increasing_and_open():
     gen = substream(3, "inc")
     for _ in range(200):
-        bars = sample_poisson(TreeShape(2, 3), 1.5, gen)
+        bars = BarCollection.sample_poisson(TreeShape(2, 3), 1.5, gen)
         for e in bars.edges_with_bars():
             hs = bars.heights_on(e)
             assert all(0.0 < h < 1.0 for h in hs)
@@ -77,15 +77,15 @@ def test_sample_added_marginals():
 
 
 def test_reproducibility_bit_identical():
-    a = sample_poisson(TreeShape(3, 3), 0.7, substream(99, "rep"))
-    b = sample_poisson(TreeShape(3, 3), 0.7, substream(99, "rep"))
+    a = BarCollection.sample_poisson(TreeShape(3, 3), 0.7, substream(99, "rep"))
+    b = BarCollection.sample_poisson(TreeShape(3, 3), 0.7, substream(99, "rep"))
     assert a == b
-    c = sample_poisson(TreeShape(3, 3), 0.7, substream(100, "rep"))
+    c = BarCollection.sample_poisson(TreeShape(3, 3), 0.7, substream(100, "rep"))
     assert a != c
 
 
 def test_json_roundtrip_exact():
-    bars = sample_poisson(TreeShape(3, 3), 0.9, substream(5, "json"))
+    bars = BarCollection.sample_poisson(TreeShape(3, 3), 0.9, substream(5, "json"))
     again = BarCollection.from_json(bars.to_json())
     assert again == bars
     payload = json.loads(bars.to_json())
@@ -103,23 +103,23 @@ def test_with_added_and_duplicate_rejection():
 
 def test_measure_examples():
     empty = LocationSet(SHAPE22, {})
-    assert measure(empty) == 0.0
+    assert empty.measure() == 0.0
     full_root = LocationSet(
         SHAPE22, {b"\x00": ((0.0, 1.0),), b"\x01": ((0.0, 1.0),)}
     )
-    assert measure(full_root) == 2.0  # d full poles
+    assert full_root.measure() == 2.0  # d full poles
     six = LocationSet(
         SHAPE22,
         {e: ((0.0, 1.0),) for e in [b"\x00", b"\x01", b"\x00\x00", b"\x00\x01", b"\x01\x00", b"\x01\x01"]},
     )
-    assert measure(six) == 6.0
+    assert six.measure() == 6.0
 
 
 def test_measure_additive_over_disjoint_union():
     a = LocationSet(SHAPE22, {b"\x00": ((0.0, 0.25), (0.5, 0.75))})
     b = LocationSet(SHAPE22, {b"\x00": ((0.25, 0.5),), b"\x01": ((0.1, 0.2),)})
     u = a.union(b)
-    assert abs(measure(u) - (measure(a) + measure(b))) < 1e-12
+    assert abs(u.measure() - (a.measure() + b.measure())) < 1e-12
 
 
 def test_location_set_invariant_violations():
@@ -201,3 +201,39 @@ def test_lazy_poisson_matches_law_and_replays():
         total += lazy.count_on(b"\x03")
     mean = total / trials
     assert abs(mean - t) < 4 * math.sqrt(t / trials)
+
+
+@settings(max_examples=80, deadline=None)
+@example(d=2, n=2, t=1.5, seed=1, pick=0, h=0.5, on_barred=True)
+@given(
+    d=st.integers(2, 4),
+    n=st.integers(1, 3),
+    t=st.floats(0.05, 2.0),
+    seed=st.integers(0, 2**32),
+    pick=st.integers(0, 10**6),
+    h=st.floats(0.0, 1.0, exclude_max=True),
+    on_barred=st.booleans(),
+)
+def test_with_added_overlay_same_on_lazy_and_materialized(
+    d, n, t, seed, pick, h, on_barred
+):
+    shape = TreeShape(d, n)
+    lazy = LazyPoissonBars(shape, t, substream(seed, "overlay"))
+    edges = [edge_from_index(shape, i) for i in range(shape.edge_count)]
+    dense = BarCollection(
+        shape, {e: lazy.heights_on(e) for e in edges if lazy.count_on(e)}
+    )
+    assert lazy.count == dense.count
+    barred = [e for e in edges if lazy.count_on(e)]
+    pool = barred if on_barred and barred else edges
+    added = Bar(pool[pick % len(pool)], h)
+    assume(h not in lazy.heights_on(added.edge))
+    # build some base poles first: the overlay must reuse them unchanged
+    assert hit_level(lazy).reached == hit_level(dense).reached
+    rebuilt = BarCollection.from_bars(shape, list(dense.iter_bars()) + [added])
+    runs = [
+        hit_level(bars, record=True)
+        for bars in (lazy.with_added(added), dense.with_added(added), rebuilt)
+    ]
+    assert runs[0] == runs[1] == runs[2]
+    assert lazy.with_added(added).count == dense.count + 1

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+import stirtree.estimators as estimators
 import stirtree.meander as meander
 from stirtree.cli import main
 from stirtree.verify import check_oracle_equivalence
@@ -135,6 +136,52 @@ def test_scan_empty_grid_exit_2(capsys):
     code = main(["scan", "--d", "8", "--n", "2", "--t-grid", " "])
     capsys.readouterr()
     assert code == 2
+
+
+@pytest.mark.parametrize("grid", ["0.1:0.2:-0.01", "0.1:0.2:0", "0.1:0.2:nan"])
+def test_scan_grid_without_positive_step_exit_2(grid, capsys):
+    code = main(["scan", "--d", "8", "--n", "2", "--t-grid", grid, "--trials", "10"])
+    assert code == 2 and "positive step" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["estimate", "z", "--trials", "0"],
+        ["estimate", "tails", "--trials", "0"],
+        ["estimate", "pn", "--workers", "0"],
+        ["sim", "--trials", "-1"],
+    ],
+)
+def test_counts_below_one_exit_2(args, capsys):
+    code = main(args)
+    assert code == 2 and "must be an integer >= 1" in capsys.readouterr().err
+
+
+def test_worker_pool_clamped_to_jobs_and_cpus(monkeypatch, capsys):
+    # a fake pool records the size asked for; no process is started
+    sizes = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(estimators, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(estimators.os, "cpu_count", lambda: 4)
+    base = ["estimate", "pn", "--d", "2", "--n", "2", "--t", "0.5", "--seed", "3"]
+    for trials in ("20000", "5000", "100"):  # 5 jobs, 2 jobs, 1 job
+        assert main(base + ["--trials", trials, "--workers", "1000000"]) == 0
+    capsys.readouterr()
+    assert sizes == [4, 2]
 
 
 def test_capacity_exit_3(capsys):

@@ -22,7 +22,8 @@ from stirtree.estimators import (
     z_bracket,
     z_estimate,
 )
-from stirtree.bars import BarCollection, sample_poisson
+from stirtree.bars import BarCollection
+from stirtree.meander import hit_level
 from stirtree.rng import substream
 from stirtree.tree import TreeShape
 
@@ -58,20 +59,19 @@ def test_pn_reproducible_and_worker_invariant():
 
 
 def test_pn_lazy_path_matches_materialized_law():
-    # force the lazy route on a tree small enough to also run materialized
-    import stirtree.estimators as est_mod
-
+    # the lazy per-trial source against fully materialized collections
     shape = TreeShape(3, 3)
     t = 0.4
-    dense = estimate_pn(shape, t, 20_000, 29)
-    old = est_mod._MATERIALIZE_EDGE_LIMIT
-    est_mod._MATERIALIZE_EDGE_LIMIT = 1
-    try:
-        lazy = estimate_pn(shape, t, 20_000, 31)
-    finally:
-        est_mod._MATERIALIZE_EDGE_LIMIT = old
-    se = math.hypot(dense.stderr, lazy.stderr)
-    assert abs(dense.mean - lazy.mean) < 4 * se
+    trials = 20_000
+    lazy = estimate_pn(shape, t, trials, 31)
+    gen = substream(29, "materialized-pn")
+    hits = sum(
+        hit_level(BarCollection.sample_poisson(shape, t, gen)).reached
+        for _ in range(trials)
+    )
+    dense = hits / trials
+    se = math.hypot(lazy.stderr, math.sqrt(dense * (1 - dense) / trials))
+    assert abs(dense - lazy.mean) < 4 * se
 
 
 def test_russo_small_scale():
@@ -168,7 +168,7 @@ def test_cluster_tail_matches_direct_sampling():
     from stirtree.events import multibar_cluster
 
     direct = sum(
-        multibar_cluster(sample_poisson(shape, t, gen)).size >= 1
+        multibar_cluster(BarCollection.sample_poisson(shape, t, gen)).size >= 1
         for _ in range(trials)
     ) / trials
     row = rep.cluster_rows[0]

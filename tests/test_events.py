@@ -2,7 +2,7 @@
 
 import math
 
-from stirtree.bars import Bar, BarCollection, sample_added, sample_poisson
+from stirtree.bars import Bar, BarCollection, sample_added
 from stirtree.events import (
     crossed_bars,
     crossing_without_bottleneck,
@@ -91,7 +91,7 @@ def test_multibar_cluster_truncation_and_boundary_bound():
     assert rep.truncated  # cluster reaches depth n
     gen = substream(131, "bd")
     for _ in range(300):
-        bars = sample_poisson(TreeShape(3, 3), 0.9, gen)
+        bars = BarCollection.sample_poisson(TreeShape(3, 3), 0.9, gen)
         r = multibar_cluster(bars)
         assert len(r.boundary) <= 3 + (3 - 1) * r.size
 
@@ -138,7 +138,7 @@ def test_root_stats_trivial_and_laws():
     lone = 0
     gap = 0
     for _ in range(trials):
-        bars = sample_poisson(shape, t, gen)
+        bars = BarCollection.sample_poisson(shape, t, gen)
         s = root_stats(bars)
         free += s.bar_free
         lone += s.single_bar_edges
@@ -192,7 +192,7 @@ def test_inclusions_zero_violations_small():
     for t in (0.2, 0.5):
         for i in range(800):
             gen = substream(149, "incl", t, i)
-            bars = sample_poisson(shape, t, gen)
+            bars = BarCollection.sample_poisson(shape, t, gen)
             added = sample_added(shape, gen)
             assert inclusion_violations(bars, added) == [], (t, i)
 
@@ -203,7 +203,7 @@ def test_inclusions_hold_in_truncation_heavy_regimes():
         shape = TreeShape(d, n)
         for i in range(1500):
             gen = substream(4242, "sweep", d, n, t, i)
-            bars = sample_poisson(shape, t, gen)
+            bars = BarCollection.sample_poisson(shape, t, gen)
             added = sample_added(shape, gen)
             assert inclusion_violations(bars, added) == [], (d, n, t, i)
 
@@ -212,7 +212,7 @@ def test_crossing_without_bottleneck_equals_viable_membership():
     shape = TreeShape(2, 3)
     gen = substream(151, "ek2")
     for _ in range(2000):
-        bars = sample_poisson(shape, 0.7, gen)
+        bars = BarCollection.sample_poisson(shape, 0.7, gen)
         added = sample_added(shape, gen)
         traj = root_trajectory(bars)
         lhs = crossing_without_bottleneck(bars, added, traj)
@@ -224,7 +224,7 @@ def test_untouched_locations_consistency():
     shape = TreeShape(2, 3)
     gen = substream(157, "unt")
     for _ in range(200):
-        bars = sample_poisson(shape, 0.7, gen)
+        bars = BarCollection.sample_poisson(shape, 0.7, gen)
         traj = root_trajectory(bars)
         found = crossed_bars(traj)
         unt = untouched_locations(bars, traj)

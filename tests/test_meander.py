@@ -5,7 +5,7 @@ import math
 import pytest
 
 import stirtree.meander as meander
-from stirtree.bars import Bar, BarCollection, sample_poisson
+from stirtree.bars import Bar, BarCollection, LazyPoissonBars
 from stirtree.meander import (
     EngineError,
     SpaceTimePoint,
@@ -67,7 +67,7 @@ def test_return_time_matches_cycle_length_oracle():
     # unit-time permutation: an independent permutation-algebra oracle
     gen = substream(71, "cyclen")
     for _ in range(300):
-        bars = sample_poisson(S23, 0.6, gen)
+        bars = BarCollection.sample_poisson(S23, 0.6, gen)
         sigma = transposition_oracle(bars)
         res = return_time(bars, SpaceTimePoint(ROOT, 0.0))
         if res.truncated:
@@ -85,7 +85,7 @@ def test_return_time_height_shift_exact():
     # height-shifted collection: determinism makes the symmetry exact
     gen = substream(73, "shift-exact")
     for _ in range(200):
-        bars = sample_poisson(S23, 0.5, gen)
+        bars = BarCollection.sample_poisson(S23, 0.5, gen)
         h = float(gen.random())
         shifted = BarCollection.from_bars(
             S23, [Bar(b.edge, (b.height - h) % 1.0) for b in bars.iter_bars()]
@@ -113,7 +113,7 @@ def test_hit_level_probability_level_one():
     t = 0.4
     gen = substream(79, "p1")
     trials = 20_000
-    hits = sum(hit_level(sample_poisson(shape, t, gen)).reached for _ in range(trials))
+    hits = sum(hit_level(BarCollection.sample_poisson(shape, t, gen)).reached for _ in range(trials))
     p = hits / trials
     expected = 1 - math.exp(-3 * t)
     assert abs(p - expected) < 4 * math.sqrt(expected * (1 - expected) / trials)
@@ -151,7 +151,7 @@ def test_three_way_stop_rule_orbit_avoiding_root_origin():
 def test_coverage_measure_equals_elapsed():
     gen = substream(83, "cov")
     for _ in range(200):
-        bars = sample_poisson(S23, 0.8, gen)
+        bars = BarCollection.sample_poisson(S23, 0.8, gen)
         traj = run(bars, SpaceTimePoint(ROOT, 0.0), StopRule(level=3))
         total = sum(b - a for ivs in traj.coverage().values() for a, b in ivs)
         assert abs(total - traj.elapsed) < 1e-9
@@ -161,7 +161,7 @@ def test_coverage_measure_equals_elapsed():
 def test_dichotomy_every_run_hits_or_returns():
     gen = substream(89, "dicho")
     for _ in range(500):
-        bars = sample_poisson(S23, 1.0, gen)
+        bars = BarCollection.sample_poisson(S23, 1.0, gen)
         res = hit_level(bars)
         assert res.reached in (True, False)
         traj = res.trajectory
@@ -171,7 +171,7 @@ def test_dichotomy_every_run_hits_or_returns():
 def test_elapsed_time_is_wrap_count_on_return():
     gen = substream(97, "laps")
     for _ in range(200):
-        bars = sample_poisson(S23, 0.7, gen)
+        bars = BarCollection.sample_poisson(S23, 0.7, gen)
         res = return_time(bars, SpaceTimePoint(ROOT, 0.0))
         if not res.truncated:
             assert res.time == float(int(res.time))  # whole laps exactly
@@ -188,7 +188,7 @@ def test_fault_injection_breaks_engine():
 
 
 def test_run_is_pure():
-    bars = sample_poisson(S23, 0.8, substream(101, "pure"))
+    bars = BarCollection.sample_poisson(S23, 0.8, substream(101, "pure"))
     a = run(bars, SpaceTimePoint(ROOT, 0.0), StopRule(level=3))
     b = run(bars, SpaceTimePoint(ROOT, 0.0), StopRule(level=3))
     assert a.outcome == b.outcome
@@ -210,3 +210,18 @@ def test_start_height_validation():
         run(bars, SpaceTimePoint(ROOT, 1.0), StopRule(level=2))
     with pytest.raises(ValueError):
         run(bars, SpaceTimePoint(b"\x00\x00", 0.0), StopRule(level=2))
+
+
+def test_crossing_guard_armed_on_lazy_collections():
+    class Undercounting(LazyPoissonBars):
+        __slots__ = ()
+
+        def pole(self, v):
+            built = super().pole(v)
+            self.count = 0
+            return built
+
+    honest = hit_level(LazyPoissonBars(S23, 2.0, substream(5, "undercount")), record=True)
+    assert honest.trajectory.crossings  # the run below has a crossing to count
+    with pytest.raises(EngineError, match="crossing count"):
+        hit_level(Undercounting(S23, 2.0, substream(5, "undercount")))

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from stirtree.bars import Bar, BarCollection, sample_poisson
+from stirtree.bars import Bar, BarCollection
 from stirtree.estimators import estimate_pn
 from stirtree.meander import hit_level
 from stirtree.rng import substream
@@ -44,14 +44,14 @@ def test_engine_equals_oracle_on_random_instances():
     gen = substream(111, "orc")
     for trial in range(2000):
         d, n, tau = [(2, 3, 1.0), (3, 2, 2.0), (3, 3, 0.5)][trial % 3]
-        bars = sample_poisson(TreeShape(d, n), tau / d, gen)
+        bars = BarCollection.sample_poisson(TreeShape(d, n), tau / d, gen)
         assert stirring_permutation(bars) == transposition_oracle(bars), trial
 
 
 def test_cycles_partition_support():
     gen = substream(113, "cyc")
     for _ in range(200):
-        bars = sample_poisson(S23, 0.8, gen)
+        bars = BarCollection.sample_poisson(S23, 0.8, gen)
         sigma = transposition_oracle(bars)
         cycles = sigma.cycles()
         flat = [v for c in cycles for v in c]
@@ -82,7 +82,7 @@ def test_truncation_flag_matches_hit_and_pn():
     trials = 20_000
     hits = 0
     for _ in range(trials):
-        bars = sample_poisson(shape, t, gen)
+        bars = BarCollection.sample_poisson(shape, t, gen)
         rep = cycle_of_root(bars)
         assert rep.boundary_truncated == hit_level(bars).reached
         hits += rep.boundary_truncated

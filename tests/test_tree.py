@@ -8,7 +8,6 @@ from stirtree.tree import (
     ROOT,
     CapacityError,
     TreeShape,
-    edge_count,
     edge_from_index,
     edge_index,
     edge_level,
@@ -24,11 +23,11 @@ from stirtree.tree import (
 
 
 def test_edge_count_examples():
-    assert edge_count(TreeShape(2, 1)) == 2
+    assert TreeShape(2, 1).edge_count == 2
     # closed form d/(d-1)(d^n - 1) at (2, 2)
-    assert edge_count(TreeShape(2, 2)) == 6
+    assert TreeShape(2, 2).edge_count == 6
     # independent oracle: enumerate level sizes d^(i+1)
-    assert edge_count(TreeShape(3, 2)) == sum(3 ** (i + 1) for i in range(2)) == 12
+    assert TreeShape(3, 2).edge_count == sum(3 ** (i + 1) for i in range(2)) == 12
 
 
 def test_vertex_count_and_level_partition():
