@@ -10,6 +10,7 @@ equality rather than tolerance-based.
 from __future__ import annotations
 
 import json
+import math
 from bisect import bisect_left, bisect_right
 from typing import Iterable, NamedTuple
 
@@ -167,28 +168,6 @@ class BarCollection(_PoleIndexMixin):
                 raise ValueError(f"heights on edge {e!r} not strictly increasing")
 
     @classmethod
-    def sample_poisson(
-        cls, shape: TreeShape, t: float, rng: np.random.Generator
-    ) -> "BarCollection":
-        """Poisson-t collection: one total count, then multinomial placement."""
-        if t < 0:
-            raise ValueError("intensity must be nonnegative")
-        total = int(rng.poisson(t * shape.edge_count)) if t > 0 else 0
-        by_edge: dict[bytes, tuple[float, ...]] = {}
-        if total:
-            idx = rng.integers(0, shape.edge_count, size=total)
-            idx.sort()
-            start = 0
-            while start < total:
-                stop = start + 1
-                while stop < total and idx[stop] == idx[start]:
-                    stop += 1
-                e = edge_from_index(shape, int(idx[start]))
-                by_edge[e] = _distinct_heights(rng, stop - start)
-                start = stop
-        return cls(shape, by_edge, validate=False)
-
-    @classmethod
     def from_bars(cls, shape: TreeShape, bars: Iterable[Bar]) -> "BarCollection":
         by_edge: dict[bytes, list[float]] = {}
         for b in bars:
@@ -241,10 +220,12 @@ class BarCollection(_PoleIndexMixin):
 class LazyPoissonBars(_PoleIndexMixin):
     """Poisson-t collection realized on demand from a counter-based stream.
 
-    Per-edge counts (and then heights) are sampled the first time an edge is
-    queried.  Query order is a deterministic function of the realized bars,
-    so a fixed (seed, trial) stream reproduces the same collection; the
-    joint law over every touched edge is exactly Poisson-t.  ``count`` is
+    The package's one Poisson sampler: estimators query it lazily, and
+    :meth:`realize` draws every edge at once where a full collection is
+    needed.  Per-edge counts (and then heights) are sampled the first time
+    an edge is queried.  Query order is a deterministic function of the
+    realized bars, so a fixed (seed, trial) stream reproduces the same
+    collection; the joint law over every touched edge is exactly Poisson-t.  ``count`` is
     the number of bars realized so far, which bounds every run that only
     visits realized poles.
     """
@@ -252,6 +233,8 @@ class LazyPoissonBars(_PoleIndexMixin):
     __slots__ = ("shape", "t", "count", "_rng", "_counts", "_heights", "_marks", "_poles")
 
     def __init__(self, shape: TreeShape, t: float, rng: np.random.Generator) -> None:
+        if not (math.isfinite(t) and t >= 0):
+            raise ValueError(f"intensity t must be finite and >= 0, got {t!r}")
         self.shape = shape
         self.t = t
         self.count = 0
@@ -260,6 +243,25 @@ class LazyPoissonBars(_PoleIndexMixin):
         self._heights: dict[bytes, tuple[float, ...]] = {}
         self._marks: dict[bytes, np.ndarray] = {}
         self._init_pole_cache()
+
+    def realize(self) -> BarCollection:
+        """Every edge's bars at once, as an immutable :class:`BarCollection`.
+
+        Draws what ``count_on`` then ``heights_on`` over all edges in index
+        order would: the counts in one vector draw, then each barred edge's
+        heights.  Needs a collection with nothing realized yet, and spends
+        its stream, so query the returned collection afterwards.
+        """
+        if self._counts:
+            raise ValueError("realize() needs a collection with nothing realized yet")
+        by_edge: dict[bytes, tuple[float, ...]] = {}
+        if self.t > 0:  # rate-0 counts consume no draws; skip the |E| zeros
+            counts = self._rng.poisson(self.t, size=self.shape.edge_count).tolist()
+            for i, k in enumerate(counts):
+                if k:
+                    e = edge_from_index(self.shape, i)
+                    by_edge[e] = _distinct_heights(self._rng, k)
+        return BarCollection(self.shape, by_edge, validate=False)
 
     def prefill_counts(self, edges: Iterable[bytes], counts: Iterable[int]) -> None:
         """Adopt externally sampled counts (e.g. a conditioned root layer)."""

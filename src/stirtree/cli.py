@@ -1,6 +1,7 @@
 """Command-line front end: sim | estimate | verify | scan.
 
-All randomness descends from one --seed through purpose-tagged substreams,
+All randomness descends from one --seed: each (purpose, shape, t) has its
+own Philox key and trial i its own counter block of it (rng.TrialStreams),
 so any emitted row or failed check can be replayed exactly.  Exit codes:
 0 success, 1 verification failure, 2 bad usage, 3 capacity exceeded.
 """
@@ -14,11 +15,14 @@ import math
 import sys
 
 from stirtree import estimators, verify
-from stirtree.bars import BarCollection, sample_added
+from stirtree.bars import LazyPoissonBars, sample_added
 from stirtree.events import detect
-from stirtree.rng import substream
+from stirtree.rng import TrialStreams
 from stirtree.stirring import cycle_of_root
 from stirtree.tree import CapacityError, TreeShape
+
+# Most points a lo:hi:step grid may expand to.
+_GRID_MAX_POINTS = 10_000
 
 _DEFAULTS = {
     "d": 2,
@@ -117,24 +121,20 @@ def _parse_grid(text: str) -> list[float]:
         lo, hi, step = (float(x) for x in text.split(":"))
         if not (math.isfinite(lo) and math.isfinite(hi) and 0 < step < math.inf):
             raise ValueError(f"t grid {text!r} needs finite bounds and a positive step")
-        out = []
-        k = 0
-        while True:
-            t = lo + k * step
-            if t > hi + 1e-12:
-                break
-            out.append(round(t, 12))
-            k += 1
-        return out
+        last = (hi + 1e-12 - lo) / step  # the points are lo + k*step, k <= last
+        if last >= _GRID_MAX_POINTS:
+            raise ValueError(f"t grid {text!r} has over {_GRID_MAX_POINTS} points")
+        return [round(lo + k * step, 12) for k in range(math.floor(last) + 1)]
     return [float(x) for x in text.split(",") if x.strip()]
 
 
 def cmd_sim(ns: dict) -> int:
     shape = TreeShape(ns["d"], int(ns["n"]))
+    streams = TrialStreams(ns["seed"], "sim", shape.d, shape.n, ns["t"])
     rows = []
     for i in range(ns["trials"]):
-        gen = substream(ns["seed"], "sim", shape.d, shape.n, ns["t"], i)
-        bars = BarCollection.sample_poisson(shape, ns["t"], gen)
+        gen = streams.at(i)
+        bars = LazyPoissonBars(shape, ns["t"], gen).realize()
         added = sample_added(shape, gen)
         cyc = cycle_of_root(bars)
         rec = detect(bars, added, n1=ns["n1"])

@@ -49,6 +49,11 @@ def _bernoulli(label: str, successes: int, trials: int, seed: int) -> Estimate:
     return Estimate(label, p, math.sqrt(p * (1.0 - p) / trials), trials, seed)
 
 
+def _check_trials(trials: int) -> None:
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+
+
 # Trials are split into chunks of this size for the process pool; the values
 # drawn never depend on the chunking.
 _CHUNK = 4096
@@ -58,6 +63,7 @@ def _map_batches(
     fn, shape: TreeShape, t: float, seed: int, trials: int, workers: int
 ) -> list:
     """``fn((shape, t, seed, lo, hi))`` over fixed chunks of ``range(trials)``."""
+    _check_trials(trials)
     jobs = [
         (shape, t, seed, lo, min(lo + _CHUNK, trials)) for lo in range(0, trials, _CHUNK)
     ]
@@ -84,9 +90,8 @@ def estimate_pn(
     shape: TreeShape, t: float, trials: int, seed: int, workers: int = 1
 ) -> Estimate:
     """Probability that the meander from the root origin reaches depth n."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     if t == 0.0:
+        _check_trials(trials)
         return Estimate(f"pn(d={shape.d},n={shape.n},t=0)", 0.0, 0.0, trials, seed)
     hits = sum(_map_batches(_pn_batch, shape, t, seed, trials, workers))
     return _bernoulli(f"pn(d={shape.d},n={shape.n},t={t})", hits, trials, seed)
@@ -270,6 +275,7 @@ def tail_checks(
     the deeper hit probability into the bound and widens the 4-sigma flag by
     the propagated plug-in error.
     """
+    _check_trials(trials)
     d = shape.d
     tau = t * d
     notes = []
@@ -363,8 +369,8 @@ def gw_extinction(d: int, t: float) -> GwBound:
     complement upper-bounds the never-return probability, and for d >= 6
     with t inside the critical window it is checked against 6/d.
     """
-    if d < 2 or t < 0:
-        raise ValueError("need d >= 2 and t >= 0")
+    if d < 2 or not (math.isfinite(t) and t >= 0):
+        raise ValueError(f"need d >= 2 and t finite and >= 0, got d={d}, t={t!r}")
     p_occ = -math.expm1(-t)  # 1 - e^-t
     q = 1.0 - p_occ
 
@@ -436,6 +442,7 @@ def _coupled_indicators(
     with mark <= t / t_max, realizing the nested coupling of collections
     across rates on every seed.
     """
+    _check_trials(trials)
     ts = list(t_values)
     if ts != sorted(ts):
         raise ValueError("t values must be ascending")
@@ -498,6 +505,7 @@ def bare_root_gain_check(
     """
     if shape.n < 2:
         raise ValueError("needs depth >= 2")
+    _check_trials(trials)
     d = shape.d
     root_edges = [bytes((i,)) for i in range(d)]
     streams = TrialStreams(seed, "bare-root-gain", d, shape.n, t)

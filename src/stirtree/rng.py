@@ -21,18 +21,13 @@ def stream_key(seed: int, *tags) -> np.ndarray:
     return np.frombuffer(digest[:16], dtype=np.uint64)
 
 
-def substream(seed: int, *tags) -> np.random.Generator:
-    """Independent generator for one (seed, purpose, index...) combination."""
-    return np.random.Generator(np.random.Philox(key=stream_key(seed, *tags)))
-
-
 class TrialStreams:
     """Per-trial streams of one key: trial i starts at counter ``[0, 0, i, 0]``.
 
     ``at(i)`` resets one shared Philox to trial i's block and returns its
     generator, so the stream of trial i is that of a fresh
     ``Philox(key, counter=[0, 0, i, 0])`` whatever order trials are visited
-    in, and ``at(0)`` equals ``substream(seed, *tags)``.  The returned
+    in, and ``at(0)`` is the plain ``Philox(key)`` stream.  The returned
     generator is valid until the next ``at`` call.
     """
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from stirtree.bars import (
-    BarCollection,
+    LazyPoissonBars,
     normalized_position,
     sample_added,
     sample_uniform_on,
@@ -31,7 +31,7 @@ from stirtree.events import (
     viable_locations,
 )
 from stirtree.meander import EngineError, SpaceTimePoint, return_time
-from stirtree.rng import substream
+from stirtree.rng import TrialStreams
 from stirtree.stirring import stirring_permutation, transposition_oracle
 from stirtree.tree import ROOT, TreeShape
 from stirtree import estimators
@@ -60,12 +60,11 @@ ORACLE_GRID = tuple(
 
 def check_oracle_equivalence(instances: int, seed: int) -> CheckResult:
     """Engine-vs-algebra agreement of the unit-time permutation, exactly."""
+    streams = {p: TrialStreams(seed, "oracle", *p) for p in ORACLE_GRID}
     mismatches = []
     for i in range(instances):
         d, n, t = ORACLE_GRID[i % len(ORACLE_GRID)]
-        shape = TreeShape(d, n)
-        gen = substream(seed, "oracle", d, n, t, i)
-        bars = BarCollection.sample_poisson(shape, t, gen)
+        bars = LazyPoissonBars(TreeShape(d, n), t, streams[d, n, t].at(i)).realize()
         try:
             ok = stirring_permutation(bars) == transposition_oracle(bars)
         except EngineError as exc:
@@ -150,9 +149,10 @@ def check_inclusions(
     violations = []
     total = 0
     for t in ts:
+        streams = TrialStreams(seed, "inclusions", shape.d, shape.n, t)
         for i in range(per_t):
-            gen = substream(seed, "inclusions", shape.d, shape.n, t, i)
-            bars = BarCollection.sample_poisson(shape, t, gen)
+            gen = streams.at(i)
+            bars = LazyPoissonBars(shape, t, gen).realize()
             added = sample_added(shape, gen)
             total += 1
             bad = inclusion_violations(bars, added, n1=n1)
@@ -180,9 +180,9 @@ def check_shift_invariance(
     samples = {}
     for h in heights:
         vals = np.empty(trials)
+        streams = TrialStreams(seed, "shift", shape.d, shape.n, t, h)
         for i in range(trials):
-            gen = substream(seed, "shift", shape.d, shape.n, t, h, i)
-            bars = BarCollection.sample_poisson(shape, t, gen)
+            bars = LazyPoissonBars(shape, t, streams.at(i)).realize()
             res = return_time(bars, SpaceTimePoint(ROOT, h))
             vals[i] = res.time if res.time is not None else np.inf
         samples[h] = vals
@@ -215,16 +215,19 @@ def check_conditional_sampler(
     the set's inverse CDF pool into one two-sample KS test.
     """
     from scipy import stats  # lazy: scipy dominates the CLI start-up time
+    cond_b, cond_rej, cond_dir = (
+        TrialStreams(seed, purpose, shape.d, shape.n, t)
+        for purpose in ("cond-b", "cond-rej", "cond-dir")
+    )
     rej, direct = [], []
     tries_total = 0
     for b_i in range(instances):
-        gen = substream(seed, "cond-b", shape.d, shape.n, t, b_i)
-        bars = BarCollection.sample_poisson(shape, t, gen)
+        bars = LazyPoissonBars(shape, t, cond_b.at(b_i)).realize()
         traj = root_trajectory(bars)
         vl = viable_locations(bars, traj)
         if vl.measure() <= 0.0:
             continue  # not reachable; cannot happen from the root pole
-        gen_r = substream(seed, "cond-rej", shape.d, shape.n, t, b_i)
+        gen_r = cond_rej.at(b_i)
         got = tries = 0
         while got < per_instance and tries < 500_000:
             a = sample_added(shape, gen_r)
@@ -233,7 +236,7 @@ def check_conditional_sampler(
                 rej.append(normalized_position(vl, a))
                 got += 1
         tries_total += tries
-        gen_d = substream(seed, "cond-dir", shape.d, shape.n, t, b_i)
+        gen_d = cond_dir.at(b_i)
         for _ in range(per_instance):
             direct.append(normalized_position(vl, sample_uniform_on(vl, gen_d)))
     p = stats.ks_2samp(rej, direct).pvalue
@@ -265,9 +268,9 @@ def check_exploration_law(
     mu_total = 0.0
     positions = []
     exact_bad = 0
+    streams = TrialStreams(seed, "explore", shape.d, shape.n, t)
     for i in range(trials):
-        gen = substream(seed, "explore", shape.d, shape.n, t, i)
-        bars = BarCollection.sample_poisson(shape, t, gen)
+        bars = LazyPoissonBars(shape, t, streams.at(i)).realize()
         traj = root_trajectory(bars)
         found = crossed_bars(traj)
         unt = untouched_locations(bars, traj)
@@ -350,16 +353,20 @@ def check_z_bracket(
     )
 
 
-SUITE = (
-    "oracle",
-    "inclusions",
-    "shift",
-    "russo",
-    "tails",
-    "z",
-    "conditional",
-    "exploration",
-)
+# name -> check(seed, trial-count override or None, workers), run at its
+# suite-default scale unless overridden; the check is looked up at call time,
+# so a patched module attribute takes effect
+_SUITE_CHECKS = {
+    "oracle": lambda s, k, w: check_oracle_equivalence(k or 2400, s),
+    "inclusions": lambda s, k, w: check_inclusions(k or 3000, s),
+    "shift": lambda s, k, w: check_shift_invariance(k or 2000, s),
+    "russo": lambda s, k, w: check_russo(k or 150_000, s, workers=w),
+    "tails": lambda s, k, w: check_tails(k or 200_000, s, workers=w, level_trials=4000),
+    "z": lambda s, k, w: check_z_bracket(k or 20_000, s, workers=w),
+    "conditional": lambda s, k, w: check_conditional_sampler(40, 25, s),
+    "exploration": lambda s, k, w: check_exploration_law(k or 600, s),
+}
+SUITE = tuple(_SUITE_CHECKS)
 
 
 def run_suite(
@@ -370,26 +377,7 @@ def run_suite(
 ) -> list[CheckResult]:
     """Run the named checks at suite-default scales (or a shared override)."""
     chosen = only or SUITE
-    results = []
-    for name in chosen:
-        if name == "oracle":
-            results.append(check_oracle_equivalence(trials or 2400, seed))
-        elif name == "inclusions":
-            results.append(check_inclusions(trials or 3000, seed))
-        elif name == "shift":
-            results.append(check_shift_invariance(trials or 2000, seed))
-        elif name == "russo":
-            results.append(check_russo(trials or 150_000, seed, workers=workers))
-        elif name == "tails":
-            results.append(
-                check_tails(trials or 200_000, seed, workers=workers, level_trials=4000)
-            )
-        elif name == "z":
-            results.append(check_z_bracket(trials or 20_000, seed, workers=workers))
-        elif name == "conditional":
-            results.append(check_conditional_sampler(40, 25, seed))
-        elif name == "exploration":
-            results.append(check_exploration_law(trials or 600, seed))
-        else:
-            raise ValueError(f"unknown check {name!r}; choose from {SUITE}")
-    return results
+    unknown = [name for name in chosen if name not in _SUITE_CHECKS]
+    if unknown:
+        raise ValueError(f"unknown check {unknown[0]!r}; choose from {SUITE}")
+    return [_SUITE_CHECKS[name](seed, trials, workers) for name in chosen]

@@ -18,14 +18,14 @@ from stirtree.bars import (
     sample_uniform_on,
 )
 from stirtree.meander import hit_level
-from stirtree.rng import substream
+from stirtree.rng import TrialStreams
 from stirtree.tree import TreeShape, edge_from_index
 
 SHAPE22 = TreeShape(2, 2)
 
 
 def test_zero_intensity_empty():
-    bars = BarCollection.sample_poisson(SHAPE22, 0.0, substream(1, "t0"))
+    bars = LazyPoissonBars(SHAPE22, 0.0, TrialStreams(1, "t0").at(0)).realize()
     assert bars.count == 0
     assert bars.heights_on(b"\x00") == ()
 
@@ -36,9 +36,9 @@ def test_poisson_mean_and_void_probability():
     t = 0.5
     total = 0
     void = 0
-    gen = substream(17, "poisson-mean")
+    gen = TrialStreams(17, "poisson-mean").at(0)
     for _ in range(trials):
-        bars = BarCollection.sample_poisson(SHAPE22, t, gen)
+        bars = LazyPoissonBars(SHAPE22, t, gen).realize()
         total += bars.count
         if not bars.heights_on(b"\x00"):
             void += 1
@@ -52,9 +52,9 @@ def test_poisson_mean_and_void_probability():
 
 
 def test_heights_strictly_increasing_and_open():
-    gen = substream(3, "inc")
+    gen = TrialStreams(3, "inc").at(0)
     for _ in range(200):
-        bars = BarCollection.sample_poisson(TreeShape(2, 3), 1.5, gen)
+        bars = LazyPoissonBars(TreeShape(2, 3), 1.5, gen).realize()
         for e in bars.edges_with_bars():
             hs = bars.heights_on(e)
             assert all(0.0 < h < 1.0 for h in hs)
@@ -63,7 +63,7 @@ def test_heights_strictly_increasing_and_open():
 
 def test_sample_added_marginals():
     trials = 100_000
-    gen = substream(23, "added")
+    gen = TrialStreams(23, "added").at(0)
     hits = 0
     hsum = 0.0
     for _ in range(trials):
@@ -77,15 +77,15 @@ def test_sample_added_marginals():
 
 
 def test_reproducibility_bit_identical():
-    a = BarCollection.sample_poisson(TreeShape(3, 3), 0.7, substream(99, "rep"))
-    b = BarCollection.sample_poisson(TreeShape(3, 3), 0.7, substream(99, "rep"))
+    a = LazyPoissonBars(TreeShape(3, 3), 0.7, TrialStreams(99, "rep").at(0)).realize()
+    b = LazyPoissonBars(TreeShape(3, 3), 0.7, TrialStreams(99, "rep").at(0)).realize()
     assert a == b
-    c = BarCollection.sample_poisson(TreeShape(3, 3), 0.7, substream(100, "rep"))
+    c = LazyPoissonBars(TreeShape(3, 3), 0.7, TrialStreams(100, "rep").at(0)).realize()
     assert a != c
 
 
 def test_json_roundtrip_exact():
-    bars = BarCollection.sample_poisson(TreeShape(3, 3), 0.9, substream(5, "json"))
+    bars = LazyPoissonBars(TreeShape(3, 3), 0.9, TrialStreams(5, "json").at(0)).realize()
     again = BarCollection.from_json(bars.to_json())
     assert again == bars
     payload = json.loads(bars.to_json())
@@ -136,7 +136,7 @@ def test_merge_intervals_fuses_adjacent():
 
 def test_sample_uniform_on_single_edge():
     s = LocationSet(SHAPE22, {b"\x01": ((0.0, 1.0),)})
-    gen = substream(31, "uni")
+    gen = TrialStreams(31, "uni").at(0)
     for _ in range(50):
         bar = sample_uniform_on(s, gen)
         assert bar.edge == b"\x01"
@@ -147,7 +147,7 @@ def test_sample_uniform_length_proportional():
     s = LocationSet(
         SHAPE22, {b"\x00": ((0.0, 0.25),), b"\x01": ((0.1, 0.85),)}
     )
-    gen = substream(37, "prop")
+    gen = TrialStreams(37, "prop").at(0)
     trials = 100_000
     first = 0
     for _ in range(trials):
@@ -161,10 +161,10 @@ def test_sample_uniform_length_proportional():
 def test_sample_uniform_matches_added_on_root_layer():
     # uniform on the full root layer agrees with the added-bar law given E_0
     s = LocationSet(SHAPE22, {b"\x00": ((0.0, 1.0),), b"\x01": ((0.0, 1.0),)})
-    gen = substream(41, "cmp")
+    gen = TrialStreams(41, "cmp").at(0)
     trials = 50_000
     direct = sum(sample_uniform_on(s, gen).edge == b"\x00" for _ in range(trials))
-    gen2 = substream(41, "cmp2")
+    gen2 = TrialStreams(41, "cmp2").at(0)
     rej = 0
     got = 0
     while got < trials:
@@ -178,7 +178,7 @@ def test_sample_uniform_matches_added_on_root_layer():
 
 def test_normalized_position_uniform():
     s = LocationSet(SHAPE22, {b"\x00": ((0.2, 0.4),), b"\x01": ((0.5, 0.9),)})
-    gen = substream(43, "pos")
+    gen = TrialStreams(43, "pos").at(0)
     xs = [normalized_position(s, sample_uniform_on(s, gen)) for _ in range(20_000)]
     assert 0.0 <= min(xs) and max(xs) < 1.0
     assert abs(np.mean(xs) - 0.5) < 4 * math.sqrt(1 / 12 / len(xs))
@@ -187,20 +187,50 @@ def test_normalized_position_uniform():
 def test_lazy_poisson_matches_law_and_replays():
     shape = TreeShape(16, 4)
     t = 1 / 16
-    # same substream and same access order reproduce identical counts
-    a = LazyPoissonBars(shape, t, substream(7, "lazy", 0))
-    b = LazyPoissonBars(shape, t, substream(7, "lazy", 0))
+    # same stream and same access order reproduce identical counts
+    a = LazyPoissonBars(shape, t, TrialStreams(7, "lazy", 0).at(0))
+    b = LazyPoissonBars(shape, t, TrialStreams(7, "lazy", 0).at(0))
     edges = [bytes((i,)) for i in range(16)]
     assert [a.count_on(e) for e in edges] == [b.count_on(e) for e in edges]
     assert a.heights_on(b"\x05") == b.heights_on(b"\x05")
-    # per-edge counts are Poisson(t): check the mean over many substreams
+    # per-edge counts are Poisson(t): check the mean over many streams
     total = 0
     trials = 20_000
     for i in range(trials):
-        lazy = LazyPoissonBars(shape, t, substream(11, "lazy-law", i))
+        lazy = LazyPoissonBars(shape, t, TrialStreams(11, "lazy-law", i).at(0))
         total += lazy.count_on(b"\x03")
     mean = total / trials
     assert abs(mean - t) < 4 * math.sqrt(t / trials)
+
+
+@pytest.mark.parametrize(
+    "d, n, t, seed",
+    [(2, 2, 0.25, 1), (3, 3, 0.7, 2), (8, 2, 0.145, 3), (2, 2, 12.0, 4)],
+)
+def test_realize_is_the_lazy_law_queried_in_edge_order(d, n, t, seed):
+    # one vector draw of the counts equals count_on edge by edge in index
+    # order (t=12 takes numpy's other Poisson algorithm), then the heights
+    shape = TreeShape(d, n)
+    full = LazyPoissonBars(shape, t, TrialStreams(seed, "realize").at(0)).realize()
+    lazy = LazyPoissonBars(shape, t, TrialStreams(seed, "realize").at(0))
+    edges = [edge_from_index(shape, i) for i in range(shape.edge_count)]
+    counts = [lazy.count_on(e) for e in edges]
+    by_edge = {e: lazy.heights_on(e) for e, k in zip(edges, counts) if k}
+    assert full == BarCollection(shape, by_edge)
+    assert full.count == lazy.count > 0
+
+
+def test_realize_needs_a_fresh_collection():
+    lazy = LazyPoissonBars(SHAPE22, 0.5, TrialStreams(2, "fresh").at(0))
+    lazy.count_on(b"\x00")
+    with pytest.raises(ValueError, match="nothing realized"):
+        lazy.realize()
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -1.0])
+def test_intensity_must_be_finite_and_nonnegative(t):
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        LazyPoissonBars(SHAPE22, t, TrialStreams(1, "bad-t").at(0))
 
 
 @settings(max_examples=80, deadline=None)
@@ -218,7 +248,7 @@ def test_with_added_overlay_same_on_lazy_and_materialized(
     d, n, t, seed, pick, h, on_barred
 ):
     shape = TreeShape(d, n)
-    lazy = LazyPoissonBars(shape, t, substream(seed, "overlay"))
+    lazy = LazyPoissonBars(shape, t, TrialStreams(seed, "overlay").at(0))
     edges = [edge_from_index(shape, i) for i in range(shape.edge_count)]
     dense = BarCollection(
         shape, {e: lazy.heights_on(e) for e in edges if lazy.count_on(e)}

@@ -7,7 +7,12 @@ import pytest
 
 import stirtree.estimators as estimators
 import stirtree.meander as meander
+from stirtree.bars import LazyPoissonBars
 from stirtree.cli import main
+from stirtree.meander import EngineError
+from stirtree.rng import TrialStreams
+from stirtree.stirring import stirring_permutation, transposition_oracle
+from stirtree.tree import TreeShape
 from stirtree.verify import check_oracle_equivalence
 
 
@@ -15,16 +20,16 @@ GOLDEN_SIM_ROW = {
     "schema": 1,
     "trial": 0,
     "seed": 7,
-    "cycle": ["ε", "00"],
+    "cycle": ["ε", "1"],
     "length": 2,
     "boundary_truncated": False,
-    "crossed": 0,
+    "crossed": 1,
     "bottleneck_edge": "",
     "bottleneck_height": "",
     "no_escape": "",
     "pivot": "neither",
     "bottleneck_zone": "",
-    "added_depth_index": 0,
+    "added_depth_index": 2,
     "reached_plain": 0,
     "reached_added": 0,
 }
@@ -51,7 +56,7 @@ def test_sim_deterministic(capsys):
     _, out2 = run_cli(args, capsys)
     assert out1 == out2
     _, out3 = run_cli(args[:-1] + ["6"], capsys)
-    assert out1 == out3[: len(out1)]  # prefix property: same substreams per trial
+    assert out1 == out3[: len(out1)]  # prefix property: same stream per trial
 
 
 def test_sim_zero_rate_identity(capsys):
@@ -144,6 +149,24 @@ def test_scan_grid_without_positive_step_exit_2(grid, capsys):
     assert code == 2 and "positive step" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("grid", ["0:1:1e-12", "0:1:5e-324"])
+def test_scan_grid_point_cap_exit_2(grid, capsys):
+    # 10^12 points and more: rejected from (lo, hi, step) before any list is built
+    code = main(["scan", "--d", "8", "--n", "2", "--t-grid", grid])
+    assert code == 2 and "over 10000 points" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("t", ["nan", "inf", "-1"])
+@pytest.mark.parametrize(
+    "command",
+    [["sim", "--n", "2"], ["estimate", "pn", "--n", "2"], ["estimate", "gw"]],
+    ids=["sim", "pn", "gw"],
+)
+def test_rate_not_finite_and_nonnegative_exit_2(command, t, capsys):
+    code = main(command + ["--d", "3", "--t", t, "--trials", "10"])
+    assert code == 2 and "finite and >= 0" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -224,6 +247,13 @@ def test_verify_subsuite_and_verdict(tmp_path, capsys):
     assert data["passed"] is True and len(data["checks"]) == 2
 
 
+def test_verify_unknown_check_exit_2(capsys):
+    code = main(["verify", "--only", "oracle,bogus", "--trials", "10"])
+    out, err = capsys.readouterr()
+    assert code == 2 and "unknown check 'bogus'" in err
+    assert out == ""  # rejected before any check runs
+
+
 def test_verify_default_suite_exits_zero(capsys):
     # the full suite at its default scales is the verify contract
     code, out = run_cli(["verify", "--seed", "12"], capsys)
@@ -241,3 +271,26 @@ def test_injected_fault_caught_with_replay_seed():
     assert not res.passed
     assert res.replay["seed"] == 31
     assert "trial" in res.replay["first_failure"]
+
+
+def _oracle_outcome(bars):
+    """(engine equals oracle, EngineError message or None)."""
+    try:
+        return stirring_permutation(bars) == transposition_oracle(bars), None
+    except EngineError as exc:
+        return False, str(exc)
+
+
+@pytest.mark.parametrize("seed", [32, 42])  # first failures at trials 0 and 1
+def test_injected_fault_replays_from_trial_stream(seed):
+    # the replay coordinates rebuild the first failing instance exactly
+    meander._joint_search_inclusive = True
+    try:
+        first = check_oracle_equivalence(40, seed).replay["first_failure"]
+        d, n, t = first["d"], first["n"], first["t"]
+        gen = TrialStreams(seed, "oracle", d, n, t).at(first["trial"])
+        bars = LazyPoissonBars(TreeShape(d, n), t, gen).realize()
+        assert _oracle_outcome(bars) == (False, first.get("error"))
+    finally:
+        meander._joint_search_inclusive = False
+    assert _oracle_outcome(bars) == (True, None)  # the fault, not the sample

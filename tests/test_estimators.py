@@ -24,8 +24,23 @@ from stirtree.estimators import (
 )
 from stirtree.bars import BarCollection
 from stirtree.meander import hit_level
-from stirtree.rng import substream
-from stirtree.tree import TreeShape
+from stirtree.rng import TrialStreams
+from stirtree.tree import TreeShape, edge_from_index
+
+
+def _multinomial_collection(shape, t, gen):
+    """Independent law reference for the package's sampler: a Poisson(t|E|)
+    total count placed uniformly on the edges, uniform heights."""
+    total = int(gen.poisson(t * shape.edge_count))
+    idx = gen.integers(0, shape.edge_count, size=total)
+    idx, counts = np.unique(idx, return_counts=True)
+    return BarCollection(
+        shape,
+        {
+            edge_from_index(shape, int(i)): tuple(np.sort(gen.random(k)).tolist())
+            for i, k in zip(idx, counts)
+        },
+    )
 
 
 def test_pn_zero_intensity_exact():
@@ -59,19 +74,46 @@ def test_pn_reproducible_and_worker_invariant():
 
 
 def test_pn_lazy_path_matches_materialized_law():
-    # the lazy per-trial source against fully materialized collections
+    # the lazy per-trial source against the independent multinomial sampler
     shape = TreeShape(3, 3)
     t = 0.4
     trials = 20_000
     lazy = estimate_pn(shape, t, trials, 31)
-    gen = substream(29, "materialized-pn")
+    gen = TrialStreams(29, "materialized-pn").at(0)
     hits = sum(
-        hit_level(BarCollection.sample_poisson(shape, t, gen)).reached
+        hit_level(_multinomial_collection(shape, t, gen)).reached
         for _ in range(trials)
     )
     dense = hits / trials
     se = math.hypot(lazy.stderr, math.sqrt(dense * (1 - dense) / trials))
     assert abs(dense - lazy.mean) < 4 * se
+
+
+S22 = TreeShape(2, 2)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: estimate_pn(S22, 0.5, 0, 1),
+        lambda: estimate_pn(S22, 0.0, 0, 1),
+        lambda: critical_scan([S22], [0.5], 0, 1),
+        lambda: russo_check(S22, 0.5, 0.05, 0, 1),
+        lambda: z_estimate(S22, 0.5, 0, 1),
+        lambda: tail_checks(TreeShape(16, 2), 1 / 16, 0, 1, level_trials=0),
+        lambda: tail_checks(S22, 0.5, 0, 1),  # cluster part skipped
+        lambda: coupled_hit_indicators(S22, [0.2, 0.4], 0, 1),
+        lambda: coupled_percolation_indicators(S22, [0.2, 0.4], 0, 1),
+        lambda: bare_root_gain_check(S22, 0.5, 0, 1),
+    ],
+    ids=[
+        "pn", "pn-rate-0", "scan", "russo", "z", "tails", "tails-no-cluster",
+        "coupled-hit", "coupled-percolation", "bare-root-gain",
+    ],
+)
+def test_trials_below_one_rejected(call):
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        call()
 
 
 def test_russo_small_scale():
@@ -163,12 +205,12 @@ def test_cluster_tail_matches_direct_sampling():
     shape = TreeShape(5, 3)
     t = 0.1
     rep = tail_checks(shape, t, 40_000, 67, level_trials=0)
-    gen = substream(71, "direct-cluster")
+    gen = TrialStreams(71, "direct-cluster").at(0)
     trials = 40_000
     from stirtree.events import multibar_cluster
 
     direct = sum(
-        multibar_cluster(BarCollection.sample_poisson(shape, t, gen)).size >= 1
+        multibar_cluster(_multinomial_collection(shape, t, gen)).size >= 1
         for _ in range(trials)
     ) / trials
     row = rep.cluster_rows[0]

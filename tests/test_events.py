@@ -2,7 +2,7 @@
 
 import math
 
-from stirtree.bars import Bar, BarCollection, sample_added
+from stirtree.bars import Bar, BarCollection, LazyPoissonBars, sample_added
 from stirtree.events import (
     crossed_bars,
     crossing_without_bottleneck,
@@ -15,7 +15,7 @@ from stirtree.events import (
     untouched_locations,
     viable_locations,
 )
-from stirtree.rng import substream
+from stirtree.rng import TrialStreams
 from stirtree.tree import TreeShape, path_to_root
 from stirtree.verify import inclusion_violations
 
@@ -89,9 +89,9 @@ def test_multibar_cluster_truncation_and_boundary_bound():
     )
     rep = multibar_cluster(deep)
     assert rep.truncated  # cluster reaches depth n
-    gen = substream(131, "bd")
+    gen = TrialStreams(131, "bd").at(0)
     for _ in range(300):
-        bars = BarCollection.sample_poisson(TreeShape(3, 3), 0.9, gen)
+        bars = LazyPoissonBars(TreeShape(3, 3), 0.9, gen).realize()
         r = multibar_cluster(bars)
         assert len(r.boundary) <= 3 + (3 - 1) * r.size
 
@@ -132,13 +132,13 @@ def test_root_stats_trivial_and_laws():
     # P(bar-free root layer) = e^{-tau}; lone-bar count mean = d t e^{-t}
     d, n, t = 3, 2, 0.3
     shape = TreeShape(d, n)
-    gen = substream(139, "roots")
+    gen = TrialStreams(139, "roots").at(0)
     trials = 30_000
     free = 0
     lone = 0
     gap = 0
     for _ in range(trials):
-        bars = BarCollection.sample_poisson(shape, t, gen)
+        bars = LazyPoissonBars(shape, t, gen).realize()
         s = root_stats(bars)
         free += s.bar_free
         lone += s.single_bar_edges
@@ -191,8 +191,8 @@ def test_inclusions_zero_violations_small():
     shape = TreeShape(3, 4)
     for t in (0.2, 0.5):
         for i in range(800):
-            gen = substream(149, "incl", t, i)
-            bars = BarCollection.sample_poisson(shape, t, gen)
+            gen = TrialStreams(149, "incl", t, i).at(0)
+            bars = LazyPoissonBars(shape, t, gen).realize()
             added = sample_added(shape, gen)
             assert inclusion_violations(bars, added) == [], (t, i)
 
@@ -202,17 +202,17 @@ def test_inclusions_hold_in_truncation_heavy_regimes():
     for d, n, t in [(2, 2, 0.9), (2, 3, 1.2), (4, 3, 0.5), (3, 2, 1.0)]:
         shape = TreeShape(d, n)
         for i in range(1500):
-            gen = substream(4242, "sweep", d, n, t, i)
-            bars = BarCollection.sample_poisson(shape, t, gen)
+            gen = TrialStreams(4242, "sweep", d, n, t, i).at(0)
+            bars = LazyPoissonBars(shape, t, gen).realize()
             added = sample_added(shape, gen)
             assert inclusion_violations(bars, added) == [], (d, n, t, i)
 
 
 def test_crossing_without_bottleneck_equals_viable_membership():
     shape = TreeShape(2, 3)
-    gen = substream(151, "ek2")
+    gen = TrialStreams(151, "ek2").at(0)
     for _ in range(2000):
-        bars = BarCollection.sample_poisson(shape, 0.7, gen)
+        bars = LazyPoissonBars(shape, 0.7, gen).realize()
         added = sample_added(shape, gen)
         traj = root_trajectory(bars)
         lhs = crossing_without_bottleneck(bars, added, traj)
@@ -222,9 +222,9 @@ def test_crossing_without_bottleneck_equals_viable_membership():
 
 def test_untouched_locations_consistency():
     shape = TreeShape(2, 3)
-    gen = substream(157, "unt")
+    gen = TrialStreams(157, "unt").at(0)
     for _ in range(200):
-        bars = BarCollection.sample_poisson(shape, 0.7, gen)
+        bars = LazyPoissonBars(shape, 0.7, gen).realize()
         traj = root_trajectory(bars)
         found = crossed_bars(traj)
         unt = untouched_locations(bars, traj)

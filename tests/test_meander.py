@@ -15,7 +15,7 @@ from stirtree.meander import (
     run,
     stirred_vertex,
 )
-from stirtree.rng import substream
+from stirtree.rng import TrialStreams
 from stirtree.stirring import transposition_oracle
 from stirtree.tree import ROOT, TreeShape, path_to_root
 
@@ -65,9 +65,9 @@ def test_right_continuity_start_on_joint():
 def test_return_time_matches_cycle_length_oracle():
     # from (v, 0) the return time equals the cycle length of v in the
     # unit-time permutation: an independent permutation-algebra oracle
-    gen = substream(71, "cyclen")
+    gen = TrialStreams(71, "cyclen").at(0)
     for _ in range(300):
-        bars = BarCollection.sample_poisson(S23, 0.6, gen)
+        bars = LazyPoissonBars(S23, 0.6, gen).realize()
         sigma = transposition_oracle(bars)
         res = return_time(bars, SpaceTimePoint(ROOT, 0.0))
         if res.truncated:
@@ -83,9 +83,9 @@ def test_return_time_matches_cycle_length_oracle():
 def test_return_time_height_shift_exact():
     # running from (root, h) among B equals running from (root, 0) among the
     # height-shifted collection: determinism makes the symmetry exact
-    gen = substream(73, "shift-exact")
+    gen = TrialStreams(73, "shift-exact").at(0)
     for _ in range(200):
-        bars = BarCollection.sample_poisson(S23, 0.5, gen)
+        bars = LazyPoissonBars(S23, 0.5, gen).realize()
         h = float(gen.random())
         shifted = BarCollection.from_bars(
             S23, [Bar(b.edge, (b.height - h) % 1.0) for b in bars.iter_bars()]
@@ -111,9 +111,9 @@ def test_hit_level_probability_level_one():
     # reached iff some root edge carries a bar: P = 1 - e^{-dt}
     shape = TreeShape(3, 1)
     t = 0.4
-    gen = substream(79, "p1")
+    gen = TrialStreams(79, "p1").at(0)
     trials = 20_000
-    hits = sum(hit_level(BarCollection.sample_poisson(shape, t, gen)).reached for _ in range(trials))
+    hits = sum(hit_level(LazyPoissonBars(shape, t, gen).realize()).reached for _ in range(trials))
     p = hits / trials
     expected = 1 - math.exp(-3 * t)
     assert abs(p - expected) < 4 * math.sqrt(expected * (1 - expected) / trials)
@@ -149,9 +149,9 @@ def test_three_way_stop_rule_orbit_avoiding_root_origin():
 
 
 def test_coverage_measure_equals_elapsed():
-    gen = substream(83, "cov")
+    gen = TrialStreams(83, "cov").at(0)
     for _ in range(200):
-        bars = BarCollection.sample_poisson(S23, 0.8, gen)
+        bars = LazyPoissonBars(S23, 0.8, gen).realize()
         traj = run(bars, SpaceTimePoint(ROOT, 0.0), StopRule(level=3))
         total = sum(b - a for ivs in traj.coverage().values() for a, b in ivs)
         assert abs(total - traj.elapsed) < 1e-9
@@ -159,9 +159,9 @@ def test_coverage_measure_equals_elapsed():
 
 
 def test_dichotomy_every_run_hits_or_returns():
-    gen = substream(89, "dicho")
+    gen = TrialStreams(89, "dicho").at(0)
     for _ in range(500):
-        bars = BarCollection.sample_poisson(S23, 1.0, gen)
+        bars = LazyPoissonBars(S23, 1.0, gen).realize()
         res = hit_level(bars)
         assert res.reached in (True, False)
         traj = res.trajectory
@@ -169,9 +169,9 @@ def test_dichotomy_every_run_hits_or_returns():
 
 
 def test_elapsed_time_is_wrap_count_on_return():
-    gen = substream(97, "laps")
+    gen = TrialStreams(97, "laps").at(0)
     for _ in range(200):
-        bars = BarCollection.sample_poisson(S23, 0.7, gen)
+        bars = LazyPoissonBars(S23, 0.7, gen).realize()
         res = return_time(bars, SpaceTimePoint(ROOT, 0.0))
         if not res.truncated:
             assert res.time == float(int(res.time))  # whole laps exactly
@@ -188,7 +188,7 @@ def test_fault_injection_breaks_engine():
 
 
 def test_run_is_pure():
-    bars = BarCollection.sample_poisson(S23, 0.8, substream(101, "pure"))
+    bars = LazyPoissonBars(S23, 0.8, TrialStreams(101, "pure").at(0)).realize()
     a = run(bars, SpaceTimePoint(ROOT, 0.0), StopRule(level=3))
     b = run(bars, SpaceTimePoint(ROOT, 0.0), StopRule(level=3))
     assert a.outcome == b.outcome
@@ -221,7 +221,7 @@ def test_crossing_guard_armed_on_lazy_collections():
             self.count = 0
             return built
 
-    honest = hit_level(LazyPoissonBars(S23, 2.0, substream(5, "undercount")), record=True)
+    honest = hit_level(LazyPoissonBars(S23, 2.0, TrialStreams(5, "undercount").at(0)), record=True)
     assert honest.trajectory.crossings  # the run below has a crossing to count
     with pytest.raises(EngineError, match="crossing count"):
-        hit_level(Undercounting(S23, 2.0, substream(5, "undercount")))
+        hit_level(Undercounting(S23, 2.0, TrialStreams(5, "undercount").at(0)))

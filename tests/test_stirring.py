@@ -4,10 +4,10 @@ import math
 
 import pytest
 
-from stirtree.bars import Bar, BarCollection
+from stirtree.bars import Bar, BarCollection, LazyPoissonBars
 from stirtree.estimators import estimate_pn
 from stirtree.meander import hit_level
-from stirtree.rng import substream
+from stirtree.rng import TrialStreams
 from stirtree.stirring import (
     Permutation,
     cycle_of_root,
@@ -41,17 +41,17 @@ def test_figure_one_cycle_has_three_elements():
 
 
 def test_engine_equals_oracle_on_random_instances():
-    gen = substream(111, "orc")
+    gen = TrialStreams(111, "orc").at(0)
     for trial in range(2000):
         d, n, tau = [(2, 3, 1.0), (3, 2, 2.0), (3, 3, 0.5)][trial % 3]
-        bars = BarCollection.sample_poisson(TreeShape(d, n), tau / d, gen)
+        bars = LazyPoissonBars(TreeShape(d, n), tau / d, gen).realize()
         assert stirring_permutation(bars) == transposition_oracle(bars), trial
 
 
 def test_cycles_partition_support():
-    gen = substream(113, "cyc")
+    gen = TrialStreams(113, "cyc").at(0)
     for _ in range(200):
-        bars = BarCollection.sample_poisson(S23, 0.8, gen)
+        bars = LazyPoissonBars(S23, 0.8, gen).realize()
         sigma = transposition_oracle(bars)
         cycles = sigma.cycles()
         flat = [v for c in cycles for v in c]
@@ -78,11 +78,11 @@ def test_cycle_report_trivial_cases():
 def test_truncation_flag_matches_hit_and_pn():
     shape = TreeShape(2, 3)
     t = 0.6
-    gen = substream(127, "trunc")
+    gen = TrialStreams(127, "trunc").at(0)
     trials = 20_000
     hits = 0
     for _ in range(trials):
-        bars = BarCollection.sample_poisson(shape, t, gen)
+        bars = LazyPoissonBars(shape, t, gen).realize()
         rep = cycle_of_root(bars)
         assert rep.boundary_truncated == hit_level(bars).reached
         hits += rep.boundary_truncated
