@@ -31,27 +31,66 @@ class Bar(NamedTuple):
     height: float
 
 
+# One-byte child symbols: the children of v are ``v + s`` for the first d.
+_SYMBOLS = tuple(bytes((i,)) for i in range(256))
+
+
+def check_rate(t: float) -> None:
+    """Reject a Poisson rate that is not finite and >= 0 (NaN included)."""
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError(f"intensity t must be finite and >= 0, got {t!r}")
+
+
 def _distinct_heights(rng: np.random.Generator, k: int) -> tuple[float, ...]:
     """k i.i.d. heights, sorted, all distinct and strictly inside (0, 1)."""
+    if k == 0:  # rng.random(0) would consume nothing
+        return ()
     if k == 1:  # fast path; draws exactly what rng.random(1) would
         h = rng.random()
         if h > 0.0:
             return (h,)
     while True:
         hs = rng.random(k)
-        if k == 0:
-            return ()
         hs.sort()
         if hs[0] > 0.0 and all(hs[i] < hs[i + 1] for i in range(k - 1)):
             return tuple(hs.tolist())
         # exact collision or exact 0.0: astronomically rare, redraw
 
 
+# A pole: its ascending joint heights and, per joint, (edge, dest).
+_Pole = tuple[tuple[float, ...], tuple[tuple[bytes, bytes], ...]]
+
+
+def _incident_edges(shape: TreeShape, v: bytes) -> list[bytes]:
+    """The edges with a joint on pole v: the parent edge, then the children."""
+    edges = [v] if v else []
+    if len(v) < shape.n:
+        edges += [v + s for s in _SYMBOLS[: shape.d]]
+    return edges
+
+
+def _pole_of(v: bytes, groups: list[tuple[tuple[float, ...], bytes]]) -> _Pole:
+    """Merge the ``(heights, edge)`` groups of the barred edges at v into a pole.
+
+    The parent edge v leads up to ``v[:-1]``, a child edge down to itself.
+    Each group's heights ascend already, so one group needs no sort.
+    """
+    if len(groups) == 1:
+        hs, e = groups[0]
+        return hs, ((e, e[:-1] if e == v else e),) * len(hs)
+    if not groups:
+        return (), ()
+    entries = [(h, (e, e[:-1] if e == v else e)) for hs, e in groups for h in hs]
+    entries.sort()
+    heights, hops = zip(*entries)
+    return heights, hops
+
+
 class _PoleIndexMixin:
     """Lazily built per-pole index of incident joints.
 
     ``pole(v)`` returns ``(heights, hops)`` where heights is the ascending
-    list of joint heights on the pole at v and ``hops[i] = (edge, dest)``
+    tuple of joint heights on the pole at v and ``hops[i] = (edge, dest)``
     names the supporting edge and the vertex at the other joint.  Built on
     first visit and cached; collections are immutable afterwards, so sharing
     across concurrent runs is safe once built.
@@ -60,7 +99,7 @@ class _PoleIndexMixin:
     shape: TreeShape
 
     def _init_pole_cache(self) -> None:
-        self._poles: dict[bytes, tuple[list[float], list[tuple[bytes, bytes]]]] = {}
+        self._poles: dict[bytes, _Pole] = {}
 
     def heights_on(self, edge: bytes) -> tuple[float, ...]:  # pragma: no cover
         raise NotImplementedError
@@ -68,24 +107,16 @@ class _PoleIndexMixin:
     def count_on(self, edge: bytes) -> int:
         return len(self.heights_on(edge))
 
-    def pole(self, v: bytes):
-        cached = self._poles.get(v)
-        if cached is not None:
-            return cached
-        entries: list[tuple[float, bytes, bytes]] = []
-        if v:
-            up = v[:-1]
-            for h in self.heights_on(v):
-                entries.append((h, v, up))
-        if len(v) < self.shape.n:
-            for i in range(self.shape.d):
-                c = v + bytes((i,))
-                if self.count_on(c):
-                    for h in self.heights_on(c):
-                        entries.append((h, c, c))
-        entries.sort()
-        built = ([e[0] for e in entries], [(e[1], e[2]) for e in entries])
-        self._poles[v] = built
+    def pole(self, v: bytes) -> _Pole:
+        built = self._poles.get(v)
+        if built is not None:
+            return built
+        groups = []
+        for e in _incident_edges(self.shape, v):
+            hs = self.heights_on(e)
+            if hs:
+                groups.append((hs, e))
+        built = self._poles[v] = _pole_of(v, groups)
         return built
 
     def with_added(self, bar: Bar) -> "_WithAdded":
@@ -123,7 +154,7 @@ class _WithAdded(_PoleIndexMixin):
         pos = bisect_left(hs, self._bar.height)
         return hs[:pos] + (self._bar.height,) + hs[pos:]
 
-    def pole(self, v: bytes):
+    def pole(self, v: bytes) -> _Pole:
         e, h = self._bar
         if v == e:
             dest = e[:-1]
@@ -135,7 +166,10 @@ class _WithAdded(_PoleIndexMixin):
         if cached is None:
             heights, hops = self._base.pole(v)
             i = bisect_left(heights, h)
-            cached = (heights[:i] + [h] + heights[i:], hops[:i] + [(e, dest)] + hops[i:])
+            cached = (
+                heights[:i] + (h,) + heights[i:],
+                hops[:i] + ((e, dest),) + hops[i:],
+            )
             self._poles[v] = cached
         return cached
 
@@ -233,8 +267,7 @@ class LazyPoissonBars(_PoleIndexMixin):
     __slots__ = ("shape", "t", "count", "_rng", "_counts", "_heights", "_marks", "_poles")
 
     def __init__(self, shape: TreeShape, t: float, rng: np.random.Generator) -> None:
-        if not (math.isfinite(t) and t >= 0):
-            raise ValueError(f"intensity t must be finite and >= 0, got {t!r}")
+        check_rate(t)
         self.shape = shape
         self.t = t
         self.count = 0
@@ -297,25 +330,33 @@ class LazyPoissonBars(_PoleIndexMixin):
         nested across t on one realization (the thinning coupling)."""
         return _Thinned(self, t)
 
-    def pole(self, v: bytes):
-        cached = self._poles.get(v)
-        if cached is not None:
-            return cached
+    def pole(self, v: bytes) -> _Pole:
+        built = self._poles.get(v)
+        if built is not None:
+            return built
+        # Counts, then heights, are drawn in incident-edge order (the parent
+        # edge, then the children by symbol), as count_on then heights_on
+        # edge by edge would draw them.
+        edges = _incident_edges(self.shape, v)
+        counts = self._counts
         # Vector-sample the unknown incident counts in one call; at dilute
         # intensities most of them are zero and no heights are ever drawn.
-        unknown = []
-        if v and v not in self._counts:
-            unknown.append(v)
-        if len(v) < self.shape.n:
-            for i in range(self.shape.d):
-                c = v + bytes((i,))
-                if c not in self._counts:
-                    unknown.append(c)
+        unknown = [e for e in edges if e not in counts]
         if unknown:
             ks = self._rng.poisson(self.t, size=len(unknown)).tolist()
-            self._counts.update(zip(unknown, ks))
+            counts.update(zip(unknown, ks))
             self.count += sum(ks)
-        return _PoleIndexMixin.pole(self, v)
+        heights = self._heights
+        groups = []
+        for e in edges:
+            k = counts[e]
+            if k:
+                hs = heights.get(e)
+                if hs is None:
+                    hs = heights[e] = _distinct_heights(self._rng, k)
+                groups.append((hs, e))
+        built = self._poles[v] = _pole_of(v, groups)
+        return built
 
 
 class _Thinned(_PoleIndexMixin):

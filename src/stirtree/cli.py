@@ -3,7 +3,8 @@
 All randomness descends from one --seed: each (purpose, shape, t) has its
 own Philox key and trial i its own counter block of it (rng.TrialStreams),
 so any emitted row or failed check can be replayed exactly.  Exit codes:
-0 success, 1 verification failure, 2 bad usage, 3 capacity exceeded.
+0 success, 1 verification failure, 2 bad usage, 3 capacity exceeded,
+4 engine error (an internal inconsistency the engine's guards caught).
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import sys
 from stirtree import estimators, verify
 from stirtree.bars import LazyPoissonBars, sample_added
 from stirtree.events import detect
+from stirtree.meander import EngineError
 from stirtree.rng import TrialStreams
 from stirtree.stirring import cycle_of_root
 from stirtree.tree import CapacityError, TreeShape
@@ -265,6 +267,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"invalid parameters: {exc}", file=sys.stderr)
         return 2
+    except EngineError as exc:
+        print(f"engine error: {exc}", file=sys.stderr)
+        return 4
     return 2
 
 

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from stirtree.bars import Bar, LazyPoissonBars, sample_added
+from stirtree.bars import Bar, LazyPoissonBars, check_rate, sample_added
 from stirtree.events import multibar_cluster, root_trajectory, viable_locations
 from stirtree.meander import EngineError, hit_level
 from stirtree.rng import TrialStreams
@@ -276,6 +276,7 @@ def tail_checks(
     the propagated plug-in error.
     """
     _check_trials(trials)
+    check_rate(t)  # NaN would slip past the d < 11 tau^2 test below
     d = shape.d
     tau = t * d
     notes = []
@@ -369,8 +370,9 @@ def gw_extinction(d: int, t: float) -> GwBound:
     complement upper-bounds the never-return probability, and for d >= 6
     with t inside the critical window it is checked against 6/d.
     """
-    if d < 2 or not (math.isfinite(t) and t >= 0):
-        raise ValueError(f"need d >= 2 and t finite and >= 0, got d={d}, t={t!r}")
+    if d < 2:
+        raise ValueError(f"need d >= 2, got d={d}")
+    check_rate(t)
     p_occ = -math.expm1(-t)  # 1 - e^-t
     q = 1.0 - p_occ
 

@@ -166,20 +166,22 @@ def run(
     crossing count stays within twice the bar count (for lazy collections,
     the bars realized so far) and the wrap count within the vertex count.
     """
-    shape = bars.shape
     v0, h0 = start
     if not 0.0 <= h0 < 1.0:
         raise ValueError(f"start height {h0} outside [0,1)")
-    if stop.level is not None and len(v0) >= stop.level:
+    stop_level = stop.level
+    if stop_level is not None and len(v0) >= stop_level:
         raise ValueError("run started at or beyond the stop level")
+    if not isinstance(start, SpaceTimePoint):
+        start = SpaceTimePoint(v0, h0)
 
     search = bisect_left if _joint_search_inclusive else bisect_right
     points = stop.points
-    stop_level = stop.level
-    max_wraps = shape.vertex_count
+    max_wraps = bars.shape.vertex_count
+    pole = bars.pole
 
     v, h = v0, h0
-    heights, hops = bars.pole(v)
+    heights, hops = pole(v)
     wraps = 0
     ncross = 0
     seen: set = set()
@@ -188,25 +190,26 @@ def run(
 
     while True:
         i = search(heights, h)
-        boundary = heights[i] if i < len(heights) else 1.0
+        crossing = i < len(heights)
+        boundary = heights[i] if crossing else 1.0
 
         # Triggers strictly inside the rise (h, boundary): the start point
         # or an explicit stop point lying on this pole.
-        trig_h = None
-        trig_kind = None
-        trig_pt = None
         if v == v0 and h < h0 < boundary:
             trig_h, trig_kind, trig_pt = h0, "returned", (v0, h0)
-        for pv, ph in points:
-            if pv == v and h < ph < boundary and (trig_h is None or ph < trig_h):
-                trig_h, trig_kind, trig_pt = ph, "hit_point", (pv, ph)
+        else:
+            trig_h = None
+        if points:
+            for pv, ph in points:
+                if pv == v and h < ph < boundary and (trig_h is None or ph < trig_h):
+                    trig_h, trig_kind, trig_pt = ph, "hit_point", (pv, ph)
         if trig_h is not None:
             if record:
                 segments.append((v, h, trig_h))
             outcome = Outcome(trig_kind, wraps + (trig_h - h0), trig_pt)
             break
 
-        if i < len(heights):  # cross the bar at height `boundary`
+        if crossing:  # cross the bar at height `boundary`
             edge_k, w = hops[i]
             hb = boundary
             t_ev = wraps + (hb - h0)
@@ -220,7 +223,7 @@ def run(
             if w == v0 and hb == h0:
                 outcome = Outcome("returned", t_ev, (v0, h0))
                 break
-            if state in points:
+            if points and state in points:
                 outcome = Outcome("hit_point", t_ev, state)
                 break
             if stop_level is not None and len(w) == stop_level:
@@ -230,7 +233,7 @@ def run(
                 raise EngineError(f"trajectory revisited state {state!r}")
             seen.add(state)
             v, h = w, hb
-            heights, hops = bars.pole(v)
+            heights, hops = pole(v)
         else:  # wrap 1 -> 0 on the current pole
             if record:
                 segments.append((v, h, 1.0))
@@ -244,7 +247,7 @@ def run(
             if v == v0 and h0 == 0.0:
                 outcome = Outcome("returned", float(wraps), (v0, 0.0))
                 break
-            if state in points:
+            if points and state in points:
                 outcome = Outcome("hit_point", wraps - h0, state)
                 break
             if state in seen:
@@ -253,7 +256,7 @@ def run(
             h = 0.0
 
     return Trajectory(
-        start=SpaceTimePoint(v0, h0),
+        start=start,
         outcome=outcome,
         wraps=wraps,
         crossings=crossings if record else [],

@@ -10,6 +10,7 @@ addresses, which keeps depth-n trees with billions of vertices usable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 ROOT: bytes = b""
 
@@ -42,7 +43,7 @@ class TreeShape:
                 f"d**(n+1) = {self.d}**{self.n + 1} exceeds the 2**62 counter range"
             )
 
-    @property
+    @cached_property
     def vertex_count(self) -> int:
         return (self.d ** (self.n + 1) - 1) // (self.d - 1)
 

@@ -233,6 +233,32 @@ def test_intensity_must_be_finite_and_nonnegative(t):
         LazyPoissonBars(SHAPE22, t, TrialStreams(1, "bad-t").at(0))
 
 
+@pytest.mark.parametrize(
+    "d, n, t, v",
+    [
+        (3, 3, 0.8, b""),
+        (3, 3, 1.2, b"\x01"),
+        (3, 3, 1.2, b"\x01\x02\x00"),
+        (2, 4, 1.5, b"\x00\x01"),
+    ],
+)
+def test_lazy_pole_draws_parent_then_children(d, n, t, v):
+    # a pole built first (parent edge unknown too) draws what count_on over
+    # the parent edge and the children by symbol, then heights_on over them,
+    # would draw; afterwards both streams stand at the same position
+    shape = TreeShape(d, n)
+    gen = TrialStreams(3, "pole-order").at(0)
+    pole = LazyPoissonBars(shape, t, gen).pole(v)
+    ref_gen = TrialStreams(3, "pole-order").at(0)
+    ref = LazyPoissonBars(shape, t, ref_gen)
+    incident = ([v] if v else []) + [v + bytes((i,)) for i in range(d) if len(v) < n]
+    counts = [ref.count_on(e) for e in incident]
+    dense = BarCollection(shape, {e: ref.heights_on(e) for e in incident})
+    assert sum(counts) > 0
+    assert pole == dense.pole(v)
+    assert gen.random() == ref_gen.random()
+
+
 @settings(max_examples=80, deadline=None)
 @example(d=2, n=2, t=1.5, seed=1, pick=0, h=0.5, on_barred=True)
 @given(

@@ -159,8 +159,13 @@ def test_scan_grid_point_cap_exit_2(grid, capsys):
 @pytest.mark.parametrize("t", ["nan", "inf", "-1"])
 @pytest.mark.parametrize(
     "command",
-    [["sim", "--n", "2"], ["estimate", "pn", "--n", "2"], ["estimate", "gw"]],
-    ids=["sim", "pn", "gw"],
+    [
+        ["sim", "--n", "2"],
+        ["estimate", "pn", "--n", "2"],
+        ["estimate", "gw"],
+        ["estimate", "tails", "--n", "2"],
+    ],
+    ids=["sim", "pn", "gw", "tails"],
 )
 def test_rate_not_finite_and_nonnegative_exit_2(command, t, capsys):
     code = main(command + ["--d", "3", "--t", t, "--trials", "10"])
@@ -205,6 +210,17 @@ def test_worker_pool_clamped_to_jobs_and_cpus(monkeypatch, capsys):
         assert main(base + ["--trials", trials, "--workers", "1000000"]) == 0
     capsys.readouterr()
     assert sizes == [4, 2]
+
+
+def test_engine_error_exit_4(monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise EngineError("trajectory revisited state (b'', 0.5)")
+
+    monkeypatch.setattr(estimators, "estimate_pn", broken)
+    code = main(["estimate", "pn", "--d", "2", "--n", "2", "--t", "0.5"])
+    out, err = capsys.readouterr()
+    assert code == 4 and out == ""
+    assert err == "engine error: trajectory revisited state (b'', 0.5)\n"
 
 
 def test_capacity_exit_3(capsys):

@@ -1,0 +1,52 @@
+"""Exact seed -> value pins for every estimator that draws lazily.
+
+``GOLDEN_SIM_ROW`` pins one fully realized collection; these pin the lazy
+draw order instead: which edges are queried, in which order, and from which
+counter block.  Any change to that order changes at least one of these
+values, so a change that claims bit-identical draws must leave them alone.
+The trial counts are small; the whole module runs in about a second.
+"""
+
+import pytest
+
+from stirtree.estimators import (
+    bare_root_gain_check,
+    coupled_hit_indicators,
+    coupled_percolation_indicators,
+    estimate_pn,
+    russo_check,
+    z_estimate,
+)
+from stirtree.tree import TreeShape
+
+
+@pytest.mark.parametrize(
+    "d, n, t, trials, seed, hits",
+    [(8, 6, 0.145, 1500, 3, 417), (2, 2, 0.5, 4000, 5, 1598)],
+)
+def test_estimate_pn_hit_counts(d, n, t, trials, seed, hits):
+    est = estimate_pn(TreeShape(d, n), t, trials, seed)
+    assert est.mean == hits / trials
+
+
+def test_russo_pivotal_frequencies():
+    res = russo_check(TreeShape(2, 2), 0.5, 0.05, 2000, 6)
+    assert (res.p_on, res.p_off) == (363 / 2000, 60 / 2000)
+
+
+def test_coupled_indicator_column_sums():
+    ts = [0.2, 0.3, 0.4]
+    hit = coupled_hit_indicators(TreeShape(3, 4), ts, 600, 7)
+    perc = coupled_percolation_indicators(TreeShape(3, 4), ts, 600, 7)
+    assert hit.sum(axis=0).tolist() == [29, 92, 178]
+    assert perc.sum(axis=0).tolist() == [36, 115, 227]
+
+
+def test_z_estimate_mean():
+    est = z_estimate(TreeShape(16, 4), 1 / 16, 600, 8)
+    assert est.mean == 13.695596077543687
+
+
+def test_bare_root_gain():
+    gain, ref, _z = bare_root_gain_check(TreeShape(3, 4), 0.3, 1000, 9)
+    assert (gain.mean, ref.mean) == (238 / 1000, 235 / 1000)

@@ -1,0 +1,116 @@
+"""Property tests over small random trees: the pole index and the engine.
+
+Every pole index (the lazy collection's own one-pass build, the shared build
+of materialized collections and thinnings, the one-bar overlay) must agree
+with a materialized collection holding the same bars, and the engine must
+agree with the transposition oracle.  Runs started exactly on a joint check
+the right-continuity rule.
+"""
+
+from hypothesis import assume, example, given, settings, strategies as st
+
+from stirtree.bars import Bar, BarCollection, LazyPoissonBars
+from stirtree.events import root_trajectory
+from stirtree.meander import SpaceTimePoint, StopRule, run
+from stirtree.rng import TrialStreams
+from stirtree.stirring import stirring_permutation, transposition_oracle
+from stirtree.tree import ROOT, TreeShape, edge_from_index
+
+shapes = st.builds(TreeShape, st.integers(2, 4), st.integers(1, 4))
+rates = st.floats(0.01, 1.5)
+seeds = st.integers(0, 2**32)
+
+
+def _edges(shape):
+    return [edge_from_index(shape, i) for i in range(shape.edge_count)]
+
+
+def _materialized(bars, edges) -> BarCollection:
+    """A collection holding every bar of ``bars``; realizes all of them."""
+    by_edge = {e: hs for e in edges if (hs := bars.heights_on(e))}
+    return BarCollection(bars.shape, by_edge)
+
+
+def _visited(traj) -> set:
+    return {v for v, _lo, _hi in traj.segments}
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape=shapes, t=rates, seed=seeds)
+def test_lazy_poles_equal_materialized_poles(shape, t, seed):
+    lazy = LazyPoissonBars(shape, t, TrialStreams(seed, "prop-lazy").at(0))
+    traj = root_trajectory(lazy)
+    built = {v: lazy.pole(v) for v in _visited(traj)}  # cache hits, no draws
+    dense = _materialized(lazy, _edges(shape))
+    assert lazy.count == dense.count
+    assert built == {v: dense.pole(v) for v in built}
+    assert root_trajectory(dense) == traj
+
+
+@settings(max_examples=60, deadline=None)
+@example(shape=TreeShape(2, 2), t=1.5, seed=1, pick=0, h=0.5)
+@given(
+    shape=shapes,
+    t=rates,
+    seed=seeds,
+    pick=st.integers(0, 10**6),
+    h=st.floats(0.0, 1.0, exclude_max=True),
+)
+def test_overlay_poles_equal_rebuilt_poles(shape, t, seed, pick, h):
+    lazy = LazyPoissonBars(shape, t, TrialStreams(seed, "prop-overlay").at(0))
+    root_trajectory(lazy)  # some base poles exist before the overlay
+    edges = _edges(shape)
+    added = Bar(edges[pick % len(edges)], h)
+    assume(h not in lazy.heights_on(added.edge))
+    over = lazy.with_added(added)
+    poles = {v: over.pole(v) for v in [ROOT] + edges}
+    dense = _materialized(lazy, edges)
+    rebuilt = BarCollection.from_bars(shape, list(dense.iter_bars()) + [added])
+    assert poles == {v: rebuilt.pole(v) for v in poles}
+    assert over.count == rebuilt.count
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape=shapes, t=rates, seed=seeds, keep=st.floats(0.0, 1.0))
+def test_thinned_poles_equal_rebuilt_poles(shape, t, seed, keep):
+    lazy = LazyPoissonBars(shape, t, TrialStreams(seed, "prop-thin").at(0))
+    thin = lazy.thinned(t * keep)
+    traj = root_trajectory(thin)
+    edges = _edges(shape)
+    poles = {v: thin.pole(v) for v in [ROOT] + edges}
+    rebuilt = _materialized(thin, edges)
+    assert poles == {v: rebuilt.pole(v) for v in poles}
+    assert root_trajectory(rebuilt) == traj
+    base = _materialized(lazy, edges)
+    assert all(set(rebuilt.heights_on(e)) <= set(base.heights_on(e)) for e in edges)
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape=shapes, t=rates, seed=seeds)
+def test_engine_equals_oracle(shape, t, seed):
+    gen = TrialStreams(seed, "prop-oracle").at(0)
+    bars = LazyPoissonBars(shape, t, gen).realize()
+    assert stirring_permutation(bars) == transposition_oracle(bars)
+
+
+@settings(max_examples=60, deadline=None)
+@example(shape=TreeShape(2, 1), t=1.5, seed=0, pick=0, upper=False)
+@given(
+    shape=shapes, t=rates, seed=seeds, pick=st.integers(0, 10**6), upper=st.booleans()
+)
+def test_run_started_on_a_joint(shape, t, seed, pick, upper):
+    gen = TrialStreams(seed, "prop-joint").at(0)
+    bars = LazyPoissonBars(shape, t, gen).realize()
+    joints = list(bars.iter_bars())
+    assume(joints)
+    edge, h0 = joints[pick % len(joints)]
+    v0 = edge[:-1] if upper else edge
+    traj = run(bars, SpaceTimePoint(v0, h0), StopRule(), record=True)
+    # right-continuity: the start's own joint is not crossed at time zero;
+    # the run comes back to it through that same joint, after whole laps
+    assert all(time > 0.0 for *_bar, time in traj.crossings)
+    assert traj.outcome.kind == "returned"
+    assert traj.outcome.time == float(traj.wraps)
+    assert traj.crossings[-1][:3] == (edge, h0, not upper)
+    covered = sum(b - a for ivs in traj.coverage().values() for a, b in ivs)
+    assert abs(covered - traj.elapsed) < 1e-9
