@@ -100,6 +100,11 @@ def _check_counts(ns: dict) -> None:
         value = ns[key]
         if not isinstance(value, int) or isinstance(value, bool) or value < 1:
             raise ValueError(f"--{key} must be an integer >= 1, got {value!r}")
+    n1 = ns["n1"]  # sim's far/close cut sits at depth n - 2*n1, on the tree
+    if ns["command"] == "sim" and not (
+        isinstance(n1, int) and 0 <= 2 * n1 <= int(ns["n"])
+    ):
+        raise ValueError(f"--n1 must be an integer with 0 <= 2*n1 <= n, got {n1!r}")
 
 
 def _emit(rows: list[dict], fmt: str, out: str | None, fieldnames=None) -> None:
@@ -196,8 +201,8 @@ def cmd_estimate(ns: dict) -> int:
             }
             for r in rep.cluster_rows + rep.level_rows
         ]
-        if rep.cluster_skipped:
-            print(rep.cluster_skipped, file=sys.stderr)
+        for note in filter(None, (rep.cluster_skipped, *rep.notes)):
+            print(note, file=sys.stderr)
     _emit(rows, ns["format"], ns["out"])
     return 0
 

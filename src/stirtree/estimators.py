@@ -10,6 +10,7 @@ from (seed, trial).
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -47,6 +48,12 @@ class Estimate:
 def _bernoulli(label: str, successes: int, trials: int, seed: int) -> Estimate:
     p = successes / trials
     return Estimate(label, p, math.sqrt(p * (1.0 - p) / trials), trials, seed)
+
+
+def _mean_se(s: float, s2: float, trials: int) -> tuple[float, float]:
+    """Mean and standard error from the sum and the sum of squares."""
+    mean = s / trials
+    return mean, math.sqrt(max(s2 / trials - mean * mean, 0.0) / trials)
 
 
 def _check_trials(trials: int) -> None:
@@ -108,29 +115,33 @@ class RussoCheck:
     bias_allowance: float
     p_on: float
     p_off: float
-    pn_center: Estimate
-    pn_plus: Estimate
-    pn_minus: Estimate
 
 
-def _pair_batch(job) -> tuple[int, int]:
-    """Joint (B, B with added bar) trials lo..hi-1; returns (on, off)."""
+def _russo_batch(fd_step: float, job) -> tuple[int, ...]:
+    """Paired trials lo..hi-1; the integer tallies of :func:`russo_check`:
+    (on, off, sum b, sum b^2, sum a*b, sum of I(B+) - 2 I(B0) + I(B-))."""
     shape, t, seed, lo, hi = job
-    streams = TrialStreams(seed, "russo-pairs", shape.d, shape.n, t)
-    on = off = 0
+    streams = TrialStreams(seed, "russo", shape.d, shape.n, t)
+    on = off = sb = sbb = sab = second = 0
     for i in range(lo, hi):
         gen = streams.at(i)
         added = sample_added(shape, gen)
-        bars = LazyPoissonBars(shape, t, gen)
-        while added.height in bars.heights_on(added.edge):
+        top = LazyPoissonBars(shape, t + fd_step, gen)
+        mid = top.thinned(t)
+        while added.height in mid.heights_on(added.edge):
             added = Bar(added.edge, float(gen.random()))
-        reached = hit_level(bars).reached
-        reached_added = hit_level(bars.with_added(added)).reached
-        if reached_added and not reached:
-            on += 1
-        elif reached and not reached_added:
-            off += 1
-    return on, off
+        plus = hit_level(top).reached
+        center = hit_level(mid).reached
+        a = hit_level(mid.with_added(added)).reached - center
+        minus = hit_level(top.thinned(t - fd_step)).reached
+        b = plus - minus
+        on += a == 1
+        off += a == -1
+        sb += b
+        sbb += b * b
+        sab += a * b
+        second += plus - 2 * center + minus
+    return on, off, sb, sbb, sab, second
 
 
 def russo_check(
@@ -143,41 +154,41 @@ def russo_check(
 ) -> RussoCheck:
     """Compare the pivotal-difference form of dp_n/dt with a finite difference.
 
-    The bias allowance follows the three-point rule: the second difference
-    p(t+h) - 2 p(t) + p(t-h) estimates h^2 p'', and its magnitude is charged
-    as the systematic error of the central difference.  The z-score combines
-    it in quadrature with both Monte Carlo standard errors.
+    Both sides share each trial's draw: the added bar A and one rate-(t+h)
+    collection B+, thinned to B0 at rate t and to B- at t-h.  With I the
+    depth-n hit indicator, a = I(B0 + A) - I(B0) and b = I(B+) - I(B-), the
+    paired X = |E| a - b / (2h) has mean lhs - rhs and se(X) holds the
+    covariance of the two sides exactly.  The bias allowance is the
+    three-point rule, |mean of I(B+) - 2 I(B0) + I(B-)| (an estimate of
+    h^2 p''), charged in quadrature with se(X).
     """
     if not 0.0 < fd_step < t:
         raise ValueError("fd_step must lie in (0, t)")
-    results = _map_batches(_pair_batch, shape, t, seed, trials, workers)
-    on = sum(r[0] for r in results)
-    off = sum(r[1] for r in results)
-    p_on = on / trials
-    p_off = off / trials
+    batch = functools.partial(_russo_batch, fd_step)
+    parts = _map_batches(batch, shape, t, seed, trials, workers)
+    on, off, sb, sbb, sab, second = map(sum, zip(*parts))
     ecount = shape.edge_count
-    diff = p_on - p_off
-    lhs_mean = ecount * diff
-    lhs_se = ecount * math.sqrt(max(p_on + p_off - diff * diff, 0.0) / trials)
-    lhs = Estimate(f"russo-lhs(t={t})", lhs_mean, lhs_se, trials, seed)
-
-    pn_plus = estimate_pn(shape, t + fd_step, trials, seed, workers)
-    pn_minus = estimate_pn(shape, t - fd_step, trials, seed, workers)
-    pn_center = estimate_pn(shape, t, trials, seed, workers)
-    rhs_mean = (pn_plus.mean - pn_minus.mean) / (2.0 * fd_step)
-    rhs_se = math.hypot(pn_plus.stderr, pn_minus.stderr) / (2.0 * fd_step)
-    rhs = Estimate(f"russo-rhs(t={t},h={fd_step})", rhs_mean, rhs_se, trials, seed)
-
-    bias = abs(pn_plus.mean - 2.0 * pn_center.mean + pn_minus.mean)
-    denom = math.sqrt(lhs_se**2 + rhs_se**2 + bias**2)
-    z = (lhs_mean - rhs_mean) / denom if denom > 0 else 0.0
-    return RussoCheck(lhs, rhs, z, bias, p_on, p_off, pn_center, pn_plus, pn_minus)
+    scale = 2.0 * fd_step
+    ma, se_a = _mean_se(on - off, on + off, trials)
+    mb, se_b = _mean_se(sb, sbb, trials)
+    mx, se_x = _mean_se(
+        ecount * (on - off) - sb / scale,
+        ecount**2 * (on + off) + sbb / scale**2 - 2.0 * ecount * sab / scale,
+        trials,
+    )
+    lhs = Estimate(f"russo-lhs(t={t})", ecount * ma, ecount * se_a, trials, seed)
+    rhs_label = f"russo-rhs(t={t},h={fd_step})"
+    rhs = Estimate(rhs_label, mb / scale, se_b / scale, trials, seed)
+    bias = abs(second) / trials
+    denom = math.hypot(se_x, bias)
+    z = mx / denom if denom > 0 else 0.0
+    return RussoCheck(lhs, rhs, z, bias, on / trials, off / trials)
 
 
 # --- viable-location mass -----------------------------------------------------
 
 
-def _z_batch(job) -> tuple[float, float, int]:
+def _z_batch(job) -> tuple[float, float]:
     shape, t, seed, lo, hi = job
     streams = TrialStreams(seed, "z", shape.d, shape.n, t)
     s = s2 = 0.0
@@ -187,7 +198,7 @@ def _z_batch(job) -> tuple[float, float, int]:
         m = viable_locations(bars, traj).measure()
         s += m
         s2 += m * m
-    return s, s2, hi - lo
+    return s, s2
 
 
 def z_estimate(
@@ -195,17 +206,8 @@ def z_estimate(
 ) -> Estimate:
     """Mean Lebesgue mass of the viable-location set under Poisson-t bars."""
     parts = _map_batches(_z_batch, shape, t, seed, trials, workers)
-    s = sum(p[0] for p in parts)
-    s2 = sum(p[1] for p in parts)
-    mean = s / trials
-    var = max(s2 / trials - mean * mean, 0.0)
-    return Estimate(
-        f"z(d={shape.d},n={shape.n},t={t})",
-        mean,
-        math.sqrt(var / trials),
-        trials,
-        seed,
-    )
+    mean, se = _mean_se(*map(sum, zip(*parts)), trials)
+    return Estimate(f"z(d={shape.d},n={shape.n},t={t})", mean, se, trials, seed)
 
 
 def z_bracket(d: int, tau: float) -> tuple[float, float]:
@@ -232,10 +234,6 @@ class TailReport:
     level_rows: tuple
     cluster_skipped: Optional[str]
     notes: tuple = ()
-
-    @property
-    def all_ok(self) -> bool:
-        return all(r.ok for r in self.cluster_rows + self.level_rows)
 
 
 def cluster_size_bound(d: int, tau: float, ell: int) -> float:

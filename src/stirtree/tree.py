@@ -85,10 +85,6 @@ def children(v: bytes, shape: TreeShape) -> list[bytes]:
     return [v + bytes((i,)) for i in range(shape.d)]
 
 
-def is_valid_vertex(shape: TreeShape, v: bytes) -> bool:
-    return len(v) <= shape.n and all(sym < shape.d for sym in v)
-
-
 def is_valid_edge(shape: TreeShape, e: bytes) -> bool:
     return 1 <= len(e) <= shape.n and all(sym < shape.d for sym in e)
 

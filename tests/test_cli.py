@@ -186,6 +186,31 @@ def test_counts_below_one_exit_2(args, capsys):
     assert code == 2 and "must be an integer >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n1", ["-5", "5"])
+def test_sim_far_close_cut_off_the_tree_exit_2(n1, capsys):
+    # the far/close cut sits at depth n - 2*n1: here 12 and -8 on a depth-2 tree
+    code = main(
+        ["sim", "--d", "2", "--n", "2", "--t", "0.5", "--trials", "2", "--n1", n1]
+    )
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert "--n1 must be an integer with 0 <= 2*n1 <= n" in err
+
+
+def test_tails_notes_on_stderr(capsys):
+    code = main(
+        ["estimate", "tails", "--d", "2", "--n", "1", "--t", "0.5", "--trials", "10"]
+    )
+    out, err = capsys.readouterr()
+    assert code == 0 and out == ""
+    assert err.splitlines() == [
+        "cluster tail skipped: d=2 < 11*tau^2=11",
+        "level pair (1,2) skipped: n-i < 1",
+        "level pair (1,3) skipped: n-i < 1",
+        "level pair (2,2) skipped: n-i < 1",
+    ]
+
+
 def test_worker_pool_clamped_to_jobs_and_cpus(monkeypatch, capsys):
     # a fake pool records the size asked for; no process is started
     sizes = []

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+import stirtree.bars as bars_mod
+import stirtree.estimators as estimators
 from stirtree.estimators import (
     Estimate,
     bar_cluster_reaches_boundary,
@@ -22,8 +24,8 @@ from stirtree.estimators import (
     z_bracket,
     z_estimate,
 )
-from stirtree.bars import BarCollection
-from stirtree.meander import hit_level
+from stirtree.bars import Bar, BarCollection
+from stirtree.meander import HitResult, hit_level
 from stirtree.rng import TrialStreams
 from stirtree.tree import TreeShape, edge_from_index
 
@@ -121,6 +123,58 @@ def test_russo_small_scale():
     assert abs(rc.zscore) < 4.0
     assert rc.lhs.stderr > 0 and rc.rhs.stderr > 0
     assert rc.p_on > rc.p_off > 0
+
+
+def test_russo_worker_invariant(monkeypatch):
+    a = russo_check(S22, 0.5, 0.05, 2000, 11)
+    # small chunks so that two workers really split the trials
+    monkeypatch.setattr(estimators, "_CHUNK", 500)
+    b = russo_check(S22, 0.5, 0.05, 2000, 11, workers=2)
+    assert a == b
+
+
+def test_russo_coupled_rhs_matches_independent_difference():
+    h = 0.05
+    rc = russo_check(S22, 0.5, h, 40_000, 19)
+    plus = estimate_pn(S22, 0.5 + h, 40_000, 20)
+    minus = estimate_pn(S22, 0.5 - h, 40_000, 21)
+    ref = (plus.mean - minus.mean) / (2 * h)
+    ref_se = math.hypot(plus.stderr, minus.stderr) / (2 * h)
+    assert abs(rc.rhs.mean - ref) <= 4 * math.hypot(rc.rhs.stderr, ref_se)
+    # the coupled second difference is second order in h (about h^2 p''); a
+    # middle collection at the wrong rate would make it first order, ~2h p'
+    assert rc.bias_allowance < h * abs(rc.rhs.mean)
+
+
+def test_russo_added_bar_redrawn_only_on_rate_t_collision(monkeypatch):
+    # every barred edge gets a bar at height 0.5, and so does the added bar:
+    # it must be redrawn exactly when that bar survives the thinning to t.
+    # Equal heights on one pole break the engine, so the runs are stubbed out.
+    distinct_heights = bars_mod._distinct_heights
+    with_added = bars_mod._Thinned.with_added
+    seen = []
+
+    def with_half(rng, k):
+        hs = distinct_heights(rng, k)
+        return tuple(sorted(hs[1:] + (0.5,))) if k else hs
+
+    def spy(self, bar):
+        seen.append((bar.height, bar.height in self._base.heights_on(bar.edge)))
+        return with_added(self, bar)  # raises on a collision left in place
+
+    monkeypatch.setattr(bars_mod, "_distinct_heights", with_half)
+    monkeypatch.setattr(
+        estimators,
+        "sample_added",
+        lambda shape, gen: Bar(bars_mod.sample_added(shape, gen).edge, 0.5),
+    )
+    monkeypatch.setattr(bars_mod._Thinned, "with_added", spy)
+    monkeypatch.setattr(
+        estimators, "hit_level", lambda b: HitResult(False, None, None)
+    )
+    russo_check(S22, 0.5, 0.05, 1000, 13)
+    assert any(h == 0.5 and on_top for h, on_top in seen)  # thinned out: kept
+    assert any(h != 0.5 for h, _on_top in seen)  # kept at rate t: redrawn
 
 
 def test_russo_rejects_bad_step():

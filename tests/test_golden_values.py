@@ -31,7 +31,7 @@ def test_estimate_pn_hit_counts(d, n, t, trials, seed, hits):
 
 def test_russo_pivotal_frequencies():
     res = russo_check(TreeShape(2, 2), 0.5, 0.05, 2000, 6)
-    assert (res.p_on, res.p_off) == (363 / 2000, 60 / 2000)
+    assert (res.p_on, res.p_off) == (351 / 2000, 84 / 2000)
 
 
 def test_coupled_indicator_column_sums():
