@@ -231,9 +231,6 @@ class BarCollection(_PoleIndexMixin):
             and self._by_edge == other._by_edge
         )
 
-    def __hash__(self):  # collections are dict values in a few test helpers
-        return hash((self.shape, tuple(sorted(self._by_edge.items()))))
-
     def to_json(self) -> str:
         d = self.shape.d
         rows = [
@@ -433,13 +430,6 @@ class LocationSet:
         starts = [a for a, _ in ivs]
         i = bisect_right(starts, h) - 1
         return i >= 0 and h < ivs[i][1]
-
-    def union(self, other: "LocationSet") -> "LocationSet":
-        merged: dict[bytes, tuple[tuple[float, float], ...]] = dict(self.intervals)
-        for e, ivs in other.intervals.items():
-            mine = merged.get(e)
-            merged[e] = merge_intervals(list(mine) + list(ivs)) if mine else ivs
-        return LocationSet(self.shape, merged, validate=False)
 
     def __eq__(self, other) -> bool:
         return (

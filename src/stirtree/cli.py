@@ -3,13 +3,16 @@
 All randomness descends from one --seed: each (purpose, shape, t) has its
 own Philox key and trial i its own counter block of it (rng.TrialStreams),
 so any emitted row or failed check can be replayed exactly.  Exit codes:
-0 success, 1 verification failure, 2 bad usage, 3 capacity exceeded,
+0 success, 1 verification failure, 2 bad usage (an unreadable or invalid
+--config file and an --out path that cannot be opened for writing
+included, both found before any work starts), 3 capacity exceeded,
 4 engine error (an internal inconsistency the engine's guards caught).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -26,27 +29,16 @@ from stirtree.tree import CapacityError, TreeShape
 # Most points a lo:hi:step grid may expand to.
 _GRID_MAX_POINTS = 10_000
 
-_DEFAULTS = {
-    "d": 2,
-    "n": 3,
-    "t": 0.5,
-    "trials": 1000,
-    "seed": 1,
-    "n1": 1,
-    "workers": 1,
-    "format": "json",
-}
-
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--d", type=int, help="offspring degree (>= 2)")
-    p.add_argument("--n", help="tree depth, or comma list for scan")
-    p.add_argument("--t", type=float, help="bar intensity")
-    p.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--n1", type=int, help="far/close boundary cutoff")
-    p.add_argument("--workers", type=int)
-    p.add_argument("--format", choices=("json", "csv"))
+    p.add_argument("--d", type=int, default=2, help="offspring degree (>= 2)")
+    p.add_argument("--n", default="3", help="tree depth, or comma list for scan")
+    p.add_argument("--t", type=float, default=0.5, help="bar intensity")
+    p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--n1", type=int, default=1, help="far/close boundary cutoff")
+    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out", help="output path (default: stdout)")
     p.add_argument("--config", help="JSON config merged under explicit flags")
 
@@ -69,6 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="run the invariant suite")
     _add_common(p_ver)
+    p_ver.set_defaults(trials=None)  # each check at its suite-default scale
     p_ver.add_argument(
         "--only", help="comma list of checks: " + ",".join(verify.SUITE)
     )
@@ -80,47 +73,58 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _merge_config(args: argparse.Namespace) -> dict:
-    ns = vars(args)
-    if ns.get("config"):
-        with open(ns["config"]) as fh:
+def _parse_args(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
+    """Parse the command line, then again with the --config keys ahead of it.
+
+    A config key is a flag's name (``t_grid`` for ``--t-grid``) and its value
+    is parsed by that flag's own action, so explicit flags, parsed later,
+    win.  A bad config exits 2 through ``parser.error``.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = parser.parse_args(argv)
+    if args.config is None:
+        return args
+    try:
+        with open(args.config) as fh:
             loaded = json.load(fh)
-        for key, value in loaded.items():
-            if ns.get(key) is None:
-                ns[key] = value
-    ns["_trials_given"] = ns.get("trials") is not None
-    for key, value in _DEFAULTS.items():
-        if ns.get(key) is None:
-            ns[key] = value
-    return ns
+    except (OSError, ValueError) as exc:
+        parser.error(f"cannot read --config {args.config}: {exc}")
+    if not isinstance(loaded, dict):
+        parser.error(f"--config {args.config} must hold a JSON object")
+    flags = []
+    for key, value in loaded.items():
+        if key in ("command", "which", "config") or key not in vars(args):
+            parser.error(f"unknown --config key {key!r}")
+        if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+            parser.error(f"--config key {key!r} needs a number or a string")
+        text = value if isinstance(value, str) else json.dumps(value)
+        flags.append(f"--{key.replace('_', '-')}={text}")
+    args = parser.parse_args(argv[:1] + flags + argv[1:])
+    for key, value in loaded.items():  # text where the flag takes a number
+        if isinstance(value, str) and not isinstance(getattr(args, key), str):
+            parser.error(f"--config key {key!r} needs a number, got {value!r}")
+    return args
 
 
 def _check_counts(ns: dict) -> None:
     for key in ("trials", "workers"):
         value = ns[key]
-        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        if value is not None and value < 1:  # None: verify's suite scales
             raise ValueError(f"--{key} must be an integer >= 1, got {value!r}")
     n1 = ns["n1"]  # sim's far/close cut sits at depth n - 2*n1, on the tree
-    if ns["command"] == "sim" and not (
-        isinstance(n1, int) and 0 <= 2 * n1 <= int(ns["n"])
-    ):
+    if ns["command"] == "sim" and not 0 <= 2 * n1 <= int(ns["n"]):
         raise ValueError(f"--n1 must be an integer with 0 <= 2*n1 <= n, got {n1!r}")
 
 
-def _emit(rows: list[dict], fmt: str, out: str | None, fieldnames=None) -> None:
-    fh = open(out, "w", newline="") if out else sys.stdout
-    try:
-        if fmt == "csv":
-            names = fieldnames or list(rows[0]) if rows else []
-            writer = csv.DictWriter(fh, fieldnames=names)
-            writer.writeheader()
-            writer.writerows(rows)
-        else:
-            for row in rows:
-                fh.write(json.dumps(row) + "\n")
-    finally:
-        if out:
-            fh.close()
+def _emit(rows: list[dict], fmt: str, out) -> None:
+    fh = out or sys.stdout
+    if fmt == "csv":
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]) if rows else [])
+        writer.writeheader()
+        writer.writerows(rows)
+    else:
+        for row in rows:
+            fh.write(json.dumps(row) + "\n")
 
 
 def _parse_grid(text: str) -> list[float]:
@@ -182,9 +186,7 @@ def cmd_estimate(ns: dict) -> int:
         lo, hi = estimators.z_bracket(shape.d, ns["t"] * shape.d)
         row = est.to_dict()
         row["bracket_lo"], row["bracket_hi"] = lo, hi
-        row["in_bracket"] = bool(
-            lo - 4 * est.stderr <= est.mean <= hi + 4 * est.stderr
-        )
+        row["in_bracket"] = estimators.within_z_bracket(est, lo, hi)
         rows = [row]
     else:  # tails
         rep = estimators.tail_checks(
@@ -208,10 +210,9 @@ def cmd_estimate(ns: dict) -> int:
 
 
 def cmd_verify(ns: dict) -> int:
-    only = tuple(ns["only"].split(",")) if ns.get("only") else None
-    trials = ns["trials"] if ns.get("_trials_given") else None
+    only = tuple(ns["only"].split(",")) if ns["only"] else None
     results = verify.run_suite(
-        ns["seed"], trials=trials, only=only, workers=ns["workers"]
+        ns["seed"], trials=ns["trials"], only=only, workers=ns["workers"]
     )
     for res in results:
         print(res.line())
@@ -229,14 +230,13 @@ def cmd_verify(ns: dict) -> int:
             for r in results
         ],
     }
-    if ns.get("out"):
-        with open(ns["out"], "w") as fh:
-            json.dump(verdict, fh, indent=2)
+    if ns["out"]:
+        json.dump(verdict, ns["out"], indent=2)
     return 0 if verdict["passed"] else 1
 
 
 def cmd_scan(ns: dict) -> int:
-    if not ns.get("t_grid"):
+    if not ns["t_grid"]:
         print("scan requires --t-grid", file=sys.stderr)
         return 2
     grid = _parse_grid(ns["t_grid"])
@@ -252,20 +252,26 @@ def cmd_scan(ns: dict) -> int:
     return 0
 
 
+_COMMANDS = {
+    "sim": cmd_sim,
+    "estimate": cmd_estimate,
+    "verify": cmd_verify,
+    "scan": cmd_scan,
+}
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    ns = _merge_config(args)
+    ns = vars(_parse_args(build_parser(), argv))
     try:
         _check_counts(ns)
-        if args.command == "sim":
-            return cmd_sim(ns)
-        if args.command == "estimate":
-            return cmd_estimate(ns)
-        if args.command == "verify":
-            return cmd_verify(ns)
-        if args.command == "scan":
-            return cmd_scan(ns)
+        if ns["out"]:  # the path becomes the open file, before any work
+            try:
+                ns["out"] = open(ns["out"], "w", newline="")
+            except OSError as exc:
+                print(f"cannot write --out: {exc}", file=sys.stderr)
+                return 2
+        with ns["out"] or contextlib.nullcontext():
+            return _COMMANDS[ns["command"]](ns)
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return 3
@@ -275,7 +281,6 @@ def main(argv=None) -> int:
     except EngineError as exc:
         print(f"engine error: {exc}", file=sys.stderr)
         return 4
-    return 2
 
 
 if __name__ == "__main__":

@@ -215,6 +215,11 @@ def z_bracket(d: int, tau: float) -> tuple[float, float]:
     return d * math.exp(-tau), 1.2 * d
 
 
+def within_z_bracket(est: Estimate, lo: float, hi: float) -> bool:
+    """The z verdict: the mean lies in [lo, hi] widened by 4 standard errors."""
+    return lo - 4 * est.stderr <= est.mean <= hi + 4 * est.stderr
+
+
 # --- tail checks ----------------------------------------------------------------
 
 
@@ -263,7 +268,6 @@ def tail_checks(
     trials: int,
     seed: int,
     workers: int = 1,
-    level_pairs: Sequence[tuple[int, int]] = ((1, 2), (1, 3), (2, 2)),
     level_trials: Optional[int] = None,
 ) -> TailReport:
     """Empirical cluster-size and level-visit tails against their bounds.
@@ -298,8 +302,9 @@ def tail_checks(
             )
 
     level_rows: list[TailRow] = []
+    level_pairs = ((1, 2), (1, 3), (2, 2))
     lv_trials = level_trials if level_trials is not None else min(trials, 20_000)
-    if lv_trials > 0 and level_pairs:
+    if lv_trials > 0:
         levels = sorted({i for i, _k in level_pairs})
         visit_counts = {i: np.zeros(lv_trials, dtype=np.int64) for i in levels}
         streams = TrialStreams(seed, "tails-level", shape.d, shape.n, t)

@@ -4,7 +4,7 @@ Everything here is a pure function of a bar collection (plus the added bar
 and, where relevant, a recorded trajectory): the crossing and bottleneck
 events, pivotality of the added bar, the viable-location set, the root
 multibar cluster and its boundary, root-edge statistics, and the two
-escape-route edge sets evaluated along a trajectory.
+escape-route edge sets after each crossing of a trajectory.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from stirtree.bars import Bar, LocationSet, merge_intervals
 from stirtree.meander import (
@@ -156,7 +156,7 @@ def detect(bars, added: Bar, n1: int = 1, trajectory: Trajectory | None = None) 
         esc = run(
             bars,
             SpaceTimePoint(bn.edge[:-1], bn.height),
-            StopRule(level=n, points=frozenset({(ROOT, 0.0)})),
+            StopRule(level=n, origin=True),
             record=False,
         )
         no_escape = esc.outcome.kind == "hit_point"
@@ -218,16 +218,16 @@ def multibar_cluster(bars, v: bytes = ROOT) -> ClusterReport:
     )
 
 
-def viable_locations(bars, trajectory: Trajectory | None = None) -> LocationSet:
+def viable_locations(bars, trajectory: Trajectory) -> LocationSet:
     """Bar locations at which the added bar would realize
     crossing-without-bottleneck.
 
     An edge can contribute only if its root path consists of >=2-bar edges
     (it lies in the root cluster or on its boundary); it then contributes
-    the visited heights of its two endpoint poles.
+    the visited heights of its two endpoint poles along the root
+    trajectory.
     """
-    traj = trajectory if trajectory is not None else root_trajectory(bars)
-    cov = traj.coverage()
+    cov = trajectory.coverage()
     report = multibar_cluster(bars)
     out: dict[bytes, tuple[tuple[float, float], ...]] = {}
     for e in report.cluster | report.boundary:
@@ -237,7 +237,7 @@ def viable_locations(bars, trajectory: Trajectory | None = None) -> LocationSet:
     return LocationSet(bars.shape, out, validate=False)
 
 
-def root_stats(bars, trajectory: Trajectory | None = None) -> RootStats:
+def root_stats(bars, trajectory: Trajectory) -> RootStats:
     shape = bars.shape
     root_edges = [bytes((i,)) for i in range(shape.d)]
     counts = [bars.count_on(e) for e in root_edges]
@@ -246,20 +246,13 @@ def root_stats(bars, trajectory: Trajectory | None = None) -> RootStats:
         h >= cutoff for e in root_edges for h in bars.heights_on(e)
     )
     cluster_empty = multibar_cluster(bars).size == 0
-    if trajectory is not None:
-        reached = trajectory.outcome.kind == "hit_level"
-    else:
-        reached = hit_level(bars).reached
+    reached = trajectory.outcome.kind == "hit_level"
     return RootStats(
         bar_free=not any(counts),
         low_gap=low_gap,
         single_bar_edges=sum(1 for k in counts if k == 1),
         confined_clusterless=cluster_empty and not reached,
     )
-
-
-def no_bar_on_added_edge(bars, added: Bar) -> bool:
-    return bars.count_on(added.edge) == 0
 
 
 # --- escape-route edges ----------------------------------------------------
@@ -335,31 +328,24 @@ def _eval_routes(bars, cov: dict, tip: bytes) -> EscapeRoutes:
     return EscapeRoutes(frozenset(static), frozenset(witnessed), tuple(escapes))
 
 
-def escape_routes(bars, trajectory: Trajectory, at_time: float) -> EscapeRoutes:
-    """Route sets at a given time along a recorded trajectory."""
-    cov = trajectory.coverage_until(at_time)
-    tip = trajectory.vertex_at(at_time)
-    return _eval_routes(bars, cov, tip)
+def escape_routes(bars, trajectory: Trajectory) -> Iterator[EscapeRoutes]:
+    """Yield both route sets after each bar crossing of a recorded trajectory.
 
-
-def scan_crossings(bars, trajectory: Trajectory):
-    """Yield ``(index, landing_vertex, coverage, time)`` after each crossing.
-
-    Coverage is grown incrementally (the same dict object is yielded every
-    time), keeping a full per-crossing scan linear in the trajectory size.
+    Each set is evaluated on the coverage up to that crossing and along the
+    root path to its landing vertex.  The coverage grows in place, keeping
+    a scan of every crossing linear in the trajectory size.
     """
     cov: dict[bytes, list[tuple[float, float]]] = {}
-    ci = 0
-    crossings = trajectory.crossings
-    ncross = len(crossings)
+    crossings = iter(trajectory.crossings)
     for v, lo, hi in trajectory.segments:
         if hi > lo:
             cov.setdefault(v, []).append((lo, hi))
-        if hi < 1.0 and ci < ncross:
-            edge_k, h, down, t = crossings[ci]
-            ci += 1
-            landing = edge_k if down else edge_k[:-1]
-            yield ci - 1, landing, cov, t
+        if hi < 1.0:  # the rise ends at a crossing or at the final event
+            crossing = next(crossings, None)
+            if crossing is None:
+                return
+            edge_k, _h, down, _t = crossing
+            yield _eval_routes(bars, cov, edge_k if down else edge_k[:-1])
 
 
 # --- conditional-law helpers ------------------------------------------------

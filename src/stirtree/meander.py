@@ -47,10 +47,15 @@ class Outcome(NamedTuple):
 
 @dataclass(frozen=True)
 class StopRule:
-    """Stop targets for a run; return-to-start is always implicit."""
+    """Stop targets for a run; return-to-start is always implicit.
+
+    ``origin`` stops the run with ``hit_point`` at the root origin
+    ``(ROOT, 0.0)``.  Bar heights are > 0, so only a wrap on the root pole
+    reaches it.
+    """
 
     level: Optional[int] = None
-    points: frozenset = field(default_factory=frozenset)
+    origin: bool = False
 
 
 @dataclass
@@ -62,7 +67,10 @@ class Trajectory:
     crossings: list
     # (vertex, lo, hi) rise segments, in order; hi is exclusive
     segments: list
-    _coverage: Optional[dict] = None
+    # cache of coverage(); not part of the trajectory's value
+    _coverage: Optional[dict] = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     @property
     def elapsed(self) -> float:
@@ -82,30 +90,6 @@ class Trajectory:
             if a <= h < b:
                 return True
         return False
-
-    def coverage_until(self, at_time: float) -> dict[bytes, list[tuple[float, float]]]:
-        """Coverage restricted to [0, at_time]; slices the final segment."""
-        cov: dict[bytes, list[tuple[float, float]]] = {}
-        t = 0.0
-        for v, lo, hi in self.segments:
-            width = hi - lo
-            if t + width > at_time:
-                part = at_time - t
-                if part > 0:
-                    cov.setdefault(v, []).append((lo, lo + part))
-                break
-            cov.setdefault(v, []).append((lo, hi))
-            t += width
-        return cov
-
-    def vertex_at(self, at_time: float) -> bytes:
-        t = 0.0
-        for v, lo, hi in self.segments:
-            t += hi - lo
-            if at_time < t:
-                return v
-        # at or past the final event: the trajectory sits at the outcome point
-        return self.outcome.point[0]
 
     def to_json_dict(self) -> dict:
         """Debug serialization; not a stable format."""
@@ -176,7 +160,7 @@ def run(
         start = SpaceTimePoint(v0, h0)
 
     search = bisect_left if _joint_search_inclusive else bisect_right
-    points = stop.points
+    stop_origin = stop.origin
     max_wraps = bars.shape.vertex_count
     pole = bars.pole
 
@@ -193,20 +177,11 @@ def run(
         crossing = i < len(heights)
         boundary = heights[i] if crossing else 1.0
 
-        # Triggers strictly inside the rise (h, boundary): the start point
-        # or an explicit stop point lying on this pole.
+        # The start point strictly inside the rise (h, boundary).
         if v == v0 and h < h0 < boundary:
-            trig_h, trig_kind, trig_pt = h0, "returned", (v0, h0)
-        else:
-            trig_h = None
-        if points:
-            for pv, ph in points:
-                if pv == v and h < ph < boundary and (trig_h is None or ph < trig_h):
-                    trig_h, trig_kind, trig_pt = ph, "hit_point", (pv, ph)
-        if trig_h is not None:
             if record:
-                segments.append((v, h, trig_h))
-            outcome = Outcome(trig_kind, wraps + (trig_h - h0), trig_pt)
+                segments.append((v, h, h0))
+            outcome = Outcome("returned", float(wraps), (v0, h0))
             break
 
         if crossing:  # cross the bar at height `boundary`
@@ -222,9 +197,6 @@ def run(
             state = (w, hb)
             if w == v0 and hb == h0:
                 outcome = Outcome("returned", t_ev, (v0, h0))
-                break
-            if points and state in points:
-                outcome = Outcome("hit_point", t_ev, state)
                 break
             if stop_level is not None and len(w) == stop_level:
                 outcome = Outcome("hit_level", t_ev, state)
@@ -247,7 +219,7 @@ def run(
             if v == v0 and h0 == 0.0:
                 outcome = Outcome("returned", float(wraps), (v0, 0.0))
                 break
-            if points and state in points:
+            if stop_origin and v == ROOT:
                 outcome = Outcome("hit_point", wraps - h0, state)
                 break
             if state in seen:
@@ -272,14 +244,14 @@ def _level_rule(n: int) -> StopRule:
     return StopRule(level=n)
 
 
-def hit_level(bars, record: bool = False) -> HitResult:
+def hit_level(bars) -> HitResult:
     """Whether the meander from the root origin reaches the depth-n poles.
 
     The run ends either at the first depth-n pole or back at the root
     origin; on the finite tree this dichotomy is exhaustive, and a return
     decides non-reaching exactly (the continuation is periodic).
     """
-    traj = run(bars, _ORIGIN, _level_rule(bars.shape.n), record=record)
+    traj = run(bars, _ORIGIN, _level_rule(bars.shape.n), record=False)
     kind = traj.outcome.kind
     if kind == "hit_level":
         return HitResult(True, traj.outcome.time, traj)
@@ -302,9 +274,9 @@ def stirred_vertex(bars, v: bytes) -> bytes:
     return traj.outcome.point[0]
 
 
-def return_time(bars, start: SpaceTimePoint, record: bool = False) -> ReturnResult:
+def return_time(bars, start: SpaceTimePoint) -> ReturnResult:
     """Time of first return to ``start``, censored by the depth-n poles."""
-    traj = run(bars, start, StopRule(level=bars.shape.n), record=record)
+    traj = run(bars, start, StopRule(level=bars.shape.n), record=False)
     if traj.outcome.kind == "returned":
         return ReturnResult(traj.outcome.time, False, traj)
     return ReturnResult(None, True, traj)

@@ -86,9 +86,8 @@ def stirring_permutation(bars) -> Permutation:
     """
     support = set()
     for e in bars.edges_with_bars():
-        if bars.count_on(e):
-            support.add(e)
-            support.add(e[:-1])
+        support.add(e)
+        support.add(e[:-1])
     mapping = {v: stirred_vertex(bars, v) for v in sorted(support)}
     return Permutation(mapping)
 
@@ -107,7 +106,7 @@ class CycleReport:
         }
 
 
-def cycle_of_root(bars, shape=None) -> CycleReport:
+def cycle_of_root(bars) -> CycleReport:
     """Cycle of the root under the stirring permutation.
 
     ``boundary_truncated`` records whether the meander circuit from the root

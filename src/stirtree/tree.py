@@ -52,46 +52,9 @@ class TreeShape:
         """Total number of edges of the depth-n tree."""
         return self.d * (self.d**self.n - 1) // (self.d - 1)
 
-    def level_vertex_count(self, i: int) -> int:
-        """Number of vertices at distance i from the root."""
-        if not 0 <= i <= self.n:
-            raise ValueError(f"level {i} outside [0, {self.n}]")
-        return self.d**i
-
-    def level_edge_count(self, i: int) -> int:
-        """Number of edges whose parent endpoint sits at level i."""
-        if not 0 <= i <= self.n - 1:
-            raise ValueError(f"edge level {i} outside [0, {self.n - 1}]")
-        return self.d ** (i + 1)
-
-
-def level(v: bytes) -> int:
-    return len(v)
-
-
-def parent(v: bytes) -> bytes:
-    if not v:
-        raise ValueError("the root has no parent")
-    return v[:-1]
-
-
-def child(v: bytes, symbol: int) -> bytes:
-    return v + bytes((symbol,))
-
-
-def children(v: bytes, shape: TreeShape) -> list[bytes]:
-    if len(v) >= shape.n:
-        return []
-    return [v + bytes((i,)) for i in range(shape.d)]
-
 
 def is_valid_edge(shape: TreeShape, e: bytes) -> bool:
     return 1 <= len(e) <= shape.n and all(sym < shape.d for sym in e)
-
-
-def edge_level(e: bytes) -> int:
-    """Level of the parent endpoint; e belongs to edge layer ``edge_level(e)``."""
-    return len(e) - 1
 
 
 def path_to_root(v: bytes) -> tuple[bytes, ...]:
@@ -102,7 +65,7 @@ def path_to_root(v: bytes) -> tuple[bytes, ...]:
 def edge_index(shape: TreeShape, e: bytes) -> int:
     """Bijection from edges to ``range(edge_count)``, level-major order."""
     d = shape.d
-    lvl = len(e)  # = edge_level + 1 symbols
+    lvl = len(e)
     below = d * (d ** (lvl - 1) - 1) // (d - 1)  # edges on shallower layers
     offset = 0
     for sym in e:
@@ -144,28 +107,3 @@ def vertex_from_str(s: str, d: int) -> bytes:
     if any(sym >= d for sym in out):
         raise ValueError(f"address {s!r} has symbols outside base {d}")
     return out
-
-
-def shift_bar(bar, anchor: tuple[bytes, float]):
-    """Translate a bar of the descendent tree of ``anchor[0]`` back to the root.
-
-    The edge address drops the anchor prefix and the height is reduced mod 1,
-    so shifting by ``(ROOT, 0.0)`` is the identity.
-    """
-    from stirtree.bars import Bar  # local import, bars depends on tree
-
-    v, h = anchor
-    edge, height = bar.edge, bar.height
-    if len(edge) <= len(v) or edge[: len(v)] != v:
-        raise ValueError(
-            f"bar edge {edge!r} is not in the descendent tree of {v!r}"
-        )
-    return Bar(edge[len(v):], (height - h) % 1.0)
-
-
-def unshift_bar(bar, anchor: tuple[bytes, float]):
-    """Inverse of :func:`shift_bar`: re-anchor a root-relative bar below v."""
-    from stirtree.bars import Bar
-
-    v, h = anchor
-    return Bar(v + bar.edge, (bar.height + h) % 1.0)

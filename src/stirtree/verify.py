@@ -19,14 +19,13 @@ from stirtree.bars import (
     sample_uniform_on,
 )
 from stirtree.events import (
-    _eval_routes,
     crossed_bars,
     crossing_without_bottleneck,
     detect,
+    escape_routes,
     multibar_cluster,
     root_stats,
     root_trajectory,
-    scan_crossings,
     untouched_locations,
     viable_locations,
 )
@@ -52,6 +51,9 @@ class CheckResult:
             text += f" (replay: {self.replay})"
         return text
 
+
+# The KS checks (shift, conditional, exploration) fail at p-values up to this.
+_KS_P_FLOOR = 1e-3
 
 ORACLE_GRID = tuple(
     (d, n, tau / d) for d in (2, 3) for n in (2, 3) for tau in (0.5, 1.0, 2.0)
@@ -90,15 +92,14 @@ _INCLUSION_NAMES = (
 )
 
 
-def inclusion_violations(bars, added, n1: int = 1) -> list[str]:
+def inclusion_violations(bars, added) -> list[str]:
     """Names of violated per-sample inclusions for one (B, A) draw."""
-    shape = bars.shape
-    d = shape.d
+    d = bars.shape.d
     traj = root_trajectory(bars)
-    rec = detect(bars, added, n1=n1, trajectory=traj)
+    rec = detect(bars, added, trajectory=traj)
     vl = viable_locations(bars, traj)
     cluster = multibar_cluster(bars)
-    rstats = root_stats(bars, trajectory=traj)
+    rstats = root_stats(bars, traj)
     out = []
 
     if rec.pivot != "neither" and not rec.crossed:
@@ -119,8 +120,7 @@ def inclusion_violations(bars, added, n1: int = 1) -> list[str]:
             out.append("viable-mass-forces-cluster-size")
             break
         k += 1
-    for _idx, _tip, cov, _t in scan_crossings(bars, traj):
-        routes = _eval_routes(bars, cov, _tip)
+    for routes in escape_routes(bars, traj):
         static_above_root = {e for e in routes.static if len(e) > 1}
         if not static_above_root <= routes.witnessed:
             out.append("static-routes-subset-witnessed")
@@ -137,14 +137,10 @@ def inclusion_violations(bars, added, n1: int = 1) -> list[str]:
     return out
 
 
-def check_inclusions(
-    samples: int,
-    seed: int,
-    shape: TreeShape = TreeShape(3, 4),
-    ts: tuple = (0.2, 0.33, 0.5),
-    n1: int = 1,
-) -> CheckResult:
+def check_inclusions(samples: int, seed: int) -> CheckResult:
     """Zero-tolerance event inclusions over random (B, A) samples."""
+    shape = TreeShape(3, 4)
+    ts = (0.2, 0.33, 0.5)
     per_t = (samples + len(ts) - 1) // len(ts)
     violations = []
     total = 0
@@ -155,7 +151,7 @@ def check_inclusions(
             bars = LazyPoissonBars(shape, t, gen).realize()
             added = sample_added(shape, gen)
             total += 1
-            bad = inclusion_violations(bars, added, n1=n1)
+            bad = inclusion_violations(bars, added)
             if bad:
                 violations.append({"t": t, "trial": i, "violated": bad})
     detail = f"{total} samples over t={ts}, {len(violations)} violations"
@@ -163,20 +159,16 @@ def check_inclusions(
     return CheckResult("event-inclusions", not violations, detail, replay)
 
 
-def check_shift_invariance(
-    trials: int,
-    seed: int,
-    shape: TreeShape = TreeShape(2, 4),
-    t: float = 0.5,
-    heights: tuple = (0.0, 0.25, 0.5, 0.75),
-    p_floor: float = 1e-3,
-) -> CheckResult:
+def check_shift_invariance(trials: int, seed: int) -> CheckResult:
     """Return-time laws from the root pole agree across start heights.
 
     Truncated runs (depth-n poles hit first) enter as +inf, so the censoring
     pattern is compared too.  Two-sample KS on every pair of start heights.
     """
     from scipy import stats  # lazy: scipy dominates the CLI start-up time
+    shape = TreeShape(2, 4)
+    t = 0.5
+    heights = (0.0, 0.25, 0.5, 0.75)
     samples = {}
     for h in heights:
         vals = np.empty(trials)
@@ -192,7 +184,7 @@ def check_shift_invariance(
             p = stats.ks_2samp(samples[a], samples[b]).pvalue
             if worst is None or p < worst[2]:
                 worst = (a, b, p)
-    passed = bool(worst[2] > p_floor)
+    passed = bool(worst[2] > _KS_P_FLOOR)
     detail = f"min pairwise KS p={worst[2]:.4g} at heights {worst[:2]}"
     return CheckResult(
         "shift-invariance", passed, detail, {"seed": seed} if not passed else {}
@@ -200,12 +192,7 @@ def check_shift_invariance(
 
 
 def check_conditional_sampler(
-    instances: int,
-    per_instance: int,
-    seed: int,
-    shape: TreeShape = TreeShape(3, 4),
-    t: float = 0.4,
-    p_floor: float = 1e-3,
+    instances: int, per_instance: int, seed: int
 ) -> CheckResult:
     """Rejection-conditioned added bars match the direct viable-set sampler.
 
@@ -215,6 +202,8 @@ def check_conditional_sampler(
     the set's inverse CDF pool into one two-sample KS test.
     """
     from scipy import stats  # lazy: scipy dominates the CLI start-up time
+    shape = TreeShape(3, 4)
+    t = 0.4
     cond_b, cond_rej, cond_dir = (
         TrialStreams(seed, purpose, shape.d, shape.n, t)
         for purpose in ("cond-b", "cond-rej", "cond-dir")
@@ -240,7 +229,7 @@ def check_conditional_sampler(
         for _ in range(per_instance):
             direct.append(normalized_position(vl, sample_uniform_on(vl, gen_d)))
     p = stats.ks_2samp(rej, direct).pvalue
-    passed = bool(p > p_floor)
+    passed = bool(p > _KS_P_FLOOR)
     efficiency = len(rej) / tries_total if tries_total else 0.0
     detail = (
         f"pooled KS p={p:.4g} over {instances} collections x {per_instance},"
@@ -251,12 +240,7 @@ def check_conditional_sampler(
     )
 
 
-def check_exploration_law(
-    trials: int,
-    seed: int,
-    shape: TreeShape = TreeShape(2, 3),
-    t: float = 0.7,
-) -> CheckResult:
+def check_exploration_law(trials: int, seed: int) -> CheckResult:
     """Bars off the trajectory stay Poisson-t on the untouched region.
 
     Exact part: every uncrossed bar's joints avoid the trajectory.  Statistical
@@ -264,6 +248,8 @@ def check_exploration_law(
     their positions are uniform within the region.
     """
     from scipy import stats  # lazy: scipy dominates the CLI start-up time
+    shape = TreeShape(2, 3)
+    t = 0.7
     count_excess = 0.0
     mu_total = 0.0
     positions = []
@@ -285,7 +271,7 @@ def check_exploration_law(
         mu_total += mu
     z = count_excess / math.sqrt(mu_total) if mu_total > 0 else 0.0
     p_ks = stats.kstest(positions, "uniform").pvalue if positions else 1.0
-    passed = bool(exact_bad == 0 and abs(z) < 4.0 and p_ks > 1e-3)
+    passed = bool(exact_bad == 0 and abs(z) < 4.0 and p_ks > _KS_P_FLOOR)
     detail = (
         f"{exact_bad} touched leftovers, count z={z:.2f}, position KS p={p_ks:.4g}"
     )
@@ -294,15 +280,8 @@ def check_exploration_law(
     )
 
 
-def check_russo(
-    trials: int,
-    seed: int,
-    shape: TreeShape = TreeShape(2, 2),
-    t: float = 0.5,
-    fd_step: float = 0.05,
-    workers: int = 1,
-) -> CheckResult:
-    rc = estimators.russo_check(shape, t, fd_step, trials, seed, workers)
+def check_russo(trials: int, seed: int, workers: int = 1) -> CheckResult:
+    rc = estimators.russo_check(TreeShape(2, 2), 0.5, 0.05, trials, seed, workers)
     passed = abs(rc.zscore) < 3.0
     detail = (
         f"lhs={rc.lhs.mean:.4f}±{rc.lhs.stderr:.4f} rhs={rc.rhs.mean:.4f}"
@@ -313,16 +292,9 @@ def check_russo(
     )
 
 
-def check_tails(
-    trials: int,
-    seed: int,
-    shape: TreeShape = TreeShape(16, 4),
-    t: float = 1.0 / 16,
-    workers: int = 1,
-    level_trials: int | None = None,
-) -> CheckResult:
+def check_tails(trials: int, seed: int, workers: int = 1) -> CheckResult:
     rep = estimators.tail_checks(
-        shape, t, trials, seed, workers, level_trials=level_trials
+        TreeShape(16, 4), 1.0 / 16, trials, seed, workers, level_trials=4000
     )
     rows = rep.cluster_rows + rep.level_rows
     bad = [r for r in rows if not r.ok]
@@ -337,16 +309,11 @@ def check_tails(
     )
 
 
-def check_z_bracket(
-    trials: int,
-    seed: int,
-    shape: TreeShape = TreeShape(16, 4),
-    t: float = 1.0 / 16,
-    workers: int = 1,
-) -> CheckResult:
+def check_z_bracket(trials: int, seed: int, workers: int = 1) -> CheckResult:
+    shape, t = TreeShape(16, 4), 1.0 / 16
     est = estimators.z_estimate(shape, t, trials, seed, workers)
     lo, hi = estimators.z_bracket(shape.d, t * shape.d)
-    passed = lo - 4 * est.stderr <= est.mean <= hi + 4 * est.stderr
+    passed = estimators.within_z_bracket(est, lo, hi)
     detail = f"mean={est.mean:.3f}±{est.stderr:.3f} bracket [{lo:.3f}, {hi:.3f}]"
     return CheckResult(
         "viable-mass-bracket", passed, detail, {"seed": seed} if not passed else {}
@@ -361,7 +328,7 @@ _SUITE_CHECKS = {
     "inclusions": lambda s, k, w: check_inclusions(k or 3000, s),
     "shift": lambda s, k, w: check_shift_invariance(k or 2000, s),
     "russo": lambda s, k, w: check_russo(k or 150_000, s, workers=w),
-    "tails": lambda s, k, w: check_tails(k or 200_000, s, workers=w, level_trials=4000),
+    "tails": lambda s, k, w: check_tails(k or 200_000, s, workers=w),
     "z": lambda s, k, w: check_z_bracket(k or 20_000, s, workers=w),
     "conditional": lambda s, k, w: check_conditional_sampler(40, 25, s),
     "exploration": lambda s, k, w: check_exploration_law(k or 600, s),

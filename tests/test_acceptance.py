@@ -29,7 +29,7 @@ from stirtree.estimators import (
     z_bracket,
     z_estimate,
 )
-from stirtree.meander import hit_level
+from stirtree.events import root_trajectory
 from stirtree.rng import TrialStreams
 from stirtree.tree import TreeShape
 from stirtree.verify import (
@@ -234,8 +234,7 @@ def test_c11_engine_bounds_always_on():
     outcomes = set()
     for _ in range(2_000):
         bars = LazyPoissonBars(shape, 0.5, gen).realize()
-        res = hit_level(bars, record=True)
-        traj = res.trajectory
+        traj = root_trajectory(bars)
         outcomes.add(traj.outcome.kind)
         assert traj.outcome.kind in ("hit_level", "returned")
         assert len(traj.crossings) <= 2 * bars.count

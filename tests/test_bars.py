@@ -17,6 +17,7 @@ from stirtree.bars import (
     sample_added,
     sample_uniform_on,
 )
+from stirtree.events import root_trajectory
 from stirtree.meander import hit_level
 from stirtree.rng import TrialStreams
 from stirtree.tree import TreeShape, edge_from_index
@@ -116,10 +117,12 @@ def test_measure_examples():
 
 
 def test_measure_additive_over_disjoint_union():
-    a = LocationSet(SHAPE22, {b"\x00": ((0.0, 0.25), (0.5, 0.75))})
-    b = LocationSet(SHAPE22, {b"\x00": ((0.25, 0.5),), b"\x01": ((0.1, 0.2),)})
-    u = a.union(b)
-    assert abs(u.measure() - (a.measure() + b.measure())) < 1e-12
+    a = {b"\x00": ((0.0, 0.25), (0.5, 0.75))}
+    b = {b"\x00": ((0.25, 0.5),), b"\x01": ((0.1, 0.2),)}
+    u = {e: merge_intervals(list(a.get(e, ())) + list(b.get(e, ()))) for e in a | b}
+    assert u[b"\x00"] == ((0.0, 0.75),)  # the adjacent pieces fuse
+    total = LocationSet(SHAPE22, a).measure() + LocationSet(SHAPE22, b).measure()
+    assert abs(LocationSet(SHAPE22, u).measure() - total) < 1e-12
 
 
 def test_location_set_invariant_violations():
@@ -288,7 +291,7 @@ def test_with_added_overlay_same_on_lazy_and_materialized(
     assert hit_level(lazy).reached == hit_level(dense).reached
     rebuilt = BarCollection.from_bars(shape, list(dense.iter_bars()) + [added])
     runs = [
-        hit_level(bars, record=True)
+        root_trajectory(bars)
         for bars in (lazy.with_added(added), dense.with_added(added), rebuilt)
     ]
     assert runs[0] == runs[1] == runs[2]

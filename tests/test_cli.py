@@ -273,6 +273,45 @@ def test_config_merge(tmp_path, capsys):
     # explicit flags win over the config file
     code, out = run_cli(["sim", "--config", str(cfg), "--trials", "1"], capsys)
     assert len(out.strip().splitlines()) == 1
+    # a bad config is a usage error (SystemExit, not a traceback), found
+    # before any work
+    bad = {
+        "missing": None,
+        "not-json": "{d: 2",
+        "not-an-object": "[1, 2]",
+        "text-for-a-number": json.dumps({"t": "0.5"}),
+        "fraction-for-an-integer": json.dumps({"d": 2.5}),
+        "unknown-key": json.dumps({"trails": 5}),
+    }
+    for name, text in bad.items():
+        path = tmp_path / f"{name}.json"
+        if text is not None:
+            path.write_text(text)
+        with pytest.raises(SystemExit) as exc:
+            main(["sim", "--trials", "1", "--config", str(path)])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and out == "", name
+        assert "error:" in err, name
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["sim", "--trials", "1"],
+        ["verify", "--only", "oracle", "--trials", "3"],
+    ],
+    ids=["sim", "verify"],
+)
+def test_unwritable_out_exit_2_before_any_work(args, tmp_path, monkeypatch, capsys):
+    def no_work(*a, **k):
+        raise AssertionError("ran before the --out path was checked")
+
+    monkeypatch.setattr("stirtree.cli.LazyPoissonBars", no_work)
+    monkeypatch.setattr("stirtree.verify.run_suite", no_work)
+    code = main(args + ["--out", str(tmp_path / "missing-dir" / "x.json")])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("cannot write --out:") and "No such file" in err
 
 
 def test_verify_subsuite_and_verdict(tmp_path, capsys):

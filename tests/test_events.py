@@ -9,7 +9,6 @@ from stirtree.events import (
     detect,
     escape_routes,
     multibar_cluster,
-    no_bar_on_added_edge,
     root_stats,
     root_trajectory,
     untouched_locations,
@@ -97,7 +96,8 @@ def test_multibar_cluster_truncation_and_boundary_bound():
 
 
 def test_viable_locations_bar_free_collection():
-    vl = viable_locations(BarCollection(S22, {}))
+    empty = BarCollection(S22, {})
+    vl = viable_locations(empty, root_trajectory(empty))
     assert vl.measure() == 2.0
     assert set(vl.intervals) == {b"\x00", b"\x01"}
     assert all(vl.intervals[e] == ((0.0, 1.0),) for e in vl.intervals)
@@ -118,14 +118,14 @@ def test_viable_locations_full_trace_measure_six():
     )
     rep = multibar_cluster(bars)
     assert rep.cluster == frozenset({b"\x00", b"\x01"})
-    vl = viable_locations(bars)
+    vl = viable_locations(bars, root_trajectory(bars))
     assert vl.measure() == 6.0
     assert len(vl.intervals) == 6
 
 
 def test_root_stats_trivial_and_laws():
     empty = BarCollection(S22, {})
-    rs = root_stats(empty)
+    rs = root_stats(empty, root_trajectory(empty))
     assert rs.bar_free and rs.low_gap and rs.single_bar_edges == 0
     assert rs.confined_clusterless
 
@@ -139,7 +139,7 @@ def test_root_stats_trivial_and_laws():
     gap = 0
     for _ in range(trials):
         bars = LazyPoissonBars(shape, t, gen).realize()
-        s = root_stats(bars)
+        s = root_stats(bars, root_trajectory(bars))
         free += s.bar_free
         lone += s.single_bar_edges
         gap += s.low_gap
@@ -153,14 +153,6 @@ def test_root_stats_trivial_and_laws():
     assert abs(gap / trials - p_gap) < 4 * math.sqrt(p_gap * (1 - p_gap) / trials)
 
 
-def test_no_bar_on_added_edge():
-    empty = BarCollection(S22, {})
-    assert no_bar_on_added_edge(empty, Bar(b"\x00", 0.2))
-    bars = BarCollection.from_bars(S22, [Bar(b"\x00", 0.5)])
-    assert not no_bar_on_added_edge(bars, Bar(b"\x00", 0.2))
-    assert no_bar_on_added_edge(bars, Bar(b"\x01", 0.2))
-
-
 def test_escape_routes_constructed_path_all_static():
     # one bar per path edge, ascending, siblings bar-free, windows clear
     shape = TreeShape(3, 3)
@@ -171,10 +163,15 @@ def test_escape_routes_constructed_path_all_static():
     )
     traj = root_trajectory(bars)
     assert traj.outcome.kind == "hit_level"
-    routes = escape_routes(bars, traj, traj.elapsed)
-    assert routes.static == frozenset(path)
-    # witnesses exclude the root-layer edge by definition
-    assert routes.witnessed == frozenset(path[1:])
+    sets = list(escape_routes(bars, traj))
+    assert len(sets) == len(traj.crossings) == 3  # one set per crossing
+    # after crossing k the tip sits below path edge k, with k + 1 routes
+    for k, routes in enumerate(sets):
+        assert routes.static == frozenset(path[: k + 1])
+        # witnesses exclude the root-layer edge by definition
+        assert routes.witnessed == frozenset(path[1 : k + 1])
+    # the last set is the one for the whole run, ended on that crossing
+    routes = sets[-1]
     for edge, esc in routes.escape_vertices:
         assert esc[:-1] == edge[:-1]
         assert esc not in traj.coverage()
@@ -183,8 +180,7 @@ def test_escape_routes_constructed_path_all_static():
 def test_escape_routes_empty_for_bare_collection():
     bars = BarCollection(S22, {})
     traj = root_trajectory(bars)
-    routes = escape_routes(bars, traj, 0.5)
-    assert routes.static == frozenset() and routes.witnessed == frozenset()
+    assert list(escape_routes(bars, traj)) == []  # no crossing, no route set
 
 
 def test_inclusions_zero_violations_small():

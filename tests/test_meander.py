@@ -6,6 +6,7 @@ import pytest
 
 import stirtree.meander as meander
 from stirtree.bars import Bar, BarCollection, LazyPoissonBars
+from stirtree.events import root_trajectory
 from stirtree.meander import (
     EngineError,
     SpaceTimePoint,
@@ -34,9 +35,9 @@ def test_bare_pole_full_wrap():
 def test_single_bar_hits_level_one():
     shape = TreeShape(2, 1)
     bars = BarCollection.from_bars(shape, [Bar(b"\x00", 0.5)])
-    res = hit_level(bars, record=True)
+    res = hit_level(bars)
     assert res.reached and res.time == 0.5
-    assert len(res.trajectory.crossings) == 1
+    assert len(root_trajectory(bars).crossings) == 1
 
 
 def test_figure_one_three_unit_circuit():
@@ -143,7 +144,7 @@ def test_three_way_stop_rule_orbit_avoiding_root_origin():
     traj = run(
         bars,
         SpaceTimePoint(ROOT, 0.5),
-        StopRule(level=2, points=frozenset({(ROOT, 0.0)})),
+        StopRule(level=2, origin=True),
     )
     assert traj.outcome.kind == "returned"
 
@@ -221,7 +222,7 @@ def test_crossing_guard_armed_on_lazy_collections():
             self.count = 0
             return built
 
-    honest = hit_level(LazyPoissonBars(S23, 2.0, TrialStreams(5, "undercount").at(0)), record=True)
-    assert honest.trajectory.crossings  # the run below has a crossing to count
+    honest = root_trajectory(LazyPoissonBars(S23, 2.0, TrialStreams(5, "undercount").at(0)))
+    assert honest.crossings  # the run below has a crossing to count
     with pytest.raises(EngineError, match="crossing count"):
         hit_level(Undercounting(S23, 2.0, TrialStreams(5, "undercount").at(0)))

@@ -4,7 +4,8 @@ Every pole index (the lazy collection's own one-pass build, the shared build
 of materialized collections and thinnings, the one-bar overlay) must agree
 with a materialized collection holding the same bars, and the engine must
 agree with the transposition oracle.  Runs started exactly on a joint check
-the right-continuity rule.
+the right-continuity rule, and runs that stop at the root origin are the
+plain runs cut at their first wrap on the root pole.
 """
 
 from hypothesis import assume, example, given, settings, strategies as st
@@ -44,6 +45,7 @@ def test_lazy_poles_equal_materialized_poles(shape, t, seed):
     dense = _materialized(lazy, _edges(shape))
     assert lazy.count == dense.count
     assert built == {v: dense.pole(v) for v in built}
+    traj.coverage()  # a filled coverage cache is not part of the value
     assert root_trajectory(dense) == traj
 
 
@@ -114,3 +116,42 @@ def test_run_started_on_a_joint(shape, t, seed, pick, upper):
     assert traj.crossings[-1][:3] == (edge, h0, not upper)
     covered = sum(b - a for ivs in traj.coverage().values() for a, b in ivs)
     assert abs(covered - traj.elapsed) < 1e-9
+
+
+@settings(max_examples=80, deadline=None)
+@example(shape=TreeShape(2, 2), t=1.5, seed=1, pick=0, h0=0.0, deep=False)
+@example(shape=TreeShape(2, 2), t=1.5, seed=1, pick=0, h0=0.0, deep=True)
+@example(shape=TreeShape(2, 2), t=0.5, seed=3, pick=0, h0=0.5, deep=True)
+@given(
+    shape=shapes,
+    t=rates,
+    seed=seeds,
+    pick=st.integers(0, 10**6),
+    h0=st.floats(0.0, 1.0, exclude_max=True),
+    deep=st.booleans(),
+)
+def test_origin_stop_cuts_the_run_at_its_first_root_wrap(shape, t, seed, pick, h0, deep):
+    bars = LazyPoissonBars(shape, t, TrialStreams(seed, "prop-origin").at(0)).realize()
+    # a start below depth n: the root, or the parent endpoint of some edge
+    starts = [ROOT] + [e[:-1] for e in _edges(shape)]
+    start = SpaceTimePoint(starts[pick % len(starts)], h0)
+    level = shape.n if deep else None
+    plain = run(bars, start, StopRule(level=level), record=True)
+    stop = run(bars, start, StopRule(level=level, origin=True), record=True)
+    root_wraps = [
+        k for k, (v, _lo, hi) in enumerate(plain.segments) if v == ROOT and hi == 1.0
+    ]
+    if start == (ROOT, 0.0):
+        # return-to-start is tested first: the origin is the start itself
+        assert stop == plain and stop.outcome.kind != "hit_point"
+        if level is None:
+            assert stop.outcome.kind == "returned"
+    elif root_wraps:
+        first = root_wraps[0] + 1
+        assert stop.outcome.kind == "hit_point"
+        assert stop.outcome.point == (ROOT, 0.0)
+        assert stop.segments == plain.segments[:first]
+        assert stop.crossings == plain.crossings[: len(stop.crossings)]
+        assert stop.outcome.time == stop.wraps - h0
+    else:
+        assert stop == plain

@@ -1,22 +1,16 @@
-"""Tree addressing: counts, paths, the edge-index bijection, and bar shifts."""
+"""Tree addressing: counts, paths, the edge-index bijection, serialization."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stirtree.bars import Bar
 from stirtree.tree import (
     ROOT,
     CapacityError,
     TreeShape,
     edge_from_index,
     edge_index,
-    edge_level,
     is_valid_edge,
-    level,
-    parent,
     path_to_root,
-    shift_bar,
-    unshift_bar,
     vertex_from_str,
     vertex_to_str,
 )
@@ -34,8 +28,9 @@ def test_vertex_count_and_level_partition():
     for d, n in [(2, 3), (3, 2), (5, 4)]:
         shape = TreeShape(d, n)
         assert shape.vertex_count == (d ** (n + 1) - 1) // (d - 1)
-        assert sum(shape.level_vertex_count(i) for i in range(n + 1)) == shape.vertex_count
-        assert sum(shape.level_edge_count(i) for i in range(n)) == shape.edge_count
+        # level i holds d**i vertices; edge layer i (parent at level i) d**(i+1)
+        assert sum(d**i for i in range(n + 1)) == shape.vertex_count
+        assert sum(d ** (i + 1) for i in range(n)) == shape.edge_count
 
 
 def test_capacity_guard():
@@ -59,12 +54,12 @@ def test_path_to_root_examples():
 def test_path_structure(symbols):
     v = bytes(symbols)
     path = path_to_root(v)
-    assert len(path) == level(v)
+    assert len(path) == len(v)
     for i, e in enumerate(path):
-        assert edge_level(e) == i
+        assert len(e) - 1 == i  # the parent endpoint of path edge i is at level i
         assert e[:-1] == (ROOT if i == 0 else path[i - 1])
     if v:
-        assert level(parent(v)) == level(v) - 1
+        assert path[-1] == v and path_to_root(v[:-1]) == path[:-1]
 
 
 @given(st.integers(2, 6), st.integers(1, 5), st.integers(0, 10**6))
@@ -75,38 +70,6 @@ def test_edge_index_roundtrip(d, n, raw):
     e = edge_from_index(shape, idx)
     assert is_valid_edge(shape, e)
     assert edge_index(shape, e) == idx
-
-
-def test_shift_examples():
-    b = Bar(b"\x00\x00", 0.3)
-    assert shift_bar(b, (ROOT, 0.0)) == b  # identity anchor
-    shifted = shift_bar(b, (b"\x00", 0.1))
-    assert shifted.edge == b"\x00"
-    assert shifted.height == (0.3 - 0.1) % 1.0
-    wrapped = shift_bar(Bar(b"\x00\x00", 0.05), (b"\x00", 0.1))
-    assert wrapped == Bar(b"\x00", 0.95)  # modular wrap
-
-
-def test_shift_domain_error():
-    with pytest.raises(ValueError):
-        shift_bar(Bar(b"\x01\x00", 0.2), (b"\x00", 0.1))
-    with pytest.raises(ValueError):
-        shift_bar(Bar(b"\x00", 0.2), (b"\x00", 0.1))  # edge is the anchor itself
-
-
-@given(
-    st.lists(st.integers(0, 2), min_size=1, max_size=3),
-    st.lists(st.integers(0, 2), min_size=1, max_size=3),
-    st.floats(0, 0.999999),
-    st.floats(0, 0.999999),
-)
-@settings(max_examples=150, deadline=None)
-def test_shift_unshift_roundtrip(anchor_syms, edge_syms, h_anchor, h_bar):
-    anchor = (bytes(anchor_syms), h_anchor)
-    bar = Bar(anchor[0] + bytes(edge_syms), h_bar)
-    back = unshift_bar(shift_bar(bar, anchor), anchor)
-    assert back.edge == bar.edge
-    assert abs(back.height - bar.height) < 1e-12 or abs(abs(back.height - bar.height) - 1.0) < 1e-12
 
 
 def test_vertex_serialization():
