@@ -5,8 +5,10 @@ own Philox key and trial i its own counter block of it (rng.TrialStreams),
 so any emitted row or failed check can be replayed exactly.  Exit codes:
 0 success, 1 verification failure, 2 bad usage (an unreadable or invalid
 --config file and an --out path that cannot be opened for writing
-included, both found before any work starts), 3 capacity exceeded,
-4 engine error (an internal inconsistency the engine's guards caught).
+included, both found before any work starts, and a scan with a repeated
+depth or t grid point: its rows of one d share the deepest depth's runs),
+3 capacity exceeded, 4 engine error (an internal inconsistency the
+engine's guards caught).
 """
 
 from __future__ import annotations

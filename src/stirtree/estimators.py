@@ -14,7 +14,7 @@ import functools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -35,14 +35,7 @@ class Estimate:
     seed: int
 
     def to_dict(self) -> dict:
-        return {
-            "schema": 1,
-            "label": self.label,
-            "mean": self.mean,
-            "stderr": self.stderr,
-            "trials": self.trials,
-            "seed": self.seed,
-        }
+        return {"schema": 1, **asdict(self)}
 
 
 def _bernoulli(label: str, successes: int, trials: int, seed: int) -> Estimate:
@@ -84,24 +77,41 @@ def _map_batches(
 # --- boundary-hit probability ------------------------------------------------
 
 
-def _pn_batch(job) -> int:
+def _pn_batch(job) -> list[int]:
     shape, t, seed, lo, hi = job
+    if t == 0.0:  # no bars: every run wraps once at the root and returns
+        return [hi - lo] + [0] * shape.n
     streams = TrialStreams(seed, "pn", shape.d, shape.n, t)
-    return sum(
-        hit_level(LazyPoissonBars(shape, t, streams.at(i))).reached
-        for i in range(lo, hi)
-    )
+    hist = [0] * (shape.n + 1)
+    for i in range(lo, hi):
+        hist[hit_level(LazyPoissonBars(shape, t, streams.at(i))).trajectory.deepest] += 1
+    return hist
+
+
+def depth_profile(
+    shape: TreeShape, t: float, trials: int, seed: int, workers: int = 1
+) -> list[int]:
+    """Trials whose root-origin run on T_n lands at deepest level k, k = 0..n.
+
+    Until a run first lands on level m < n it visits only poles above m,
+    whose edges and draw order are the same on T_m as on T_n; so
+    ``_reached(profile, m)`` is the depth-m hit count, on depth n's stream.
+    """
+    parts = _map_batches(_pn_batch, shape, t, seed, trials, workers)
+    return [sum(level) for level in zip(*parts)]
+
+
+def _reached(profile: list[int], n: int) -> int:
+    """Trials of a depth profile that reached depth n: deepest level >= n."""
+    return sum(profile[n:])
 
 
 def estimate_pn(
     shape: TreeShape, t: float, trials: int, seed: int, workers: int = 1
 ) -> Estimate:
     """Probability that the meander from the root origin reaches depth n."""
-    if t == 0.0:
-        _check_trials(trials)
-        return Estimate(f"pn(d={shape.d},n={shape.n},t=0)", 0.0, 0.0, trials, seed)
-    hits = sum(_map_batches(_pn_batch, shape, t, seed, trials, workers))
-    return _bernoulli(f"pn(d={shape.d},n={shape.n},t={t})", hits, trials, seed)
+    hits = _reached(depth_profile(shape, t, trials, seed, workers), shape.n)
+    return _bernoulli(f"pn(d={shape.d},n={shape.n},t={t or 0})", hits, trials, seed)
 
 
 # --- derivative identity ------------------------------------------------------
@@ -194,8 +204,7 @@ def _z_batch(job) -> tuple[float, float]:
     s = s2 = 0.0
     for i in range(lo, hi):
         bars = LazyPoissonBars(shape, t, streams.at(i))
-        traj = root_trajectory(bars)
-        m = viable_locations(bars, traj).measure()
+        m = viable_locations(bars, root_trajectory(bars)).measure()
         s += m
         s2 += m * m
     return s, s2
@@ -215,9 +224,12 @@ def z_bracket(d: int, tau: float) -> tuple[float, float]:
     return d * math.exp(-tau), 1.2 * d
 
 
+_SLACK_SE = 4  # sampling slack, in standard errors, of the z verdict and tail flags
+
+
 def within_z_bracket(est: Estimate, lo: float, hi: float) -> bool:
-    """The z verdict: the mean lies in [lo, hi] widened by 4 standard errors."""
-    return lo - 4 * est.stderr <= est.mean <= hi + 4 * est.stderr
+    """The z verdict: the mean lies in [lo, hi] widened by the slack."""
+    return lo - _SLACK_SE * est.stderr <= est.mean <= hi + _SLACK_SE * est.stderr
 
 
 # --- tail checks ----------------------------------------------------------------
@@ -273,9 +285,9 @@ def tail_checks(
     """Empirical cluster-size and level-visit tails against their bounds.
 
     The cluster part needs d >= 11 tau^2 and is otherwise skipped with a
-    notice.  The level-visit part plugs an independently seeded estimate of
-    the deeper hit probability into the bound and widens the 4-sigma flag by
-    the propagated plug-in error.
+    notice.  The level-visit part plugs independently seeded estimates of
+    the deeper hit probabilities, read from one depth profile, into the
+    bound and widens the flag by the propagated plug-in error.
     """
     _check_trials(trials)
     check_rate(t)  # NaN would slip past the d < 11 tau^2 test below
@@ -288,54 +300,41 @@ def tail_checks(
     if d < 11 * tau * tau:
         skipped = f"cluster tail skipped: d={d} < 11*tau^2={11 * tau * tau:.3g}"
     else:
-        sizes = np.concatenate(
-            _map_batches(_cluster_tail_batch, shape, t, seed, trials, workers)
-        )
+        parts = _map_batches(_cluster_tail_batch, shape, t, seed, trials, workers)
+        sizes = np.concatenate(parts)
         for ell in (1, 2, 3, 4):
             emp = float((sizes >= ell).mean())
             se = math.sqrt(emp * (1.0 - emp) / trials)
             bound = cluster_size_bound(d, tau, ell)
-            cluster_rows.append(
-                TailRow(
-                    f"P(cluster>= {ell})", ell, emp, se, bound, emp <= bound + 4 * se
-                )
-            )
+            ok = emp <= bound + _SLACK_SE * se
+            cluster_rows.append(TailRow(f"P(cluster>= {ell})", ell, emp, se, bound, ok))
 
     level_rows: list[TailRow] = []
     level_pairs = ((1, 2), (1, 3), (2, 2))
     lv_trials = level_trials if level_trials is not None else min(trials, 20_000)
     if lv_trials > 0:
-        levels = sorted({i for i, _k in level_pairs})
-        visit_counts = {i: np.zeros(lv_trials, dtype=np.int64) for i in levels}
+        visits = np.zeros((lv_trials, shape.n + 1), dtype=np.int64)  # per level
         streams = TrialStreams(seed, "tails-level", shape.d, shape.n, t)
         for j in range(lv_trials):
             bars = LazyPoissonBars(shape, t, streams.at(j))
-            cov = root_trajectory(bars).coverage()
-            for i in levels:
-                visit_counts[i][j] = sum(1 for v in cov if len(v) == i)
-        plugins = {
-            i: estimate_pn(
-                TreeShape(d, shape.n - i), t, lv_trials, seed + 101, workers
-            )
-            for i in levels
-            if shape.n - i >= 1
-        }
+            for v in root_trajectory(bars).coverage():
+                visits[j, len(v)] += 1
+        if shape.n > 1:  # one profile on T_{n-1} holds each depth-(n-i) plug-in
+            shallow = TreeShape(d, shape.n - 1)
+            profile = depth_profile(shallow, t, lv_trials, seed + 101, workers)
         for i, k in level_pairs:
-            if i not in plugins:
+            if shape.n - i < 1:
                 notes.append(f"level pair ({i},{k}) skipped: n-i < 1")
                 continue
-            p = plugins[i]
-            emp = float((visit_counts[i] >= k).mean())
+            p = _bernoulli("plug-in", _reached(profile, shape.n - i), lv_trials, seed)
+            emp = float((visits[:, i] >= k).mean())
             se = math.sqrt(emp * (1.0 - emp) / lv_trials)
             base = 1.0 - p.mean * math.exp(-t)
             bound = base ** (k - 1)
             dslope = (k - 1) * base ** max(k - 2, 0) * math.exp(-t)
-            slack = 4.0 * (se + dslope * p.stderr)
-            level_rows.append(
-                TailRow(
-                    f"P(level-{i} visits >= {k})", k, emp, se, bound, emp <= bound + slack
-                )
-            )
+            ok = emp <= bound + _SLACK_SE * (se + dslope * p.stderr)
+            label = f"P(level-{i} visits >= {k})"
+            level_rows.append(TailRow(label, k, emp, se, bound, ok))
 
     return TailReport(tuple(cluster_rows), tuple(level_rows), skipped, tuple(notes))
 
@@ -378,19 +377,11 @@ def gw_extinction(d: int, t: float) -> GwBound:
     check_rate(t)
     p_occ = -math.expm1(-t)  # 1 - e^-t
     q = 1.0 - p_occ
-
-    def f(s: float) -> float:
-        return (p_occ * s + q) ** d
-
     s = 0.0
-    iterations = 0
-    while iterations < 10_000_000:
-        s_next = f(s)
-        iterations += 1
-        if abs(s_next - s) < 1e-12:
-            s = s_next
+    for iterations in range(1, 10_000_001):
+        prev, s = s, (p_occ * s + q) ** d
+        if abs(s - prev) < 1e-12:
             break
-        s = s_next
     p_upper = 1.0 - s
     if d >= 6 and t <= 1.0 / d + 2.0 / d**2 and p_upper > 6.0 / d + 1e-9:
         raise EngineError("branching bound violated; fixed-point solver is wrong")
@@ -423,14 +414,24 @@ def critical_scan(
     seed: int,
     workers: int = 1,
 ) -> ScanTable:
-    """Descriptive table of hit probabilities over a (shape, t) grid."""
+    """Descriptive table of hit probabilities over a (shape, t) grid.
+
+    Per (d, t), every row reads one depth profile on d's deepest tree, so
+    the deepest rows equal :func:`estimate_pn` and the others share its runs."""
     if not t_grid:
         raise ValueError("empty t grid")
+    if len(set(t_grid)) < len(t_grid) or len(set(shapes)) < len(shapes):
+        raise ValueError("duplicate depths or t grid points")
+    profiles = {}
+    for deepest in {s.d: s for s in sorted(shapes, key=lambda s: s.n)}.values():
+        for t in t_grid:
+            profiles[deepest.d, t] = depth_profile(deepest, t, trials, seed, workers)
     rows = []
     for shape in sorted(shapes, key=lambda s: (s.d, s.n)):
         lo, hi = critical_window(shape.d)
         for t in t_grid:
-            est = estimate_pn(shape, t, trials, seed, workers)
+            hits = _reached(profiles[shape.d, t], shape.n)
+            est = _bernoulli("scan", hits, trials, seed)
             rows.append((shape.d, shape.n, t, est.mean, est.stderr, lo, hi))
     return ScanTable(tuple(rows), trials, seed)
 
@@ -525,8 +526,7 @@ def bare_root_gain_check(
         bars.prefill_counts(root_edges, [0] * d)
         if hit_level(bars).reached:
             raise EngineError("bar-free root layer cannot reach depth n unaided")
-        if hit_level(bars.with_added(Bar(edge, h))).reached:
-            hits += 1
+        hits += hit_level(bars.with_added(Bar(edge, h))).reached
     gain = _bernoulli(f"on-pivotal|bar-free-root(t={t})", hits, trials, seed)
     ref = estimate_pn(TreeShape(d, shape.n - 1), t, trials, seed + 7)
     denom = math.hypot(gain.stderr, ref.stderr)

@@ -23,7 +23,7 @@ from stirtree.meander import (
     hit_level,
     run,
 )
-from stirtree.tree import ROOT, path_to_root, vertex_to_str
+from stirtree.tree import ROOT, edge_index, path_to_root, vertex_to_str
 
 
 @dataclass(frozen=True)
@@ -227,14 +227,17 @@ def viable_locations(bars, trajectory: Trajectory) -> LocationSet:
     the visited heights of its two endpoint poles along the root
     trajectory.
     """
+    shape = bars.shape
     cov = trajectory.coverage()
     report = multibar_cluster(bars)
     out: dict[bytes, tuple[tuple[float, float], ...]] = {}
-    for e in report.cluster | report.boundary:
+    edges = report.cluster | report.boundary
+    # edge-index order fixes the order measure() sums in, whatever the hash seed
+    for e in sorted(edges, key=lambda e: edge_index(shape, e)):
         ivs = list(cov.get(e[:-1], ())) + list(cov.get(e, ()))
         if ivs:
             out[e] = merge_intervals(ivs)
-    return LocationSet(bars.shape, out, validate=False)
+    return LocationSet(shape, out, validate=False)
 
 
 def root_stats(bars, trajectory: Trajectory) -> RootStats:

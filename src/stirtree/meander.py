@@ -63,6 +63,9 @@ class Trajectory:
     start: SpaceTimePoint
     outcome: Outcome
     wraps: int
+    # deepest level the run landed on; a root-origin run reached depth n
+    # on T_n exactly when its deepest level on a deeper tree is >= n
+    deepest: int
     # (edge, height, to_child, time) per bar crossing, in order
     crossings: list
     # (vertex, lo, hi) rise segments, in order; hi is exclusive
@@ -167,6 +170,7 @@ def run(
     v, h = v0, h0
     heights, hops = pole(v)
     wraps = 0
+    deepest = len(v0)
     ncross = 0
     seen: set = set()
     segments: list = [] if record else None
@@ -198,9 +202,12 @@ def run(
             if w == v0 and hb == h0:
                 outcome = Outcome("returned", t_ev, (v0, h0))
                 break
-            if stop_level is not None and len(w) == stop_level:
-                outcome = Outcome("hit_level", t_ev, state)
-                break
+            lw = len(w)
+            if lw > deepest:  # only a child crossing can go deeper
+                deepest = lw
+                if lw == stop_level:
+                    outcome = Outcome("hit_level", t_ev, state)
+                    break
             if state in seen:
                 raise EngineError(f"trajectory revisited state {state!r}")
             seen.add(state)
@@ -231,6 +238,7 @@ def run(
         start=start,
         outcome=outcome,
         wraps=wraps,
+        deepest=deepest,
         crossings=crossings if record else [],
         segments=segments if record else [],
     )

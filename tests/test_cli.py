@@ -2,8 +2,14 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import stirtree
 
 import stirtree.estimators as estimators
 import stirtree.meander as meander
@@ -147,6 +153,31 @@ def test_scan_empty_grid_exit_2(capsys):
 def test_scan_grid_without_positive_step_exit_2(grid, capsys):
     code = main(["scan", "--d", "8", "--n", "2", "--t-grid", grid, "--trials", "10"])
     assert code == 2 and "positive step" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n, grid", [("4,4", "0.5"), ("4", "0.5,0.5")])
+def test_scan_duplicate_depth_or_grid_point_exit_2(n, grid, capsys):
+    # the rows of one d share the deepest depth's runs: a repeat is ambiguous
+    code = main(["scan", "--d", "2", "--n", n, "--t-grid", grid, "--trials", "5"])
+    captured = capsys.readouterr()
+    assert code == 2 and "duplicate" in captured.err and captured.out == ""
+
+
+def test_estimate_z_output_is_independent_of_the_hash_seed():
+    # the viable-location mass sums its edges in edge-index order, not in
+    # the hash order of a frozenset of bytes
+    src = str(Path(stirtree.__file__).resolve().parents[1])
+    cmd = [
+        sys.executable, "-m", "stirtree.cli", "estimate", "z", "--d", "4", "--n",
+        "3", "--t", "0.3", "--trials", "2000", "--seed", "5", "--format", "csv",
+    ]
+    outs = []
+    for hash_seed in ("0", "2"):
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=path)
+        res = subprocess.run(cmd, env=env, capture_output=True, check=True)
+        outs.append(res.stdout)
+    assert outs[0] == outs[1]
 
 
 @pytest.mark.parametrize("grid", ["0:1:1e-12", "0:1:5e-324"])

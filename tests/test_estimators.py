@@ -15,6 +15,7 @@ from stirtree.estimators import (
     coupled_percolation_indicators,
     critical_scan,
     critical_window,
+    depth_profile,
     estimate_pn,
     generation_survival,
     gw_extinction,
@@ -24,7 +25,7 @@ from stirtree.estimators import (
     z_bracket,
     z_estimate,
 )
-from stirtree.bars import Bar, BarCollection
+from stirtree.bars import Bar, BarCollection, LazyPoissonBars
 from stirtree.meander import HitResult, hit_level
 from stirtree.rng import TrialStreams
 from stirtree.tree import TreeShape, edge_from_index
@@ -342,6 +343,46 @@ def test_critical_scan_table():
 def test_critical_scan_zero_rows():
     table = critical_scan([TreeShape(2, 2)], [0.0, 0.1], 500, 83)
     assert table.rows[0][3] == 0.0
+
+
+def test_scan_rows_are_shallow_runs_on_the_deepest_stream():
+    # each row's hits, recounted with one run per trial on T_n itself, drawn
+    # from the stream of the deepest depth: the lazy draw order makes that
+    # run the prefix of the run on the deepest tree
+    d, t, trials, seed = 3, 0.4, 400, 41
+    table = critical_scan([TreeShape(d, n) for n in (5, 2, 4)], [t], trials, seed)
+    streams = TrialStreams(seed, "pn", d, 5, t)
+    assert [r[1] for r in table.rows] == [2, 4, 5]
+    for _d, n, _t, p_hat, *_bracket in table.rows:
+        shape = TreeShape(d, n)
+        hits = sum(
+            hit_level(LazyPoissonBars(shape, t, streams.at(i))).reached
+            for i in range(trials)
+        )
+        assert p_hat == hits / trials
+    assert table.rows[-1][3] == estimate_pn(TreeShape(d, 5), t, trials, seed).mean
+
+
+def test_scan_shallow_row_golden():
+    # seed -> value pin; the n=6 row is test_golden_values' estimate_pn pin
+    table = critical_scan([TreeShape(8, 6), TreeShape(8, 4)], [0.145], 1500, 3)
+    assert [row[3] for row in table.rows] == [533 / 1500, 417 / 1500]
+
+
+def test_depth_profile_worker_invariant():
+    shape = TreeShape(3, 4)
+    profile = depth_profile(shape, 0.4, 9000, 43)
+    assert len(profile) == shape.n + 1 and sum(profile) == 9000
+    assert depth_profile(shape, 0.4, 9000, 43, workers=2) == profile
+
+
+@pytest.mark.parametrize(
+    "shapes, grid",
+    [([S22, S22], [0.5]), ([S22], [0.5, 0.5]), ([S22, TreeShape(3, 2)], [0.3, 0.3])],
+)
+def test_critical_scan_rejects_duplicates(shapes, grid):
+    with pytest.raises(ValueError, match="duplicate"):
+        critical_scan(shapes, grid, 10, 1)
 
 
 def test_coupled_percolation_monotone_exact():

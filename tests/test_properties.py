@@ -5,14 +5,15 @@ of materialized collections and thinnings, the one-bar overlay) must agree
 with a materialized collection holding the same bars, and the engine must
 agree with the transposition oracle.  Runs started exactly on a joint check
 the right-continuity rule, and runs that stop at the root origin are the
-plain runs cut at their first wrap on the root pole.
+plain runs cut at their first wrap on the root pole.  The deepest level a
+run on T_N lands on decides the hit event on every shallower tree T_n.
 """
 
 from hypothesis import assume, example, given, settings, strategies as st
 
 from stirtree.bars import Bar, BarCollection, LazyPoissonBars
 from stirtree.events import root_trajectory
-from stirtree.meander import SpaceTimePoint, StopRule, run
+from stirtree.meander import SpaceTimePoint, StopRule, hit_level, run
 from stirtree.rng import TrialStreams
 from stirtree.stirring import stirring_permutation, transposition_oracle
 from stirtree.tree import ROOT, TreeShape, edge_from_index
@@ -34,6 +35,24 @@ def _materialized(bars, edges) -> BarCollection:
 
 def _visited(traj) -> set:
     return {v for v, _lo, _hi in traj.segments}
+
+
+def _restricted(bars: BarCollection, n: int) -> BarCollection:
+    """The bars on edges of length <= n, as a collection on T_n."""
+    by_edge = {e: bars.heights_on(e) for e in bars.edges_with_bars() if len(e) <= n}
+    return BarCollection(TreeShape(bars.shape.d, n), by_edge)
+
+
+@settings(max_examples=80, deadline=None)
+@example(shape=TreeShape(2, 4), t=0.9, seed=4)  # deepest level 2 of 4
+@example(shape=TreeShape(3, 4), t=0.5, seed=3)  # deepest level 2 of 4
+@given(shape=shapes, t=rates, seed=seeds)
+def test_deepest_level_decides_every_shallower_hit(shape, t, seed):
+    bars = LazyPoissonBars(shape, t, TrialStreams(seed, "prop-profile").at(0)).realize()
+    deepest = hit_level(bars).trajectory.deepest
+    assert 0 <= deepest <= shape.n
+    for n in range(1, shape.n + 1):
+        assert (deepest >= n) == hit_level(_restricted(bars, n)).reached
 
 
 @settings(max_examples=60, deadline=None)
