@@ -20,6 +20,7 @@ from stirtree.tree import (
     TreeShape,
     edge_from_index,
     edge_index,
+    edges_from_indices,
     is_valid_edge,
     vertex_from_str,
     vertex_to_str,
@@ -41,6 +42,11 @@ def check_rate(t: float) -> None:
         raise ValueError(f"intensity t must be finite and >= 0, got {t!r}")
 
 
+def _usable(hs: list[float]) -> bool:
+    """Heights all > 0 and pairwise distinct: sorted, strictly increasing."""
+    return min(hs) > 0.0 and len(set(hs)) == len(hs)
+
+
 def _distinct_heights(rng: np.random.Generator, k: int) -> tuple[float, ...]:
     """k i.i.d. heights, sorted, all distinct and strictly inside (0, 1)."""
     if k == 0:  # rng.random(0) would consume nothing
@@ -50,10 +56,9 @@ def _distinct_heights(rng: np.random.Generator, k: int) -> tuple[float, ...]:
         if h > 0.0:
             return (h,)
     while True:
-        hs = rng.random(k)
-        hs.sort()
-        if hs[0] > 0.0 and all(hs[i] < hs[i + 1] for i in range(k - 1)):
-            return tuple(hs.tolist())
+        hs = sorted(rng.random(k).tolist())
+        if _usable(hs):
+            return tuple(hs)
         # exact collision or exact 0.0: astronomically rare, redraw
 
 
@@ -187,7 +192,7 @@ class BarCollection(_PoleIndexMixin):
     ) -> None:
         self.shape = shape
         self._by_edge = by_edge
-        self.count = sum(len(v) for v in by_edge.values())
+        self.count = sum(map(len, by_edge.values()))
         self._init_pole_cache()
         if validate:
             self._validate()
@@ -278,19 +283,39 @@ class LazyPoissonBars(_PoleIndexMixin):
         """Every edge's bars at once, as an immutable :class:`BarCollection`.
 
         Draws what ``count_on`` then ``heights_on`` over all edges in index
-        order would: the counts in one vector draw, then each barred edge's
-        heights.  Needs a collection with nothing realized yet, and spends
-        its stream, so query the returned collection afterwards.
+        order would: the counts in one vector draw, then every barred
+        edge's heights from one vector draw, read edge by edge in index
+        order.  The stream's doubles are one contiguous sequence, so a
+        redraw just reads on, and the collection and the generator's end
+        position equal the per-edge path's.  Needs a collection with
+        nothing realized yet, and spends its stream, so query the returned
+        collection afterwards.
         """
         if self._counts:
             raise ValueError("realize() needs a collection with nothing realized yet")
         by_edge: dict[bytes, tuple[float, ...]] = {}
         if self.t > 0:  # rate-0 counts consume no draws; skip the |E| zeros
-            counts = self._rng.poisson(self.t, size=self.shape.edge_count).tolist()
-            for i, k in enumerate(counts):
-                if k:
-                    e = edge_from_index(self.shape, i)
-                    by_edge[e] = _distinct_heights(self._rng, k)
+            rng = self._rng
+            counts = rng.poisson(self.t, size=self.shape.edge_count)
+            barred = counts.nonzero()[0]
+            ks = counts[barred].tolist()
+            del counts  # |E| counts: free them before the heights build up
+            vals = rng.random(sum(ks)).tolist()
+            clean = not vals or _usable(vals)  # then no slice needs a redraw
+            pos = 0
+            for e, k in zip(edges_from_indices(self.shape, barred), ks):
+                end = pos + k
+                hs = vals[pos:end]
+                if k > 1:
+                    hs.sort()
+                while not (clean or _usable(hs)):
+                    # _distinct_heights' redraw reads the next k doubles, so
+                    # every later slice moves k along: extend the block by k
+                    vals += rng.random(k).tolist()
+                    pos, end = end, end + k
+                    hs = sorted(vals[pos:end])
+                by_edge[e] = tuple(hs)
+                pos = end
         return BarCollection(self.shape, by_edge, validate=False)
 
     def prefill_counts(self, edges: Iterable[bytes], counts: Iterable[int]) -> None:

@@ -14,6 +14,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
+import numpy as np
+
 from stirtree.bars import Bar, LocationSet, merge_intervals
 from stirtree.meander import (
     EngineError,
@@ -23,7 +25,13 @@ from stirtree.meander import (
     hit_level,
     run,
 )
-from stirtree.tree import ROOT, edge_index, path_to_root, vertex_to_str
+from stirtree.tree import (
+    ROOT,
+    edge_index,
+    edges_from_indices,
+    path_to_root,
+    vertex_to_str,
+)
 
 
 @dataclass(frozen=True)
@@ -367,12 +375,10 @@ def untouched_locations(bars, trajectory: Trajectory, edges: Iterable[bytes] | N
     default, so this is meant for small trees (statistical checks of the
     exploration law).
     """
-    from stirtree.tree import edge_from_index
-
     shape = bars.shape
     cov = trajectory.coverage()
     if edges is None:
-        edges = (edge_from_index(shape, i) for i in range(shape.edge_count))
+        edges = edges_from_indices(shape, np.arange(shape.edge_count))
     out: dict[bytes, tuple[tuple[float, float], ...]] = {}
     for e in edges:
         touched = merge_intervals(list(cov.get(e[:-1], ())) + list(cov.get(e, ())))

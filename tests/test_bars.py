@@ -206,21 +206,94 @@ def test_lazy_poisson_matches_law_and_replays():
     assert abs(mean - t) < 4 * math.sqrt(t / trials)
 
 
-@pytest.mark.parametrize(
-    "d, n, t, seed",
-    [(2, 2, 0.25, 1), (3, 3, 0.7, 2), (8, 2, 0.145, 3), (2, 2, 12.0, 4)],
-)
-def test_realize_is_the_lazy_law_queried_in_edge_order(d, n, t, seed):
-    # one vector draw of the counts equals count_on edge by edge in index
-    # order (t=12 takes numpy's other Poisson algorithm), then the heights
-    shape = TreeShape(d, n)
-    full = LazyPoissonBars(shape, t, TrialStreams(seed, "realize").at(0)).realize()
-    lazy = LazyPoissonBars(shape, t, TrialStreams(seed, "realize").at(0))
+def _lazy_reference(shape, t, rng):
+    """count_on over every edge in index order, then heights_on over them."""
+    lazy = LazyPoissonBars(shape, t, rng)
     edges = [edge_from_index(shape, i) for i in range(shape.edge_count)]
     counts = [lazy.count_on(e) for e in edges]
     by_edge = {e: lazy.heights_on(e) for e, k in zip(edges, counts) if k}
-    assert full == BarCollection(shape, by_edge)
-    assert full.count == lazy.count > 0
+    return BarCollection(shape, by_edge)
+
+
+@pytest.mark.parametrize(
+    "d, n, t, seed",
+    [
+        (2, 2, 0.25, 1),
+        (3, 3, 0.7, 2),
+        (8, 2, 0.145, 3),
+        (2, 2, 12.0, 4),
+        (8, 4, 0.145, 5),
+        (3, 1, 0.9, 6),
+    ],
+)
+def test_realize_is_the_lazy_law_queried_in_edge_order(d, n, t, seed):
+    # one vector draw of the counts equals count_on edge by edge in index
+    # order (t=12 takes numpy's other Poisson algorithm), then the heights;
+    # both generators end at the same stream position
+    shape = TreeShape(d, n)
+    gen = TrialStreams(seed, "realize").at(0)
+    full = LazyPoissonBars(shape, t, gen).realize()
+    after_full = gen.random()
+    ref_gen = TrialStreams(seed, "realize").at(0)
+    ref = _lazy_reference(shape, t, ref_gen)
+    assert full == ref
+    assert full.count == ref.count > 0
+    assert after_full == ref_gen.random()
+
+
+class _ScriptedGen:
+    """Stand-in generator: Poisson counts and uniform doubles from two scripts.
+
+    Both scripts are read as one sequence each, as a counter-based stream's
+    draws are, whether one value or a vector is asked for at a time.
+    """
+
+    def __init__(self, counts, doubles):
+        self._counts = list(counts)
+        self._doubles = list(doubles)
+        self.calls = []
+
+    def _take(self, script, size):
+        if size is None:
+            return script.pop(0)
+        out = np.array(script[:size])
+        del script[:size]
+        return out
+
+    def poisson(self, lam, size=None):
+        self.calls.append("poisson")
+        return self._take(self._counts, size)
+
+    def random(self, size=None):
+        self.calls.append("random")
+        return self._take(self._doubles, size)
+
+
+def test_realize_redraws_as_the_lazy_path_does():
+    # edges in index order on T_2(2): counts 1, 0, 2, 0, 0, 1, so the first
+    # block holds 4 doubles.  Edge 0 draws an exact 0.0 and redraws; edge 2
+    # draws a tie and redraws past the block; edge 5, the last, starts past
+    # the block, draws 0.0 and redraws
+    shape = TreeShape(2, 2)
+    counts = [1, 0, 2, 0, 0, 1]
+    doubles = [0.0, 0.5, 0.3, 0.3, 0.9, 0.2, 0.0, 0.7, 0.25, 0.75]
+    gen = _ScriptedGen(counts, doubles)
+    full = LazyPoissonBars(shape, 1.0, gen).realize()
+    ref_gen = _ScriptedGen(counts, doubles)
+    assert full == _lazy_reference(shape, 1.0, ref_gen)
+    assert full.heights_on(b"\x00") == (0.5,)
+    assert full.heights_on(b"\x00\x00") == (0.2, 0.9)
+    assert full.heights_on(b"\x01\x01") == (0.7,)
+    # the block, then one top-up of k doubles per redraw
+    assert gen.calls == ["poisson"] + ["random"] * 4
+    assert gen.random() == ref_gen.random() == 0.25
+
+
+def test_realize_draws_counts_and_heights_in_one_vector_draw_each():
+    gen = _ScriptedGen([1, 0, 2, 0, 0, 1], [0.1, 0.5, 0.3, 0.4])
+    bars = LazyPoissonBars(TreeShape(2, 2), 1.0, gen).realize()
+    assert bars.count == 4
+    assert gen.calls == ["poisson", "random"]
 
 
 def test_realize_needs_a_fresh_collection():
