@@ -102,9 +102,7 @@ class _PoleIndexMixin:
     """
 
     shape: TreeShape
-
-    def _init_pole_cache(self) -> None:
-        self._poles: dict[bytes, _Pole] = {}
+    _poles: dict[bytes, _Pole]
 
     def heights_on(self, edge: bytes) -> tuple[float, ...]:  # pragma: no cover
         raise NotImplementedError
@@ -146,7 +144,7 @@ class _WithAdded(_PoleIndexMixin):
         self.shape = base.shape
         self._base = base
         self._bar = bar
-        self._init_pole_cache()
+        self._poles = {}
 
     @property
     def count(self) -> int:
@@ -193,7 +191,7 @@ class BarCollection(_PoleIndexMixin):
         self.shape = shape
         self._by_edge = by_edge
         self.count = sum(map(len, by_edge.values()))
-        self._init_pole_cache()
+        self._poles = {}
         if validate:
             self._validate()
 
@@ -277,7 +275,7 @@ class LazyPoissonBars(_PoleIndexMixin):
         self._counts: dict[bytes, int] = {}
         self._heights: dict[bytes, tuple[float, ...]] = {}
         self._marks: dict[bytes, np.ndarray] = {}
-        self._init_pole_cache()
+        self._poles = {}
 
     def realize(self) -> BarCollection:
         """Every edge's bars at once, as an immutable :class:`BarCollection`.
@@ -390,7 +388,7 @@ class _Thinned(_PoleIndexMixin):
         self.shape = base.shape
         self._base = base
         self._keep = t / base.t if base.t > 0 else 1.0
-        self._init_pole_cache()
+        self._poles = {}
 
     @property
     def count(self) -> int:
@@ -414,7 +412,11 @@ def sample_added(shape: TreeShape, stream: np.random.Generator) -> Bar:
 
 
 class LocationSet:
-    """Per-edge disjoint unions of half-open height intervals."""
+    """Per-edge disjoint unions of half-open height intervals.
+
+    ``intervals`` is kept in edge-index order, the order :meth:`measure`
+    sums in and the sampler concatenates in, whatever order it was built in.
+    """
 
     __slots__ = ("shape", "intervals", "_measure")
 
@@ -425,7 +427,11 @@ class LocationSet:
         validate: bool = True,
     ) -> None:
         self.shape = shape
-        self.intervals = {e: ivs for e, ivs in intervals.items() if ivs}
+        self.intervals = {
+            e: intervals[e]
+            for e in sorted(intervals, key=lambda e: edge_index(shape, e))
+            if intervals[e]
+        }
         self._measure: float | None = None
         if validate:
             self._validate()
@@ -486,11 +492,10 @@ def sample_uniform_on(s: LocationSet, stream: np.random.Generator) -> Bar:
     total = s.measure()
     if total <= 0.0:
         raise ValueError("cannot sample from a measure-zero location set")
-    edges = sorted(s.intervals, key=lambda e: edge_index(s.shape, e))
     u = float(stream.random()) * total
     acc = 0.0
-    for e in edges:
-        for a, b in s.intervals[e]:
+    for e, ivs in s.intervals.items():
+        for a, b in ivs:
             width = b - a
             if u < acc + width:
                 h = a + (u - acc)
@@ -499,8 +504,8 @@ def sample_uniform_on(s: LocationSet, stream: np.random.Generator) -> Bar:
                 return Bar(e, h)
             acc += width
     # u == total up to rounding: return the last point
-    e = edges[-1]
-    a, b = s.intervals[e][-1]
+    e, ivs = next(reversed(s.intervals.items()))
+    a, b = ivs[-1]
     return Bar(e, a + (b - a) * 0.5)
 
 
@@ -512,8 +517,8 @@ def normalized_position(s: LocationSet, bar: Bar) -> float:
     """
     total = s.measure()
     acc = 0.0
-    for e in sorted(s.intervals, key=lambda e: edge_index(s.shape, e)):
-        for a, b in s.intervals[e]:
+    for e, ivs in s.intervals.items():
+        for a, b in ivs:
             if e == bar.edge and a <= bar.height < b:
                 return (acc + (bar.height - a)) / total
             acc += b - a

@@ -22,27 +22,34 @@ import sys
 
 from stirtree import estimators, verify
 from stirtree.bars import LazyPoissonBars, sample_added
-from stirtree.events import detect
+from stirtree.events import detect, root_trajectory
 from stirtree.meander import EngineError
 from stirtree.rng import TrialStreams
 from stirtree.stirring import cycle_of_root
-from stirtree.tree import CapacityError, TreeShape
+from stirtree.tree import CapacityError, TreeShape, vertex_to_str
 
 # Most points a lo:hi:step grid may expand to.
 _GRID_MAX_POINTS = 10_000
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--d", type=int, default=2, help="offspring degree (>= 2)")
-    p.add_argument("--n", default="3", help="tree depth, or comma list for scan")
-    p.add_argument("--t", type=float, default=0.5, help="bar intensity")
-    p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--n1", type=int, default=1, help="far/close boundary cutoff")
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--out", help="output path (default: stdout)")
-    p.add_argument("--config", help="JSON config merged under explicit flags")
+_FLAGS = {
+    "d": dict(type=int, default=2, help="offspring degree (>= 2)"),
+    "n": dict(default="3", help="tree depth, or comma list for scan"),
+    "t": dict(type=float, default=0.5, help="bar intensity"),
+    "trials": dict(type=int, default=1000),
+    "seed": dict(type=int, default=1),
+    "n1": dict(type=int, default=1, help="far/close boundary cutoff"),
+    "workers": dict(type=int, default=1),
+    "format": dict(choices=("json", "csv"), default="json"),
+    "out": dict(help="output path (default: stdout)"),
+    "config": dict(help="JSON config merged under explicit flags"),
+}
+
+
+def _add_flags(p: argparse.ArgumentParser, *names: str) -> None:
+    """The named flags, then the ones every subcommand takes."""
+    for name in names + ("trials", "seed", "workers", "out", "config"):
+        p.add_argument(f"--{name}", **_FLAGS[name])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -51,25 +58,33 @@ def build_parser() -> argparse.ArgumentParser:
         description="Random stirring on rooted d-ary trees: simulate, estimate, verify.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # allow_abbrev=False: no prefix matching, which would read `verify --t 9`
+    # as --trials 9
 
-    p_sim = sub.add_parser("sim", help="sample (B, A) instances and report events")
-    _add_common(p_sim)
+    p_sim = sub.add_parser(
+        "sim", help="sample (B, A) instances and report events", allow_abbrev=False
+    )
+    _add_flags(p_sim, "d", "n", "t", "n1", "format")
 
-    p_est = sub.add_parser("estimate", help="run one estimator")
+    p_est = sub.add_parser("estimate", help="run one estimator", allow_abbrev=False)
     p_est.add_argument(
         "which", choices=("pn", "z", "gw", "tails"), help="estimator to run"
     )
-    _add_common(p_est)
+    _add_flags(p_est, "d", "n", "t", "format")
 
-    p_ver = sub.add_parser("verify", help="run the invariant suite")
-    _add_common(p_ver)
+    p_ver = sub.add_parser(
+        "verify", help="run the invariant suite", allow_abbrev=False
+    )
+    _add_flags(p_ver)
     p_ver.set_defaults(trials=None)  # each check at its suite-default scale
     p_ver.add_argument(
         "--only", help="comma list of checks: " + ",".join(verify.SUITE)
     )
 
-    p_scan = sub.add_parser("scan", help="hit-probability table over a (n, t) grid")
-    _add_common(p_scan)
+    p_scan = sub.add_parser(
+        "scan", help="hit-probability table over a (n, t) grid", allow_abbrev=False
+    )
+    _add_flags(p_scan, "d", "n", "format")
     p_scan.add_argument("--t-grid", dest="t_grid", help="lo:hi:step or comma list")
 
     return parser
@@ -113,9 +128,10 @@ def _check_counts(ns: dict) -> None:
         value = ns[key]
         if value is not None and value < 1:  # None: verify's suite scales
             raise ValueError(f"--{key} must be an integer >= 1, got {value!r}")
-    n1 = ns["n1"]  # sim's far/close cut sits at depth n - 2*n1, on the tree
-    if ns["command"] == "sim" and not 0 <= 2 * n1 <= int(ns["n"]):
-        raise ValueError(f"--n1 must be an integer with 0 <= 2*n1 <= n, got {n1!r}")
+    if ns["command"] == "sim":
+        n1 = ns["n1"]  # the far/close cut sits at depth n - 2*n1, on the tree
+        if not 0 <= 2 * n1 <= int(ns["n"]):
+            raise ValueError(f"--n1 must be an integer with 0 <= 2*n1 <= n, got {n1!r}")
 
 
 def _emit(rows: list[dict], fmt: str, out) -> None:
@@ -149,12 +165,20 @@ def cmd_sim(ns: dict) -> int:
         gen = streams.at(i)
         bars = LazyPoissonBars(shape, ns["t"], gen).realize()
         added = sample_added(shape, gen)
-        cyc = cycle_of_root(bars)
-        rec = detect(bars, added, n1=ns["n1"])
-        row = {"schema": 1, "trial": i, "seed": ns["seed"]}
-        row.update(cyc.to_json_dict(shape.d))
-        row["cycle"] = " ".join(row["cycle"]) if ns["format"] == "csv" else row["cycle"]
-        row.update(dict(zip(rec.CSV_FIELDS, rec.to_row(shape.d))))
+        cycle = [vertex_to_str(v, shape.d) for v in cycle_of_root(bars)]
+        traj = root_trajectory(bars)
+        rec = detect(bars, added, traj, n1=ns["n1"])
+        row = {
+            "schema": 1,
+            "trial": i,
+            "seed": ns["seed"],
+            "cycle": " ".join(cycle) if ns["format"] == "csv" else cycle,
+            "length": len(cycle),
+            # the meander circuit from the root origin hits depth n: the
+            # finite-tree proxy for the root lying on an unbounded cycle
+            "boundary_truncated": traj.reached,
+        }
+        row.update(zip(rec.CSV_FIELDS, rec.to_row(shape.d)))
         rows.append(row)
     _emit(rows, ns["format"], ns["out"])
     return 0
@@ -205,7 +229,7 @@ def cmd_estimate(ns: dict) -> int:
             }
             for r in rep.cluster_rows + rep.level_rows
         ]
-        for note in filter(None, (rep.cluster_skipped, *rep.notes)):
+        for note in rep.notes:
             print(note, file=sys.stderr)
     _emit(rows, ns["format"], ns["out"])
     return 0

@@ -84,7 +84,7 @@ def _pn_batch(job) -> list[int]:
     streams = TrialStreams(seed, "pn", shape.d, shape.n, t)
     hist = [0] * (shape.n + 1)
     for i in range(lo, hi):
-        hist[hit_level(LazyPoissonBars(shape, t, streams.at(i))).trajectory.deepest] += 1
+        hist[hit_level(LazyPoissonBars(shape, t, streams.at(i))).deepest] += 1
     return hist
 
 
@@ -249,8 +249,7 @@ class TailRow:
 class TailReport:
     cluster_rows: tuple
     level_rows: tuple
-    cluster_skipped: Optional[str]
-    notes: tuple = ()
+    notes: tuple  # why rows are missing: the cluster notice first, then level pairs
 
 
 def cluster_size_bound(d: int, tau: float, ell: int) -> float:
@@ -296,9 +295,8 @@ def tail_checks(
     notes = []
 
     cluster_rows: list[TailRow] = []
-    skipped = None
     if d < 11 * tau * tau:
-        skipped = f"cluster tail skipped: d={d} < 11*tau^2={11 * tau * tau:.3g}"
+        notes.append(f"cluster tail skipped: d={d} < 11*tau^2={11 * tau * tau:.3g}")
     else:
         parts = _map_batches(_cluster_tail_batch, shape, t, seed, trials, workers)
         sizes = np.concatenate(parts)
@@ -336,7 +334,7 @@ def tail_checks(
             label = f"P(level-{i} visits >= {k})"
             level_rows.append(TailRow(label, k, emp, se, bound, ok))
 
-    return TailReport(tuple(cluster_rows), tuple(level_rows), skipped, tuple(notes))
+    return TailReport(tuple(cluster_rows), tuple(level_rows), tuple(notes))
 
 
 # --- branching bound -------------------------------------------------------------

@@ -12,22 +12,14 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
 from stirtree.bars import Bar, LocationSet, merge_intervals
-from stirtree.meander import (
-    EngineError,
-    SpaceTimePoint,
-    StopRule,
-    Trajectory,
-    hit_level,
-    run,
-)
+from stirtree.meander import EngineError, SpaceTimePoint, Trajectory, hit_level, run
 from stirtree.tree import (
     ROOT,
-    edge_index,
     edges_from_indices,
     path_to_root,
     vertex_to_str,
@@ -102,9 +94,7 @@ class EscapeRoutes:
 
 def root_trajectory(bars) -> Trajectory:
     """Recorded run from the root origin to the depth-n poles or back."""
-    return run(
-        bars, SpaceTimePoint(ROOT, 0.0), StopRule(level=bars.shape.n), record=True
-    )
+    return run(bars, SpaceTimePoint(ROOT, 0.0), level=bars.shape.n)
 
 
 def _crossed(traj: Trajectory, added: Bar) -> bool:
@@ -140,19 +130,18 @@ def crossing_without_bottleneck(bars, added: Bar, traj: Trajectory) -> bool:
     return _bottleneck(bars, added) is None
 
 
-def detect(bars, added: Bar, n1: int = 1, trajectory: Trajectory | None = None) -> EventRecord:
-    """Classify one (B, A) sample.
+def detect(bars, added: Bar, traj: Trajectory, n1: int = 1) -> EventRecord:
+    """Classify one (B, A) sample, given the root trajectory of B.
 
-    Runs the meander with and without the added bar, evaluates the crossing
-    from the recorded coverage, locates the bottleneck on the occupied root
-    path, and decides the non-escape event by an explicit run from the
+    Reads the plain hit and the crossing from the recorded trajectory, runs
+    the meander with the added bar, locates the bottleneck on the occupied
+    root path, and decides the non-escape event by an explicit run from the
     bottleneck's parent joint with the three-way stop rule (root origin,
     depth-n poles, return to start); a plain return counts as escape failure.
     """
     shape = bars.shape
     n = shape.n
-    traj = trajectory if trajectory is not None else root_trajectory(bars)
-    reached_plain = traj.outcome.kind == "hit_level"
+    reached_plain = traj.reached
     reached_added = hit_level(bars.with_added(added)).reached
 
     crossed = _crossed(traj, added)
@@ -164,7 +153,8 @@ def detect(bars, added: Bar, n1: int = 1, trajectory: Trajectory | None = None) 
         esc = run(
             bars,
             SpaceTimePoint(bn.edge[:-1], bn.height),
-            StopRule(level=n, origin=True),
+            level=n,
+            origin=True,
             record=False,
         )
         no_escape = esc.outcome.kind == "hit_point"
@@ -235,17 +225,14 @@ def viable_locations(bars, trajectory: Trajectory) -> LocationSet:
     the visited heights of its two endpoint poles along the root
     trajectory.
     """
-    shape = bars.shape
     cov = trajectory.coverage()
     report = multibar_cluster(bars)
     out: dict[bytes, tuple[tuple[float, float], ...]] = {}
-    edges = report.cluster | report.boundary
-    # edge-index order fixes the order measure() sums in, whatever the hash seed
-    for e in sorted(edges, key=lambda e: edge_index(shape, e)):
+    for e in report.cluster | report.boundary:
         ivs = list(cov.get(e[:-1], ())) + list(cov.get(e, ()))
         if ivs:
             out[e] = merge_intervals(ivs)
-    return LocationSet(shape, out, validate=False)
+    return LocationSet(bars.shape, out, validate=False)
 
 
 def root_stats(bars, trajectory: Trajectory) -> RootStats:
@@ -257,12 +244,11 @@ def root_stats(bars, trajectory: Trajectory) -> RootStats:
         h >= cutoff for e in root_edges for h in bars.heights_on(e)
     )
     cluster_empty = multibar_cluster(bars).size == 0
-    reached = trajectory.outcome.kind == "hit_level"
     return RootStats(
         bar_free=not any(counts),
         low_gap=low_gap,
         single_bar_edges=sum(1 for k in counts if k == 1),
-        confined_clusterless=cluster_empty and not reached,
+        confined_clusterless=cluster_empty and not trajectory.reached,
     )
 
 
@@ -366,21 +352,18 @@ def crossed_bars(trajectory: Trajectory) -> set[Bar]:
     return {Bar(e, h) for (e, h, _down, _t) in trajectory.crossings}
 
 
-def untouched_locations(bars, trajectory: Trajectory, edges: Iterable[bytes] | None = None) -> LocationSet:
+def untouched_locations(bars, trajectory: Trajectory) -> LocationSet:
     """Bar locations none of whose joints lie on the trajectory.
 
     Computed from the half-open coverage, so the trajectory's terminal
     point (zero mass) is not excised; every uncrossed bar of the
-    collection lies inside the set.  Iterates the whole edge set by
-    default, so this is meant for small trees (statistical checks of the
-    exploration law).
+    collection lies inside the set.  Iterates the whole edge set, so this
+    is meant for small trees (statistical checks of the exploration law).
     """
     shape = bars.shape
     cov = trajectory.coverage()
-    if edges is None:
-        edges = edges_from_indices(shape, np.arange(shape.edge_count))
     out: dict[bytes, tuple[tuple[float, float], ...]] = {}
-    for e in edges:
+    for e in edges_from_indices(shape, np.arange(shape.edge_count)):
         touched = merge_intervals(list(cov.get(e[:-1], ())) + list(cov.get(e, ())))
         holes: list[tuple[float, float]] = []
         lo = 0.0

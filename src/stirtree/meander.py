@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import NamedTuple, Optional
 
 from stirtree.bars import merge_intervals
@@ -45,21 +44,10 @@ class Outcome(NamedTuple):
     point: tuple[bytes, float]
 
 
-@dataclass(frozen=True)
-class StopRule:
-    """Stop targets for a run; return-to-start is always implicit.
-
-    ``origin`` stops the run with ``hit_point`` at the root origin
-    ``(ROOT, 0.0)``.  Bar heights are > 0, so only a wrap on the root pole
-    reaches it.
-    """
-
-    level: Optional[int] = None
-    origin: bool = False
-
-
 @dataclass
 class Trajectory:
+    """The engine's one result type: how a run ended, and its record."""
+
     start: SpaceTimePoint
     outcome: Outcome
     wraps: int
@@ -76,8 +64,9 @@ class Trajectory:
     )
 
     @property
-    def elapsed(self) -> float:
-        return self.outcome.time
+    def reached(self) -> bool:
+        """The run stopped on first landing at its stop level."""
+        return self.outcome.kind == "hit_level"
 
     def coverage(self) -> dict[bytes, tuple[tuple[float, float], ...]]:
         """Per-pole union of visited heights, merged half-open intervals."""
@@ -127,26 +116,21 @@ def build_coverage(segments) -> dict[bytes, tuple[tuple[float, float], ...]]:
     return out
 
 
-class HitResult(NamedTuple):
-    reached: bool
-    time: Optional[float]
-    trajectory: Trajectory
-
-
-class ReturnResult(NamedTuple):
-    time: Optional[float]  # absent when the depth-n poles were hit first
-    truncated: bool
-    trajectory: Trajectory
-
-
 def run(
     bars,
     start: SpaceTimePoint,
-    stop: StopRule,
+    *,
+    level: Optional[int] = None,
+    origin: bool = False,
     record: bool = True,
     _stop_first_wrap: bool = False,
 ) -> Trajectory:
     """Simulate from ``start`` until a stop target or the return to start.
+
+    The stop targets: the first landing on a level-``level`` pole
+    (``hit_level``), and with ``origin`` the root origin ``(ROOT, 0.0)``
+    (``hit_point``); bar heights are > 0, so only a wrap on the root pole
+    reaches the origin.  Return to start is always a stop (``returned``).
 
     Engine invariants enforced on every run: no state is ever visited twice
     (each bar is crossed at most twice, each pole covered at most once), the
@@ -156,14 +140,10 @@ def run(
     v0, h0 = start
     if not 0.0 <= h0 < 1.0:
         raise ValueError(f"start height {h0} outside [0,1)")
-    stop_level = stop.level
-    if stop_level is not None and len(v0) >= stop_level:
+    if level is not None and len(v0) >= level:
         raise ValueError("run started at or beyond the stop level")
-    if not isinstance(start, SpaceTimePoint):
-        start = SpaceTimePoint(v0, h0)
 
     search = bisect_left if _joint_search_inclusive else bisect_right
-    stop_origin = stop.origin
     max_wraps = bars.shape.vertex_count
     pole = bars.pole
 
@@ -205,7 +185,7 @@ def run(
             lw = len(w)
             if lw > deepest:  # only a child crossing can go deeper
                 deepest = lw
-                if lw == stop_level:
+                if lw == level:
                     outcome = Outcome("hit_level", t_ev, state)
                     break
             if state in seen:
@@ -226,7 +206,7 @@ def run(
             if v == v0 and h0 == 0.0:
                 outcome = Outcome("returned", float(wraps), (v0, 0.0))
                 break
-            if stop_origin and v == ROOT:
+            if origin and v == ROOT:
                 outcome = Outcome("hit_point", wraps - h0, state)
                 break
             if state in seen:
@@ -247,25 +227,18 @@ def run(
 _ORIGIN = SpaceTimePoint(ROOT, 0.0)
 
 
-@lru_cache(maxsize=None)
-def _level_rule(n: int) -> StopRule:
-    return StopRule(level=n)
-
-
-def hit_level(bars) -> HitResult:
+def hit_level(bars) -> Trajectory:
     """Whether the meander from the root origin reaches the depth-n poles.
 
-    The run ends either at the first depth-n pole or back at the root
-    origin; on the finite tree this dichotomy is exhaustive, and a return
-    decides non-reaching exactly (the continuation is periodic).
+    The run ends either at the first depth-n pole (``reached``) or back at
+    the root origin; on the finite tree this dichotomy is exhaustive, and a
+    return decides non-reaching exactly (the continuation is periodic).
     """
-    traj = run(bars, _ORIGIN, _level_rule(bars.shape.n), record=False)
+    traj = run(bars, _ORIGIN, level=bars.shape.n, record=False)
     kind = traj.outcome.kind
-    if kind == "hit_level":
-        return HitResult(True, traj.outcome.time, traj)
-    if kind == "returned":
-        return HitResult(False, None, traj)
-    raise EngineError(f"hit_level run ended with unexpected outcome {kind!r}")
+    if kind not in ("hit_level", "returned"):
+        raise EngineError(f"hit_level run ended with unexpected outcome {kind!r}")
+    return traj
 
 
 def stirred_vertex(bars, v: bytes) -> bytes:
@@ -274,17 +247,13 @@ def stirred_vertex(bars, v: bytes) -> bytes:
     Height equals elapsed time mod 1, so time one is exactly the first wrap;
     no stopwatch arithmetic is involved.
     """
-    traj = run(
-        bars, SpaceTimePoint(v, 0.0), StopRule(), record=False, _stop_first_wrap=True
-    )
+    traj = run(bars, SpaceTimePoint(v, 0.0), record=False, _stop_first_wrap=True)
     if traj.outcome.time != 1.0:
         raise EngineError("first wrap did not occur at unit time")
     return traj.outcome.point[0]
 
 
-def return_time(bars, start: SpaceTimePoint) -> ReturnResult:
-    """Time of first return to ``start``, censored by the depth-n poles."""
-    traj = run(bars, start, StopRule(level=bars.shape.n), record=False)
-    if traj.outcome.kind == "returned":
-        return ReturnResult(traj.outcome.time, False, traj)
-    return ReturnResult(None, True, traj)
+def return_time(bars, start: SpaceTimePoint) -> Optional[float]:
+    """Time of first return to ``start``; None when the depth-n poles come first."""
+    traj = run(bars, start, level=bars.shape.n, record=False)
+    return None if traj.reached else traj.outcome.time

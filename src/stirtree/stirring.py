@@ -9,10 +9,8 @@ paths deliberately share no trajectory code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from stirtree.meander import hit_level, stirred_vertex
-from stirtree.tree import ROOT, vertex_to_str
+from stirtree.meander import stirred_vertex
+from stirtree.tree import ROOT
 
 
 class Permutation:
@@ -52,9 +50,6 @@ class Permutation:
     def __eq__(self, other) -> bool:
         return isinstance(other, Permutation) and self._map == other._map
 
-    def __len__(self) -> int:
-        return len(self._map)
-
 
 def transposition_oracle(bars) -> Permutation:
     """Compose the transpositions (parent child) of all bars, lowest first.
@@ -92,32 +87,12 @@ def stirring_permutation(bars) -> Permutation:
     return Permutation(mapping)
 
 
-@dataclass(frozen=True)
-class CycleReport:
-    cycle: tuple[bytes, ...]  # orbit of the root, starting at the root
-    length: int
-    boundary_truncated: bool  # the meander circuit from the root hits depth n
-
-    def to_json_dict(self, d: int) -> dict:
-        return {
-            "cycle": [vertex_to_str(v, d) for v in self.cycle],
-            "length": self.length,
-            "boundary_truncated": self.boundary_truncated,
-        }
-
-
-def cycle_of_root(bars) -> CycleReport:
-    """Cycle of the root under the stirring permutation.
-
-    ``boundary_truncated`` records whether the meander circuit from the root
-    origin reaches the depth-n poles before returning, the finite-tree proxy
-    for the root lying on an unbounded cycle.
-    """
+def cycle_of_root(bars) -> tuple[bytes, ...]:
+    """Orbit of the root under the stirring permutation, starting at the root."""
     sigma = transposition_oracle(bars)
     cyc = [ROOT]
     w = sigma(ROOT)
     while w != ROOT:
         cyc.append(w)
         w = sigma(w)
-    truncated = hit_level(bars).reached
-    return CycleReport(tuple(cyc), len(cyc), truncated)
+    return tuple(cyc)

@@ -42,7 +42,6 @@ class CheckResult:
     passed: bool
     detail: str
     replay: dict = field(default_factory=dict)
-    data: dict = field(default_factory=dict)
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -96,7 +95,7 @@ def inclusion_violations(bars, added) -> list[str]:
     """Names of violated per-sample inclusions for one (B, A) draw."""
     d = bars.shape.d
     traj = root_trajectory(bars)
-    rec = detect(bars, added, trajectory=traj)
+    rec = detect(bars, added, traj)
     vl = viable_locations(bars, traj)
     cluster = multibar_cluster(bars)
     rstats = root_stats(bars, traj)
@@ -175,8 +174,8 @@ def check_shift_invariance(trials: int, seed: int) -> CheckResult:
         streams = TrialStreams(seed, "shift", shape.d, shape.n, t, h)
         for i in range(trials):
             bars = LazyPoissonBars(shape, t, streams.at(i)).realize()
-            res = return_time(bars, SpaceTimePoint(ROOT, h))
-            vals[i] = res.time if res.time is not None else np.inf
+            ret = return_time(bars, SpaceTimePoint(ROOT, h))
+            vals[i] = np.inf if ret is None else ret
         samples[h] = vals
     worst = None
     for i, a in enumerate(heights):
@@ -299,8 +298,8 @@ def check_tails(trials: int, seed: int, workers: int = 1) -> CheckResult:
     rows = rep.cluster_rows + rep.level_rows
     bad = [r for r in rows if not r.ok]
     detail = f"{len(rows)} tail rows, {len(bad)} beyond bound+4se"
-    if rep.cluster_skipped:
-        detail += f" ({rep.cluster_skipped})"
+    if rep.notes:
+        detail += f" ({'; '.join(rep.notes)})"
     return CheckResult(
         "tail-bounds",
         not bad,

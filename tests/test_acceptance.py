@@ -108,7 +108,7 @@ def test_c05_cluster_tail():
         f"l={r.threshold}: {r.empirical:.5f} <= {r.bound:.5f}+4se" for r in rows
     )
     _report(5, "root-cluster size tail", ok, detail + f", {elapsed:.0f}s")
-    assert rep.cluster_skipped is None
+    assert rep.notes == ()
     assert all(r.ok for r in rows)
     assert elapsed < 120
 
@@ -240,7 +240,7 @@ def test_c11_engine_bounds_always_on():
         assert len(traj.crossings) <= 2 * bars.count
         assert traj.wraps <= shape.vertex_count
         covered = sum(b - a for ivs in traj.coverage().values() for a, b in ivs)
-        assert abs(covered - traj.elapsed) < 1e-9
+        assert abs(covered - traj.outcome.time) < 1e-9
     ok = outcomes == {"hit_level", "returned"}
     _report(
         11, "engine step bound and dichotomy armed on every run", ok,

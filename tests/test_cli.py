@@ -242,6 +242,19 @@ def test_tails_notes_on_stderr(capsys):
     ]
 
 
+def test_verify_tails_detail_carries_every_note(monkeypatch, capsys):
+    # the suite's (16, 4, 1/16) skips nothing, so a report with notes is stubbed in
+    notes = ("cluster tail skipped: d=2 < 11*tau^2=11", "level pair (2,2) skipped: n-i < 1")
+    report = estimators.TailReport((), (), notes)
+    monkeypatch.setattr(estimators, "tail_checks", lambda *a, **k: report)
+    code, out = run_cli(["verify", "--only", "tails"], capsys)
+    assert code == 0
+    assert out == (
+        "[PASS] tail-bounds: 0 tail rows, 0 beyond bound+4se"
+        f" ({notes[0]}; {notes[1]})\n"
+    )
+
+
 def test_worker_pool_clamped_to_jobs_and_cpus(monkeypatch, capsys):
     # a fake pool records the size asked for; no process is started
     sizes = []
@@ -293,6 +306,32 @@ def test_bad_usage_exit_2(capsys):
     code = main(["sim", "--d", "1", "--n", "2", "--t", "0.4"])
     capsys.readouterr()
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "args, unread",
+    [
+        (
+            ["verify", "--only", "oracle", "--trials", "3"],
+            ["--d", "7", "--n", "9", "--t", "9", "--n1", "5", "--format", "csv"],
+        ),
+        (
+            ["scan", "--d", "2", "--n", "2", "--t-grid", "0.5", "--trials", "5"],
+            ["--t", "99", "--n1", "7"],
+        ),
+        (
+            ["estimate", "pn", "--d", "2", "--n", "2", "--t", "0.5", "--trials", "5"],
+            ["--n1", "9"],
+        ),
+    ],
+    ids=["verify", "scan", "estimate"],
+)
+def test_flags_a_subcommand_does_not_read_exit_2(args, unread, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(args + unread)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert f"unrecognized arguments: {' '.join(unread)}" in err
 
 
 def test_config_merge(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Estimator laws: analytic anchors, reproducibility, bounds, couplings."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from stirtree.estimators import (
     z_estimate,
 )
 from stirtree.bars import Bar, BarCollection, LazyPoissonBars
-from stirtree.meander import HitResult, hit_level
+from stirtree.meander import hit_level
 from stirtree.rng import TrialStreams
 from stirtree.tree import TreeShape, edge_from_index
 
@@ -170,9 +171,7 @@ def test_russo_added_bar_redrawn_only_on_rate_t_collision(monkeypatch):
         lambda shape, gen: Bar(bars_mod.sample_added(shape, gen).edge, 0.5),
     )
     monkeypatch.setattr(bars_mod._Thinned, "with_added", spy)
-    monkeypatch.setattr(
-        estimators, "hit_level", lambda b: HitResult(False, None, None)
-    )
+    monkeypatch.setattr(estimators, "hit_level", lambda b: SimpleNamespace(reached=False))
     russo_check(S22, 0.5, 0.05, 1000, 13)
     assert any(h == 0.5 and on_top for h, on_top in seen)  # thinned out: kept
     assert any(h != 0.5 for h, _on_top in seen)  # kept at rate t: redrawn
@@ -226,12 +225,15 @@ def test_z_and_tails_worker_invariant():
 
 def test_tail_checks_bounds_and_skip_notice():
     rep = tail_checks(TreeShape(16, 4), 1 / 16, 100_000, 59, level_trials=3000)
-    assert rep.cluster_skipped is None
+    assert rep.notes == ()
     assert all(r.ok for r in rep.cluster_rows)
     assert all(r.ok for r in rep.level_rows)
     # tau too large for the cluster bound: skipped with a notice
     rep2 = tail_checks(TreeShape(4, 2), 1.25, 100, 61, level_trials=100)
-    assert rep2.cluster_skipped is not None
+    assert rep2.notes == (  # the cluster notice first, then the level pairs
+        "cluster tail skipped: d=4 < 11*tau^2=275",
+        "level pair (2,2) skipped: n-i < 1",
+    )
     assert rep2.cluster_rows == ()
 
 

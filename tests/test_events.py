@@ -24,17 +24,17 @@ S22 = TreeShape(2, 2)
 def test_detect_empty_collection_case_split():
     bars = BarCollection(S22, {})
     # added on the root layer: the bare-pole circuit covers its parent joint
-    rec = detect(bars, Bar(b"\x00", 0.4))
+    rec = detect(bars, Bar(b"\x00", 0.4), root_trajectory(bars))
     assert rec.crossed and rec.bottleneck_edge is None
     assert rec.pivot == "neither"  # n=2: one added bar cannot reach depth 2
     # added deeper: never met
-    rec2 = detect(bars, Bar(b"\x00\x01", 0.4))
+    rec2 = detect(bars, Bar(b"\x00\x01", 0.4), root_trajectory(bars))
     assert not rec2.crossed and rec2.pivot == "neither"
 
 
 def test_detect_single_bar_example():
     bars = BarCollection.from_bars(S22, [Bar(b"\x00", 0.5)])
-    rec = detect(bars, Bar(b"\x00", 0.2))
+    rec = detect(bars, Bar(b"\x00", 0.2), root_trajectory(bars))
     assert rec.crossed
     assert rec.bottleneck_edge is None  # path to the added parent is empty
     assert rec.added_depth_index == 2 - 1
@@ -44,7 +44,7 @@ def test_detect_bottleneck_and_no_escape_fields():
     # bar on the root edge plus added bar below it: bottleneck is the root edge
     shape = TreeShape(2, 3)
     bars = BarCollection.from_bars(shape, [Bar(b"\x00", 0.5)])
-    rec = detect(bars, Bar(b"\x00\x01", 0.7))
+    rec = detect(bars, Bar(b"\x00\x01", 0.7), root_trajectory(bars))
     assert rec.crossed
     assert rec.bottleneck_edge == b"\x00"
     assert rec.bottleneck_height == 0.5
@@ -56,12 +56,12 @@ def test_detect_bottleneck_and_no_escape_fields():
 def test_bottleneck_zone_cutoff():
     shape = TreeShape(2, 4)
     bars = BarCollection.from_bars(shape, [Bar(b"\x00", 0.5)])
-    rec = detect(bars, Bar(b"\x00\x01", 0.7), n1=1)
+    rec = detect(bars, Bar(b"\x00\x01", 0.7), root_trajectory(bars), n1=1)
     assert rec.bottleneck_zone == "far"  # level 1 <= 4 - 2
     deep = BarCollection.from_bars(
         shape, [Bar(b"\x00", 0.1), Bar(b"\x00\x00", 0.2), Bar(b"\x00\x00\x00", 0.3)]
     )
-    rec2 = detect(deep, Bar(b"\x00\x00\x00\x01", 0.35), n1=1)
+    rec2 = detect(deep, Bar(b"\x00\x00\x00\x01", 0.35), root_trajectory(deep), n1=1)
     assert rec2.crossed and rec2.bottleneck_edge == b"\x00\x00\x00"
     assert rec2.bottleneck_zone == "close"  # level 3 > 4 - 2
 

@@ -10,7 +10,6 @@ from stirtree.events import root_trajectory
 from stirtree.meander import (
     EngineError,
     SpaceTimePoint,
-    StopRule,
     hit_level,
     return_time,
     run,
@@ -26,7 +25,7 @@ S23 = TreeShape(2, 3)
 
 def test_bare_pole_full_wrap():
     bars = BarCollection(S22, {})
-    traj = run(bars, SpaceTimePoint(ROOT, 0.0), StopRule(level=1))
+    traj = run(bars, SpaceTimePoint(ROOT, 0.0), level=1)
     assert traj.outcome.kind == "returned"
     assert traj.outcome.time == 1.0
     assert traj.crossings == []
@@ -35,28 +34,26 @@ def test_bare_pole_full_wrap():
 def test_single_bar_hits_level_one():
     shape = TreeShape(2, 1)
     bars = BarCollection.from_bars(shape, [Bar(b"\x00", 0.5)])
-    res = hit_level(bars)
-    assert res.reached and res.time == 0.5
+    traj = hit_level(bars)
+    assert traj.reached and traj.outcome.time == 0.5
     assert len(root_trajectory(bars).crossings) == 1
 
 
 def test_figure_one_three_unit_circuit():
     # one bar on each root edge, nothing below: three unit laps, 3-cycle
     bars = BarCollection.from_bars(S22, [Bar(b"\x00", 0.3), Bar(b"\x01", 0.6)])
-    res = return_time(bars, SpaceTimePoint(ROOT, 0.0))
-    assert res.time == 3.0 and not res.truncated
+    assert return_time(bars, SpaceTimePoint(ROOT, 0.0)) == 3.0
 
 
 def test_single_bar_return_time_two():
     bars = BarCollection.from_bars(S22, [Bar(b"\x00", 0.5)])
-    res = return_time(bars, SpaceTimePoint(ROOT, 0.0))
-    assert res.time == 2.0
+    assert return_time(bars, SpaceTimePoint(ROOT, 0.0)) == 2.0
 
 
 def test_right_continuity_start_on_joint():
     # starting exactly at a joint must not cross it at time zero
     bars = BarCollection.from_bars(S22, [Bar(b"\x00", 0.5)])
-    traj = run(bars, SpaceTimePoint(ROOT, 0.5), StopRule(level=2))
+    traj = run(bars, SpaceTimePoint(ROOT, 0.5), level=2)
     first = traj.crossings[0]
     assert first[3] > 0.0  # crossed only after a full lap back into the joint
     assert traj.outcome.kind == "returned"
@@ -70,15 +67,15 @@ def test_return_time_matches_cycle_length_oracle():
     for _ in range(300):
         bars = LazyPoissonBars(S23, 0.6, gen).realize()
         sigma = transposition_oracle(bars)
-        res = return_time(bars, SpaceTimePoint(ROOT, 0.0))
-        if res.truncated:
+        ret = return_time(bars, SpaceTimePoint(ROOT, 0.0))
+        if ret is None:
             continue
         k = 1
         w = sigma(ROOT)
         while w != ROOT:
             k += 1
             w = sigma(w)
-        assert res.time == float(k)
+        assert ret == float(k)
 
 
 def test_return_time_height_shift_exact():
@@ -93,9 +90,7 @@ def test_return_time_height_shift_exact():
         )
         a = return_time(bars, SpaceTimePoint(ROOT, h))
         b = return_time(shifted, SpaceTimePoint(ROOT, 0.0))
-        assert a.truncated == b.truncated
-        if not a.truncated:
-            assert a.time == b.time
+        assert a == b  # None on both sides when truncated
 
 
 def test_hit_level_single_bar_path_construction():
@@ -104,8 +99,7 @@ def test_hit_level_single_bar_path_construction():
     bars = BarCollection.from_bars(
         shape, [Bar(e, 0.1 + 0.2 * i) for i, e in enumerate(path)]
     )
-    res = hit_level(bars)
-    assert res.reached
+    assert hit_level(bars).reached
 
 
 def test_hit_level_probability_level_one():
@@ -144,7 +138,8 @@ def test_three_way_stop_rule_orbit_avoiding_root_origin():
     traj = run(
         bars,
         SpaceTimePoint(ROOT, 0.5),
-        StopRule(level=2, origin=True),
+        level=2,
+        origin=True,
     )
     assert traj.outcome.kind == "returned"
 
@@ -153,29 +148,28 @@ def test_coverage_measure_equals_elapsed():
     gen = TrialStreams(83, "cov").at(0)
     for _ in range(200):
         bars = LazyPoissonBars(S23, 0.8, gen).realize()
-        traj = run(bars, SpaceTimePoint(ROOT, 0.0), StopRule(level=3))
+        traj = run(bars, SpaceTimePoint(ROOT, 0.0), level=3)
         total = sum(b - a for ivs in traj.coverage().values() for a, b in ivs)
-        assert abs(total - traj.elapsed) < 1e-9
-        assert traj.elapsed <= S23.vertex_count
+        assert abs(total - traj.outcome.time) < 1e-9
+        assert traj.outcome.time <= S23.vertex_count
 
 
 def test_dichotomy_every_run_hits_or_returns():
     gen = TrialStreams(89, "dicho").at(0)
     for _ in range(500):
         bars = LazyPoissonBars(S23, 1.0, gen).realize()
-        res = hit_level(bars)
-        assert res.reached in (True, False)
-        traj = res.trajectory
+        traj = hit_level(bars)
         assert traj.outcome.kind in ("hit_level", "returned")
+        assert traj.reached == (traj.outcome.kind == "hit_level")
 
 
 def test_elapsed_time_is_wrap_count_on_return():
     gen = TrialStreams(97, "laps").at(0)
     for _ in range(200):
         bars = LazyPoissonBars(S23, 0.7, gen).realize()
-        res = return_time(bars, SpaceTimePoint(ROOT, 0.0))
-        if not res.truncated:
-            assert res.time == float(int(res.time))  # whole laps exactly
+        ret = return_time(bars, SpaceTimePoint(ROOT, 0.0))
+        if ret is not None:
+            assert ret == float(int(ret))  # whole laps exactly
 
 
 def test_fault_injection_breaks_engine():
@@ -183,15 +177,15 @@ def test_fault_injection_breaks_engine():
     meander._joint_search_inclusive = True
     try:
         with pytest.raises(EngineError):
-            run(bars, SpaceTimePoint(ROOT, 0.0), StopRule(level=2))
+            run(bars, SpaceTimePoint(ROOT, 0.0), level=2)
     finally:
         meander._joint_search_inclusive = False
 
 
 def test_run_is_pure():
     bars = LazyPoissonBars(S23, 0.8, TrialStreams(101, "pure").at(0)).realize()
-    a = run(bars, SpaceTimePoint(ROOT, 0.0), StopRule(level=3))
-    b = run(bars, SpaceTimePoint(ROOT, 0.0), StopRule(level=3))
+    a = run(bars, SpaceTimePoint(ROOT, 0.0), level=3)
+    b = run(bars, SpaceTimePoint(ROOT, 0.0), level=3)
     assert a.outcome == b.outcome
     assert a.crossings == b.crossings and a.segments == b.segments
 
@@ -200,7 +194,7 @@ def test_trajectory_debug_json():
     import json
 
     bars = BarCollection.from_bars(S22, [Bar(b"\x00", 0.5)])
-    traj = run(bars, SpaceTimePoint(ROOT, 0.0), StopRule(level=2))
+    traj = run(bars, SpaceTimePoint(ROOT, 0.0), level=2)
     payload = json.dumps(traj.to_json_dict())
     assert "outcome" in payload
 
@@ -208,9 +202,9 @@ def test_trajectory_debug_json():
 def test_start_height_validation():
     bars = BarCollection(S22, {})
     with pytest.raises(ValueError):
-        run(bars, SpaceTimePoint(ROOT, 1.0), StopRule(level=2))
+        run(bars, SpaceTimePoint(ROOT, 1.0), level=2)
     with pytest.raises(ValueError):
-        run(bars, SpaceTimePoint(b"\x00\x00", 0.0), StopRule(level=2))
+        run(bars, SpaceTimePoint(b"\x00\x00", 0.0), level=2)
 
 
 def test_crossing_guard_armed_on_lazy_collections():

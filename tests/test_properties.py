@@ -13,7 +13,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from stirtree.bars import Bar, BarCollection, LazyPoissonBars
 from stirtree.events import root_trajectory
-from stirtree.meander import SpaceTimePoint, StopRule, hit_level, run
+from stirtree.meander import SpaceTimePoint, hit_level, run
 from stirtree.rng import TrialStreams
 from stirtree.stirring import stirring_permutation, transposition_oracle
 from stirtree.tree import ROOT, TreeShape, edge_from_index
@@ -49,7 +49,7 @@ def _restricted(bars: BarCollection, n: int) -> BarCollection:
 @given(shape=shapes, t=rates, seed=seeds)
 def test_deepest_level_decides_every_shallower_hit(shape, t, seed):
     bars = LazyPoissonBars(shape, t, TrialStreams(seed, "prop-profile").at(0)).realize()
-    deepest = hit_level(bars).trajectory.deepest
+    deepest = hit_level(bars).deepest
     assert 0 <= deepest <= shape.n
     for n in range(1, shape.n + 1):
         assert (deepest >= n) == hit_level(_restricted(bars, n)).reached
@@ -126,7 +126,7 @@ def test_run_started_on_a_joint(shape, t, seed, pick, upper):
     assume(joints)
     edge, h0 = joints[pick % len(joints)]
     v0 = edge[:-1] if upper else edge
-    traj = run(bars, SpaceTimePoint(v0, h0), StopRule(), record=True)
+    traj = run(bars, SpaceTimePoint(v0, h0))
     # right-continuity: the start's own joint is not crossed at time zero;
     # the run comes back to it through that same joint, after whole laps
     assert all(time > 0.0 for *_bar, time in traj.crossings)
@@ -134,7 +134,7 @@ def test_run_started_on_a_joint(shape, t, seed, pick, upper):
     assert traj.outcome.time == float(traj.wraps)
     assert traj.crossings[-1][:3] == (edge, h0, not upper)
     covered = sum(b - a for ivs in traj.coverage().values() for a, b in ivs)
-    assert abs(covered - traj.elapsed) < 1e-9
+    assert abs(covered - traj.outcome.time) < 1e-9
 
 
 @settings(max_examples=80, deadline=None)
@@ -155,8 +155,8 @@ def test_origin_stop_cuts_the_run_at_its_first_root_wrap(shape, t, seed, pick, h
     starts = [ROOT] + [e[:-1] for e in _edges(shape)]
     start = SpaceTimePoint(starts[pick % len(starts)], h0)
     level = shape.n if deep else None
-    plain = run(bars, start, StopRule(level=level), record=True)
-    stop = run(bars, start, StopRule(level=level, origin=True), record=True)
+    plain = run(bars, start, level=level)
+    stop = run(bars, start, level=level, origin=True)
     root_wraps = [
         k for k, (v, _lo, hi) in enumerate(plain.segments) if v == ROOT and hi == 1.0
     ]

@@ -6,6 +6,7 @@ import pytest
 
 from stirtree.bars import Bar, BarCollection, LazyPoissonBars
 from stirtree.estimators import estimate_pn
+from stirtree.events import root_trajectory
 from stirtree.meander import hit_level
 from stirtree.rng import TrialStreams
 from stirtree.stirring import (
@@ -34,10 +35,10 @@ def test_oracle_trivial_cases():
 
 def test_figure_one_cycle_has_three_elements():
     bars = BarCollection.from_bars(S22, [Bar(b"\x00", 0.3), Bar(b"\x01", 0.6)])
-    rep = cycle_of_root(bars)
-    assert rep.length == 3
-    assert set(rep.cycle) == {ROOT, b"\x00", b"\x01"}
-    assert rep.cycle[0] == ROOT
+    cycle = cycle_of_root(bars)
+    assert len(cycle) == 3
+    assert set(cycle) == {ROOT, b"\x00", b"\x01"}
+    assert cycle[0] == ROOT
 
 
 def test_engine_equals_oracle_on_random_instances():
@@ -69,10 +70,10 @@ def test_permutation_validation():
 
 
 def test_cycle_report_trivial_cases():
-    assert cycle_of_root(BarCollection(S22, {})).length == 1
+    assert cycle_of_root(BarCollection(S22, {})) == (ROOT,)
     single = BarCollection.from_bars(S22, [Bar(b"\x00", 0.9)])
-    rep = cycle_of_root(single)
-    assert rep.length == 2 and not rep.boundary_truncated
+    assert cycle_of_root(single) == (ROOT, b"\x00")
+    assert not root_trajectory(single).reached
 
 
 def test_truncation_flag_matches_hit_and_pn():
@@ -82,10 +83,11 @@ def test_truncation_flag_matches_hit_and_pn():
     trials = 20_000
     hits = 0
     for _ in range(trials):
+        # sim's path: a realized collection and one recorded root run
         bars = LazyPoissonBars(shape, t, gen).realize()
-        rep = cycle_of_root(bars)
-        assert rep.boundary_truncated == hit_level(bars).reached
-        hits += rep.boundary_truncated
+        truncated = root_trajectory(bars).reached
+        assert truncated == hit_level(bars).reached
+        hits += truncated
     p_cycle = hits / trials
     est = estimate_pn(shape, t, trials, 222)
     se = math.sqrt(est.stderr**2 + p_cycle * (1 - p_cycle) / trials)
