@@ -17,6 +17,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from stirtree.tree import (
+    CapacityError,
     TreeShape,
     edge_from_index,
     edge_index,
@@ -30,6 +31,23 @@ from stirtree.tree import (
 class Bar(NamedTuple):
     edge: bytes
     height: float
+
+
+# Most values (Poisson counts plus heights) one draw may ask for, checked
+# before the draw: (1 + t)·|E| for realize(), and the mean (d + 1)·t of one
+# lazy pole's heights.  Measured peak memory per value: 31 B at t = 0.145
+# (realize() at (8, 7, 0.145): 2.7e6 values, 81 MB) and up to about 120 B
+# at large t, so a draw at the budget peaks near 0.8 GB in the critical
+# window and near 3 GB at large t.  (8, 8, 0.145) needs 2.2e7 and fits.
+_DRAW_BUDGET = 25_000_000
+
+
+def _check_budget(values: float, what: str) -> None:
+    if values > _DRAW_BUDGET:
+        raise CapacityError(
+            f"{what} would draw about {values:.3g} values,"
+            f" over the budget of {_DRAW_BUDGET}"
+        )
 
 
 # One-byte child symbols: the children of v are ``v + s`` for the first d.
@@ -268,6 +286,7 @@ class LazyPoissonBars(_PoleIndexMixin):
 
     def __init__(self, shape: TreeShape, t: float, rng: np.random.Generator) -> None:
         check_rate(t)
+        _check_budget((shape.d + 1) * t, "one lazy pole")
         self.shape = shape
         self.t = t
         self.count = 0
@@ -291,6 +310,7 @@ class LazyPoissonBars(_PoleIndexMixin):
         """
         if self._counts:
             raise ValueError("realize() needs a collection with nothing realized yet")
+        _check_budget((1 + self.t) * self.shape.edge_count, "realize()")
         by_edge: dict[bytes, tuple[float, ...]] = {}
         if self.t > 0:  # rate-0 counts consume no draws; skip the |E| zeros
             rng = self._rng

@@ -46,9 +46,12 @@ _FLAGS = {
 }
 
 
+# The flags every subcommand but `estimate gw` takes.
+_RUN_FLAGS = ("trials", "seed", "workers", "out", "config")
+
+
 def _add_flags(p: argparse.ArgumentParser, *names: str) -> None:
-    """The named flags, then the ones every subcommand takes."""
-    for name in names + ("trials", "seed", "workers", "out", "config"):
+    for name in names:
         p.add_argument(f"--{name}", **_FLAGS[name])
 
 
@@ -64,18 +67,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser(
         "sim", help="sample (B, A) instances and report events", allow_abbrev=False
     )
-    _add_flags(p_sim, "d", "n", "t", "n1", "format")
+    _add_flags(p_sim, "d", "n", "t", "n1", "format", *_RUN_FLAGS)
 
     p_est = sub.add_parser("estimate", help="run one estimator", allow_abbrev=False)
-    p_est.add_argument(
-        "which", choices=("pn", "z", "gw", "tails"), help="estimator to run"
-    )
-    _add_flags(p_est, "d", "n", "t", "format")
+    p_which = p_est.add_subparsers(dest="which", required=True, help="estimator to run")
+    for which in ("pn", "z", "gw", "tails"):
+        p = p_which.add_parser(which, allow_abbrev=False)
+        if which == "gw":  # the branching bound is a function of (d, t) alone
+            _add_flags(p, "d", "t", "format", "out", "config")
+        else:
+            _add_flags(p, "d", "n", "t", "format", *_RUN_FLAGS)
 
     p_ver = sub.add_parser(
         "verify", help="run the invariant suite", allow_abbrev=False
     )
-    _add_flags(p_ver)
+    _add_flags(p_ver, *_RUN_FLAGS)
     p_ver.set_defaults(trials=None)  # each check at its suite-default scale
     p_ver.add_argument(
         "--only", help="comma list of checks: " + ",".join(verify.SUITE)
@@ -84,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan = sub.add_parser(
         "scan", help="hit-probability table over a (n, t) grid", allow_abbrev=False
     )
-    _add_flags(p_scan, "d", "n", "format")
+    _add_flags(p_scan, "d", "n", "format", *_RUN_FLAGS)
     p_scan.add_argument("--t-grid", dest="t_grid", help="lo:hi:step or comma list")
 
     return parser
@@ -116,7 +122,8 @@ def _parse_args(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
             parser.error(f"--config key {key!r} needs a number or a string")
         text = value if isinstance(value, str) else json.dumps(value)
         flags.append(f"--{key.replace('_', '-')}={text}")
-    args = parser.parse_args(argv[:1] + flags + argv[1:])
+    words = 2 if args.command == "estimate" else 1  # the subcommand names first
+    args = parser.parse_args(argv[:words] + flags + argv[words:])
     for key, value in loaded.items():  # text where the flag takes a number
         if isinstance(value, str) and not isinstance(getattr(args, key), str):
             parser.error(f"--config key {key!r} needs a number, got {value!r}")
@@ -125,8 +132,8 @@ def _parse_args(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
 
 def _check_counts(ns: dict) -> None:
     for key in ("trials", "workers"):
-        value = ns[key]
-        if value is not None and value < 1:  # None: verify's suite scales
+        value = ns.get(key)  # None: verify's suite scales, or estimate gw
+        if value is not None and value < 1:
             raise ValueError(f"--{key} must be an integer >= 1, got {value!r}")
     if ns["command"] == "sim":
         n1 = ns["n1"]  # the far/close cut sits at depth n - 2*n1, on the tree

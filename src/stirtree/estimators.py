@@ -204,7 +204,9 @@ def _z_batch(job) -> tuple[float, float]:
     s = s2 = 0.0
     for i in range(lo, hi):
         bars = LazyPoissonBars(shape, t, streams.at(i))
-        m = viable_locations(bars, root_trajectory(bars)).measure()
+        # the run draws before the cluster: a seed's values depend on that order
+        traj = root_trajectory(bars)
+        m = viable_locations(bars, traj, multibar_cluster(bars)).measure()
         s += m
         s2 += m * m
     return s, s2

@@ -216,26 +216,28 @@ def multibar_cluster(bars, v: bytes = ROOT) -> ClusterReport:
     )
 
 
-def viable_locations(bars, trajectory: Trajectory) -> LocationSet:
+def viable_locations(
+    bars, trajectory: Trajectory, cluster: ClusterReport
+) -> LocationSet:
     """Bar locations at which the added bar would realize
     crossing-without-bottleneck.
 
     An edge can contribute only if its root path consists of >=2-bar edges
     (it lies in the root cluster or on its boundary); it then contributes
     the visited heights of its two endpoint poles along the root
-    trajectory.
+    trajectory.  ``cluster`` is ``multibar_cluster(bars)``.
     """
     cov = trajectory.coverage()
-    report = multibar_cluster(bars)
     out: dict[bytes, tuple[tuple[float, float], ...]] = {}
-    for e in report.cluster | report.boundary:
+    for e in cluster.cluster | cluster.boundary:
         ivs = list(cov.get(e[:-1], ())) + list(cov.get(e, ()))
         if ivs:
             out[e] = merge_intervals(ivs)
     return LocationSet(bars.shape, out, validate=False)
 
 
-def root_stats(bars, trajectory: Trajectory) -> RootStats:
+def root_stats(bars, trajectory: Trajectory, cluster: ClusterReport) -> RootStats:
+    """Root-edge statistics; ``cluster`` is ``multibar_cluster(bars)``."""
     shape = bars.shape
     root_edges = [bytes((i,)) for i in range(shape.d)]
     counts = [bars.count_on(e) for e in root_edges]
@@ -243,12 +245,11 @@ def root_stats(bars, trajectory: Trajectory) -> RootStats:
     low_gap = all(
         h >= cutoff for e in root_edges for h in bars.heights_on(e)
     )
-    cluster_empty = multibar_cluster(bars).size == 0
     return RootStats(
         bar_free=not any(counts),
         low_gap=low_gap,
         single_bar_edges=sum(1 for k in counts if k == 1),
-        confined_clusterless=cluster_empty and not trajectory.reached,
+        confined_clusterless=cluster.size == 0 and not trajectory.reached,
     )
 
 

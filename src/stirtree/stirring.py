@@ -4,12 +4,13 @@ Two independent routes compute the same permutation: the meander engine run
 for unit time from every pole, and a pure-algebra oracle that composes the
 bar transpositions in increasing height order.  Their exact agreement on
 random instances is the primary correctness check for the engine; the two
-paths deliberately share no trajectory code.
+paths deliberately share no trajectory code.  The oracle is the engine's
+reference only: the root's orbit is read from the engine.
 """
 
 from __future__ import annotations
 
-from stirtree.meander import stirred_vertex
+from stirtree.meander import EngineError, stirred_vertex
 from stirtree.tree import ROOT
 
 
@@ -88,11 +89,18 @@ def stirring_permutation(bars) -> Permutation:
 
 
 def cycle_of_root(bars) -> tuple[bytes, ...]:
-    """Orbit of the root under the stirring permutation, starting at the root."""
-    sigma = transposition_oracle(bars)
+    """Orbit of the root under the stirring permutation, starting at the root.
+
+    Iterates the engine's unit-time map.  The orbit lies in the support of
+    the permutation, inside the endpoints of the barred edges, so an orbit
+    longer than ``2 * bars.count + 1`` is an engine fault, not a long cycle.
+    """
+    longest = 2 * bars.count + 1
     cyc = [ROOT]
-    w = sigma(ROOT)
+    w = stirred_vertex(bars, ROOT)
     while w != ROOT:
         cyc.append(w)
-        w = sigma(w)
+        if len(cyc) > longest:
+            raise EngineError(f"root orbit did not close within {longest} steps")
+        w = stirred_vertex(bars, w)
     return tuple(cyc)

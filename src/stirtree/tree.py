@@ -23,7 +23,8 @@ _DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
 
 
 class CapacityError(ValueError):
-    """Raised when (d, n) would push vertex/edge counts past 2**62."""
+    """Raised when (d, n) would push vertex/edge counts past 2**62, or one
+    draw of bars would go over the sampler's budget (``bars._DRAW_BUDGET``)."""
 
 
 @dataclass(frozen=True)

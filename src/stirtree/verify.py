@@ -96,9 +96,9 @@ def inclusion_violations(bars, added) -> list[str]:
     d = bars.shape.d
     traj = root_trajectory(bars)
     rec = detect(bars, added, traj)
-    vl = viable_locations(bars, traj)
     cluster = multibar_cluster(bars)
-    rstats = root_stats(bars, traj)
+    vl = viable_locations(bars, traj, cluster)
+    rstats = root_stats(bars, traj, cluster)
     out = []
 
     if rec.pivot != "neither" and not rec.crossed:
@@ -106,7 +106,7 @@ def inclusion_violations(bars, added) -> list[str]:
     if rec.pivot != "neither" and rec.bottleneck_edge is not None:
         if not (rec.crossed and rec.no_escape):
             out.append("pivot-bottleneck-no-escape")
-    cnb = crossing_without_bottleneck(bars, added, traj)
+    cnb = rec.crossed and rec.bottleneck_edge is None
     if cnb != vl.contains(added.edge, added.height):
         out.append("crossing-no-bottleneck-matches-viable-set")
     closure = cluster.cluster | cluster.boundary
@@ -212,7 +212,7 @@ def check_conditional_sampler(
     for b_i in range(instances):
         bars = LazyPoissonBars(shape, t, cond_b.at(b_i)).realize()
         traj = root_trajectory(bars)
-        vl = viable_locations(bars, traj)
+        vl = viable_locations(bars, traj, multibar_cluster(bars))
         if vl.measure() <= 0.0:
             continue  # not reachable; cannot happen from the root pole
         gen_r = cond_rej.at(b_i)

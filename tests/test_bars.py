@@ -20,7 +20,7 @@ from stirtree.bars import (
 from stirtree.events import root_trajectory
 from stirtree.meander import hit_level
 from stirtree.rng import TrialStreams
-from stirtree.tree import TreeShape, edge_from_index
+from stirtree.tree import CapacityError, TreeShape, edge_from_index
 
 SHAPE22 = TreeShape(2, 2)
 
@@ -294,6 +294,21 @@ def test_realize_draws_counts_and_heights_in_one_vector_draw_each():
     bars = LazyPoissonBars(TreeShape(2, 2), 1.0, gen).realize()
     assert bars.count == 4
     assert gen.calls == ["poisson", "random"]
+
+
+def test_draw_budget_checked_before_any_draw():
+    # (8, 8, 0.145) asks for 2.2e7 counts and heights and is drawn, (8, 9,
+    # 0.145) for 1.8e8 and is refused first; the scripted stream's draws are
+    # empty, so neither allocates
+    gen = _ScriptedGen([], [])
+    assert LazyPoissonBars(TreeShape(8, 8), 0.145, gen).realize().count == 0
+    assert gen.calls == ["poisson", "random"]
+    gen = _ScriptedGen([], [])
+    with pytest.raises(CapacityError, match="realize"):
+        LazyPoissonBars(TreeShape(8, 9), 0.145, gen).realize()
+    with pytest.raises(CapacityError, match="lazy pole"):  # (d + 1)·t = 3e9
+        LazyPoissonBars(TreeShape(2, 1), 1e9, gen)
+    assert gen.calls == []
 
 
 def test_realize_needs_a_fresh_collection():

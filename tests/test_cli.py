@@ -13,7 +13,8 @@ import stirtree
 
 import stirtree.estimators as estimators
 import stirtree.meander as meander
-from stirtree.bars import LazyPoissonBars
+import stirtree.stirring as stirring
+from stirtree.bars import BarCollection, LazyPoissonBars
 from stirtree.cli import main
 from stirtree.meander import EngineError
 from stirtree.rng import TrialStreams
@@ -191,15 +192,15 @@ def test_scan_grid_point_cap_exit_2(grid, capsys):
 @pytest.mark.parametrize(
     "command",
     [
-        ["sim", "--n", "2"],
-        ["estimate", "pn", "--n", "2"],
+        ["sim", "--n", "2", "--trials", "10"],
+        ["estimate", "pn", "--n", "2", "--trials", "10"],
         ["estimate", "gw"],
-        ["estimate", "tails", "--n", "2"],
+        ["estimate", "tails", "--n", "2", "--trials", "10"],
     ],
     ids=["sim", "pn", "gw", "tails"],
 )
 def test_rate_not_finite_and_nonnegative_exit_2(command, t, capsys):
-    code = main(command + ["--d", "3", "--t", t, "--trials", "10"])
+    code = main(command + ["--d", "3", "--t", t])
     assert code == 2 and "finite and >= 0" in capsys.readouterr().err
 
 
@@ -293,9 +294,30 @@ def test_engine_error_exit_4(monkeypatch, capsys):
 
 
 def test_capacity_exit_3(capsys):
-    code = main(["sim", "--d", "2", "--n", "70", "--t", "0.5"])
-    err = capsys.readouterr().err
-    assert code == 3 and "capacity" in err
+    for args in (
+        ["sim", "--d", "2", "--n", "70", "--t", "0.5"],
+        # over the draw budget, refused before anything is drawn: 9.1 GiB
+        # of counts, 45 GiB of heights, 7.5 GiB for one edge's heights
+        ["sim", "--d", "8", "--n", "10", "--t", "0.138", "--trials", "1"],
+        ["sim", "--d", "2", "--n", "2", "--t", "1e9", "--trials", "1"],
+        ["estimate", "pn", "--d", "2", "--n", "1", "--t", "1e9", "--trials", "1"],
+    ):
+        code = main(args)
+        out, err = capsys.readouterr()
+        assert code == 3 and out == "", args
+        assert err.startswith("capacity error:"), args
+
+
+def test_root_orbit_that_never_closes_exit_4(monkeypatch, capsys):
+    # a unit-time map that never leads back to the root: the orbit guard
+    # stops it after 2 * bars.count + 1 vertices instead of looping forever
+    monkeypatch.setattr(stirring, "stirred_vertex", lambda bars, v: b"\x00")
+    with pytest.raises(EngineError, match="root orbit did not close within 1 steps"):
+        stirring.cycle_of_root(BarCollection(TreeShape(2, 2), {}))
+    code = main(["sim", "--d", "2", "--n", "2", "--t", "0.5", "--trials", "3"])
+    out, err = capsys.readouterr()
+    assert code == 4 and out == ""
+    assert err.startswith("engine error: root orbit did not close within")
 
 
 def test_bad_usage_exit_2(capsys):
@@ -323,8 +345,12 @@ def test_bad_usage_exit_2(capsys):
             ["estimate", "pn", "--d", "2", "--n", "2", "--t", "0.5", "--trials", "5"],
             ["--n1", "9"],
         ),
+        (
+            ["estimate", "gw", "--d", "8", "--t", "0.14"],
+            ["--n", "99", "--trials", "5", "--seed", "3", "--workers", "4"],
+        ),
     ],
-    ids=["verify", "scan", "estimate"],
+    ids=["verify", "scan", "estimate", "gw"],
 )
 def test_flags_a_subcommand_does_not_read_exit_2(args, unread, capsys):
     with pytest.raises(SystemExit) as exc:

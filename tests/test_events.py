@@ -97,7 +97,7 @@ def test_multibar_cluster_truncation_and_boundary_bound():
 
 def test_viable_locations_bar_free_collection():
     empty = BarCollection(S22, {})
-    vl = viable_locations(empty, root_trajectory(empty))
+    vl = viable_locations(empty, root_trajectory(empty), multibar_cluster(empty))
     assert vl.measure() == 2.0
     assert set(vl.intervals) == {b"\x00", b"\x01"}
     assert all(vl.intervals[e] == ((0.0, 1.0),) for e in vl.intervals)
@@ -118,14 +118,14 @@ def test_viable_locations_full_trace_measure_six():
     )
     rep = multibar_cluster(bars)
     assert rep.cluster == frozenset({b"\x00", b"\x01"})
-    vl = viable_locations(bars, root_trajectory(bars))
+    vl = viable_locations(bars, root_trajectory(bars), rep)
     assert vl.measure() == 6.0
     assert len(vl.intervals) == 6
 
 
 def test_root_stats_trivial_and_laws():
     empty = BarCollection(S22, {})
-    rs = root_stats(empty, root_trajectory(empty))
+    rs = root_stats(empty, root_trajectory(empty), multibar_cluster(empty))
     assert rs.bar_free and rs.low_gap and rs.single_bar_edges == 0
     assert rs.confined_clusterless
 
@@ -139,7 +139,7 @@ def test_root_stats_trivial_and_laws():
     gap = 0
     for _ in range(trials):
         bars = LazyPoissonBars(shape, t, gen).realize()
-        s = root_stats(bars, root_trajectory(bars))
+        s = root_stats(bars, root_trajectory(bars), multibar_cluster(bars))
         free += s.bar_free
         lone += s.single_bar_edges
         gap += s.low_gap
@@ -212,7 +212,8 @@ def test_crossing_without_bottleneck_equals_viable_membership():
         added = sample_added(shape, gen)
         traj = root_trajectory(bars)
         lhs = crossing_without_bottleneck(bars, added, traj)
-        rhs = viable_locations(bars, traj).contains(added.edge, added.height)
+        vl = viable_locations(bars, traj, multibar_cluster(bars))
+        rhs = vl.contains(added.edge, added.height)
         assert lhs == rhs
 
 
