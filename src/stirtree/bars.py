@@ -35,10 +35,11 @@ class Bar(NamedTuple):
 
 # Most values (Poisson counts plus heights) one draw may ask for, checked
 # before the draw: (1 + t)·|E| for realize(), and the mean (d + 1)·t of one
-# lazy pole's heights.  Measured peak memory per value: 31 B at t = 0.145
-# (realize() at (8, 7, 0.145): 2.7e6 values, 81 MB) and up to about 120 B
-# at large t, so a draw at the budget peaks near 0.8 GB in the critical
-# window and near 3 GB at large t.  (8, 8, 0.145) needs 2.2e7 and fits.
+# lazy pole's heights.  Measured peak memory per value: 30 B at t = 0.145
+# (realize() at (8, 7, 0.145): 2.7e6 values, 78 MB) and about 60 B at large
+# t (58 B at (2, 1, 1e6), 60 B at (2, 10, 100)), so a draw at the budget
+# peaks near 0.8 GB in the critical window and near 1.5 GB at large t.
+# (8, 8, 0.145) needs 2.2e7 and fits.
 _DRAW_BUDGET = 25_000_000
 
 
@@ -63,6 +64,14 @@ def check_rate(t: float) -> None:
 def _usable(hs: list[float]) -> bool:
     """Heights all > 0 and pairwise distinct: sorted, strictly increasing."""
     return min(hs) > 0.0 and len(set(hs)) == len(hs)
+
+
+def _usable_block(vals: np.ndarray) -> bool:
+    """:func:`_usable` on a non-empty, unsorted array, with no Python
+    object per height: the minimum is > 0 and, once sorted, no two
+    neighbours are equal."""
+    s = np.sort(vals)
+    return bool(s[0] > 0.0) and not (s[1:] == s[:-1]).any()
 
 
 def _distinct_heights(rng: np.random.Generator, k: int) -> tuple[float, ...]:
@@ -318,8 +327,10 @@ class LazyPoissonBars(_PoleIndexMixin):
             barred = counts.nonzero()[0]
             ks = counts[barred].tolist()
             del counts  # |E| counts: free them before the heights build up
-            vals = rng.random(sum(ks)).tolist()
-            clean = not vals or _usable(vals)  # then no slice needs a redraw
+            block = rng.random(sum(ks))
+            clean = not block.size or _usable_block(block)  # no slice redraws
+            vals = block.tolist()
+            del block
             pos = 0
             for e, k in zip(edges_from_indices(self.shape, barred), ks):
                 end = pos + k
@@ -357,18 +368,19 @@ class LazyPoissonBars(_PoleIndexMixin):
             self._heights[edge] = hs
         return hs
 
-    def marks_on(self, edge: bytes) -> np.ndarray:
+    def marks_on(self, edge: bytes) -> list[float]:
         """Uniform [0, 1) thinning marks, one per bar in height order."""
         ms = self._marks.get(edge)
         if ms is None:
-            ms = self._rng.random(self.count_on(edge))
-            self._marks[edge] = ms
+            ms = self._marks[edge] = self._rng.random(self.count_on(edge)).tolist()
         return ms
 
-    def thinned(self, t: float) -> "_Thinned":
+    def thinned(self, t: float) -> "LazyPoissonBars | _Thinned":
         """The bars whose mark is at most t / self.t: a Poisson-t collection,
-        nested across t on one realization (the thinning coupling)."""
-        return _Thinned(self, t)
+        nested across t on one realization (the thinning coupling).  At
+        t = self.t every bar is kept, so that is the collection itself and
+        draws no marks."""
+        return self if t == self.t else _Thinned(self, t)
 
     def pole(self, v: bytes) -> _Pole:
         built = self._poles.get(v)
@@ -420,6 +432,30 @@ class _Thinned(_PoleIndexMixin):
             return ()
         marks = self._base.marks_on(edge)
         return tuple(h for h, m in zip(hs, marks) if m <= self._keep)
+
+    def pole(self, v: bytes) -> _Pole:
+        """The base's pole at v, less the joints of bars marked above keep.
+
+        The base draws the pole's counts and heights; only the marks of its
+        barred edges are new draws, taken the first time each edge shows up
+        in the pole's height order.  An edge's joints ascend as its heights
+        do, so its j-th joint here is its j-th bar and carries mark j.
+        """
+        built = self._poles.get(v)
+        if built is not None:
+            return built
+        heights, hops = self._base.pole(v)
+        marks_on, keep = self._base.marks_on, self._keep
+        seen: dict[bytes, int] = {}
+        kept = []
+        for h, hop in zip(heights, hops):
+            e = hop[0]
+            j = seen.get(e, 0)
+            seen[e] = j + 1
+            if marks_on(e)[j] <= keep:
+                kept.append((h, hop))
+        built = self._poles[v] = tuple(zip(*kept)) if kept else ((), ())
+        return built
 
 
 def sample_added(shape: TreeShape, stream: np.random.Generator) -> Bar:

@@ -77,15 +77,42 @@ def _map_batches(
 # --- boundary-hit probability ------------------------------------------------
 
 
-def _pn_batch(job) -> list[int]:
-    shape, t, seed, lo, hi = job
-    if t == 0.0:  # no bars: every run wraps once at the root and returns
-        return [hi - lo] + [0] * shape.n
-    streams = TrialStreams(seed, "pn", shape.d, shape.n, t)
-    hist = [0] * (shape.n + 1)
-    for i in range(lo, hi):
-        hist[hit_level(LazyPoissonBars(shape, t, streams.at(i))).deepest] += 1
-    return hist
+def _pn_batch(job) -> list[list[int]]:
+    """Per t of the ascending grid, the deepest-level histogram of trials
+    lo..hi-1.  Each trial draws one collection at the top rate t_max, on
+    the stream of a single-t run at t_max, and runs it first; then, from
+    the top down, each lower t runs on its thinning to t."""
+    shape, ts, seed, lo, hi = job
+    hists = [[0] * (shape.n + 1) for _ in ts]
+    if ts[0] == 0.0:  # no bars: every run wraps once at the root and returns
+        hists[0][0] = hi - lo
+    runs = [(hist, t) for hist, t in zip(hists, ts) if t > 0.0][::-1]
+    if runs:
+        t_max = ts[-1]
+        streams = TrialStreams(seed, "pn", shape.d, shape.n, t_max)
+        for i in range(lo, hi):
+            bars = LazyPoissonBars(shape, t_max, streams.at(i))
+            for hist, t in runs:
+                hist[hit_level(bars.thinned(t)).deepest] += 1
+    return hists
+
+
+def _depth_profiles(
+    shape: TreeShape, t_grid: Sequence[float], trials: int, seed: int, workers: int
+) -> list[list[int]]:
+    """:func:`depth_profile` at every t of a strictly ascending grid, coupled.
+
+    All t share one rate-t_max draw per trial (common random numbers), so
+    the profiles are correlated across t, and differences between them
+    have far less variance than independent profiles would give.  Each
+    one still has the exact law of :func:`depth_profile` at its t, and
+    the t_max profile is bit-identical to it.
+    """
+    ts = tuple(t_grid)
+    for t in ts:  # a negative t below t_max would thin to no bars, silently
+        check_rate(t)
+    parts = _map_batches(_pn_batch, shape, ts, seed, trials, workers)
+    return [[sum(level) for level in zip(*hists)] for hists in zip(*parts)]
 
 
 def depth_profile(
@@ -96,9 +123,10 @@ def depth_profile(
     Until a run first lands on level m < n it visits only poles above m,
     whose edges and draw order are the same on T_m as on T_n; so
     ``_reached(profile, m)`` is the depth-m hit count, on depth n's stream.
+    This is the one-point grid of the coupled profiles that
+    :func:`critical_scan` reads.
     """
-    parts = _map_batches(_pn_batch, shape, t, seed, trials, workers)
-    return [sum(level) for level in zip(*parts)]
+    return _depth_profiles(shape, (t,), trials, seed, workers)[0]
 
 
 def _reached(profile: list[int], n: int) -> int:
@@ -416,16 +444,21 @@ def critical_scan(
 ) -> ScanTable:
     """Descriptive table of hit probabilities over a (shape, t) grid.
 
-    Per (d, t), every row reads one depth profile on d's deepest tree, so
-    the deepest rows equal :func:`estimate_pn` and the others share its runs."""
+    Per d, every row reads one coupled set of depth profiles on d's deepest
+    tree: each trial draws one collection at the grid's largest t and
+    thins it to every other t.  The rows of one d are therefore correlated
+    across t and across depth, and each ``stderr`` is marginal.  The rows
+    at the largest t equal :func:`estimate_pn` on the deepest tree, and
+    every row has the marginal law of an independent estimate at its t."""
     if not t_grid:
         raise ValueError("empty t grid")
     if len(set(t_grid)) < len(t_grid) or len(set(shapes)) < len(shapes):
         raise ValueError("duplicate depths or t grid points")
+    ts = sorted(t_grid)
     profiles = {}
     for deepest in {s.d: s for s in sorted(shapes, key=lambda s: s.n)}.values():
-        for t in t_grid:
-            profiles[deepest.d, t] = depth_profile(deepest, t, trials, seed, workers)
+        coupled = _depth_profiles(deepest, ts, trials, seed, workers)
+        profiles.update(((deepest.d, t), p) for t, p in zip(ts, coupled))
     rows = []
     for shape in sorted(shapes, key=lambda s: (s.d, s.n)):
         lo, hi = critical_window(shape.d)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+import stirtree.bars as bars_mod
 from stirtree.bars import (
     Bar,
     BarCollection,
@@ -294,6 +295,17 @@ def test_realize_draws_counts_and_heights_in_one_vector_draw_each():
     bars = LazyPoissonBars(TreeShape(2, 2), 1.0, gen).realize()
     assert bars.count == 4
     assert gen.calls == ["poisson", "random"]
+
+
+@given(
+    st.lists(
+        st.sampled_from([0.0, 0.25, 0.5]) | st.floats(0.0, 1.0, exclude_max=True),
+        min_size=1,
+    )
+)
+def test_block_check_is_the_per_slice_check(vals):
+    # realize() checks its whole block in numpy; the slices keep the list form
+    assert bars_mod._usable_block(np.array(vals)) == bars_mod._usable(sorted(vals))
 
 
 def test_draw_budget_checked_before_any_draw():

@@ -371,6 +371,42 @@ def test_scan_shallow_row_golden():
     assert [row[3] for row in table.rows] == [533 / 1500, 417 / 1500]
 
 
+COUPLED_SHAPES = [TreeShape(3, 4), TreeShape(3, 2)]
+COUPLED_GRID = [0.3, 0.2, 0.4]  # out of order: rows follow it, t_max is 0.4
+
+
+def test_coupled_scan_worker_and_chunk_invariant(monkeypatch):
+    table = critical_scan(COUPLED_SHAPES, COUPLED_GRID, 1500, 47)
+    monkeypatch.setattr(estimators, "_CHUNK", 400)
+    assert critical_scan(COUPLED_SHAPES, COUPLED_GRID, 1500, 47, workers=2) == table
+
+
+def test_coupled_scan_top_rows_are_the_single_rate_runs():
+    # the rate-t_max collection runs before any thinning draws its marks
+    trials, seed = 1500, 53
+    table = critical_scan(COUPLED_SHAPES, COUPLED_GRID, trials, seed)
+    top = [r for r in table.rows if r[2] == 0.4]
+    assert top == list(critical_scan(COUPLED_SHAPES, [0.4], trials, seed).rows)
+    assert top[-1][3] == estimate_pn(TreeShape(3, 4), 0.4, trials, seed).mean
+
+
+def test_coupled_scan_lower_rows_have_the_independent_law():
+    # a thinning that keeps the wrong share of bars, or none at all, moves
+    # these rows by many standard errors
+    trials = 4000
+    table = critical_scan(COUPLED_SHAPES, COUPLED_GRID, trials, 59)
+    lower = [r for r in table.rows if r[2] < 0.4]
+    assert len(lower) == 4
+    for d, n, t, p_hat, se, *_bracket in lower:
+        ref = estimate_pn(TreeShape(d, n), t, trials, 61)
+        assert abs(p_hat - ref.mean) <= 4 * math.hypot(se, ref.stderr)
+
+
+def test_coupled_scan_rejects_bad_rates():
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        critical_scan([S22], [-0.1, 0.4], 10, 1)
+
+
 def test_depth_profile_worker_invariant():
     shape = TreeShape(3, 4)
     profile = depth_profile(shape, 0.4, 9000, 43)

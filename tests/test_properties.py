@@ -107,6 +107,24 @@ def test_thinned_poles_equal_rebuilt_poles(shape, t, seed, keep):
 
 
 @settings(max_examples=60, deadline=None)
+@given(shape=shapes, t=rates, seed=seeds, keep=st.floats(0.0, 1.0))
+def test_thinned_pole_is_the_base_pole_filtered_by_marks(shape, t, seed, keep):
+    lazy = LazyPoissonBars(shape, t, TrialStreams(seed, "prop-thin-filter").at(0))
+    thin = lazy.thinned(t * keep)
+    root_trajectory(thin)
+    edges = _edges(shape)
+    poles = {v: thin.pole(v) for v in [ROOT] + edges}
+    ratio = t * keep / t
+    for v, (heights, hops) in poles.items():
+        kept = [
+            (h, hop)
+            for h, hop in zip(*lazy.pole(v))
+            if lazy.marks_on(hop[0])[lazy.heights_on(hop[0]).index(h)] <= ratio
+        ]
+        assert (list(heights), list(hops)) == ([h for h, _ in kept], [x for _, x in kept])
+
+
+@settings(max_examples=60, deadline=None)
 @given(shape=shapes, t=rates, seed=seeds)
 def test_engine_equals_oracle(shape, t, seed):
     gen = TrialStreams(seed, "prop-oracle").at(0)
