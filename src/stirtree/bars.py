@@ -379,7 +379,10 @@ class LazyPoissonBars(_PoleIndexMixin):
         """The bars whose mark is at most t / self.t: a Poisson-t collection,
         nested across t on one realization (the thinning coupling).  At
         t = self.t every bar is kept, so that is the collection itself and
-        draws no marks."""
+        draws no marks.  A rate outside [0, self.t] (NaN included) raises
+        ``ValueError``: thinning cannot add bars."""
+        if not 0 <= t <= self.t:
+            raise ValueError(f"thinning rate {t!r} outside [0, {self.t!r}]")
         return self if t == self.t else _Thinned(self, t)
 
     def pole(self, v: bytes) -> _Pole:
@@ -419,7 +422,7 @@ class _Thinned(_PoleIndexMixin):
     def __init__(self, base: LazyPoissonBars, t: float) -> None:
         self.shape = base.shape
         self._base = base
-        self._keep = t / base.t if base.t > 0 else 1.0
+        self._keep = t / base.t  # thinned() builds this for 0 <= t < base.t only
         self._poles = {}
 
     @property

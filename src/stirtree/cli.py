@@ -19,14 +19,15 @@ import csv
 import json
 import math
 import sys
+from typing import Iterable, Iterator
 
 from stirtree import estimators, verify
 from stirtree.bars import LazyPoissonBars, sample_added
 from stirtree.events import detect, root_trajectory
 from stirtree.meander import EngineError
 from stirtree.rng import TrialStreams
-from stirtree.stirring import cycle_of_root
-from stirtree.tree import CapacityError, TreeShape, vertex_to_str
+from stirtree.stirring import orbit
+from stirtree.tree import ROOT, CapacityError, TreeShape, vertex_to_str
 
 # Most points a lo:hi:step grid may expand to.
 _GRID_MAX_POINTS = 10_000
@@ -141,11 +142,16 @@ def _check_counts(ns: dict) -> None:
             raise ValueError(f"--n1 must be an integer with 0 <= 2*n1 <= n, got {n1!r}")
 
 
-def _emit(rows: list[dict], fmt: str, out) -> None:
+def _emit(rows: Iterable[dict], fmt: str, out) -> None:
+    """Write each row as it comes; a CSV header takes the first row's keys."""
     fh = out or sys.stdout
     if fmt == "csv":
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0]) if rows else [])
+        rows = iter(rows)
+        first = next(rows, {})
+        writer = csv.DictWriter(fh, fieldnames=list(first))
         writer.writeheader()
+        if first:
+            writer.writerow(first)
         writer.writerows(rows)
     else:
         for row in rows:
@@ -164,15 +170,14 @@ def _parse_grid(text: str) -> list[float]:
     return [float(x) for x in text.split(",") if x.strip()]
 
 
-def cmd_sim(ns: dict) -> int:
+def _sim_rows(ns: dict) -> Iterator[dict]:
     shape = TreeShape(ns["d"], int(ns["n"]))
     streams = TrialStreams(ns["seed"], "sim", shape.d, shape.n, ns["t"])
-    rows = []
     for i in range(ns["trials"]):
         gen = streams.at(i)
         bars = LazyPoissonBars(shape, ns["t"], gen).realize()
         added = sample_added(shape, gen)
-        cycle = [vertex_to_str(v, shape.d) for v in cycle_of_root(bars)]
+        cycle = [vertex_to_str(v, shape.d) for v in orbit(bars, ROOT)]
         traj = root_trajectory(bars)
         rec = detect(bars, added, traj, n1=ns["n1"])
         row = {
@@ -186,8 +191,11 @@ def cmd_sim(ns: dict) -> int:
             "boundary_truncated": traj.reached,
         }
         row.update(zip(rec.CSV_FIELDS, rec.to_row(shape.d)))
-        rows.append(row)
-    _emit(rows, ns["format"], ns["out"])
+        yield row
+
+
+def cmd_sim(ns: dict) -> int:
+    _emit(_sim_rows(ns), ns["format"], ns["out"])
     return 0
 
 

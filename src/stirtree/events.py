@@ -180,16 +180,16 @@ def detect(bars, added: Bar, traj: Trajectory, n1: int = 1) -> EventRecord:
     )
 
 
-def multibar_cluster(bars, v: bytes = ROOT) -> ClusterReport:
-    """Breadth-first candidate exploration of the >=2-bar cluster below v.
+def multibar_cluster(bars) -> ClusterReport:
+    """Breadth-first candidate exploration of the root's >=2-bar cluster.
 
-    Candidates start as the offspring edges of v; an accepted candidate
-    enlists its child edges.  The boundary is every examined candidate that
-    carried fewer than two bars.
+    Candidates start as the root edges; an accepted candidate enlists its
+    child edges.  The boundary is every examined candidate that carried
+    fewer than two bars.
     """
     shape = bars.shape
     d, n = shape.d, shape.n
-    queue: deque = deque(v + bytes((i,)) for i in range(d)) if len(v) < n else deque()
+    queue: deque = deque(bytes((i,)) for i in range(d))
     accepted: list[bytes] = []
     rejected: list[bytes] = []
     singles = 0

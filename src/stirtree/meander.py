@@ -11,8 +11,9 @@ two exact bookkeeping rules used throughout:
 
 * elapsed time at an event is ``wraps + (event_height - start_height)``,
   with no accumulated float error;
-* the first wrap of a run started at height zero happens at time exactly 1,
-  which is how the unit-time stirring map is extracted.
+* a run started at ``(v, 0)`` wraps at whole times only, the k-th time on
+  the pole of ``sigma^k(v)`` with ``sigma`` the unit-time stirring map, which
+  is how one run reads off the cycle of ``v``.
 """
 
 from __future__ import annotations
@@ -123,7 +124,6 @@ def run(
     level: Optional[int] = None,
     origin: bool = False,
     record: bool = True,
-    _stop_first_wrap: bool = False,
 ) -> Trajectory:
     """Simulate from ``start`` until a stop target or the return to start.
 
@@ -199,9 +199,6 @@ def run(
             wraps += 1
             if wraps > max_wraps:
                 raise EngineError("wrap count exceeded the vertex count")
-            if _stop_first_wrap:
-                outcome = Outcome("hit_point", float(wraps), (v, 0.0))
-                break
             state = (v, 0.0)
             if v == v0 and h0 == 0.0:
                 outcome = Outcome("returned", float(wraps), (v0, 0.0))
@@ -239,18 +236,6 @@ def hit_level(bars) -> Trajectory:
     if kind not in ("hit_level", "returned"):
         raise EngineError(f"hit_level run ended with unexpected outcome {kind!r}")
     return traj
-
-
-def stirred_vertex(bars, v: bytes) -> bytes:
-    """Vertex occupied after running the meander from (v, 0) for time one.
-
-    Height equals elapsed time mod 1, so time one is exactly the first wrap;
-    no stopwatch arithmetic is involved.
-    """
-    traj = run(bars, SpaceTimePoint(v, 0.0), record=False, _stop_first_wrap=True)
-    if traj.outcome.time != 1.0:
-        raise EngineError("first wrap did not occur at unit time")
-    return traj.outcome.point[0]
 
 
 def return_time(bars, start: SpaceTimePoint) -> Optional[float]:

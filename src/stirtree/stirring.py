@@ -1,17 +1,16 @@
 """Permutation view of the bar collection after unit time.
 
-Two independent routes compute the same permutation: the meander engine run
-for unit time from every pole, and a pure-algebra oracle that composes the
-bar transpositions in increasing height order.  Their exact agreement on
-random instances is the primary correctness check for the engine; the two
-paths deliberately share no trajectory code.  The oracle is the engine's
-reference only: the root's orbit is read from the engine.
+Two independent routes compute the same permutation: the meander engine,
+one run per cycle read at its wraps, and a pure-algebra oracle that
+composes the bar transpositions in increasing height order.  Their exact
+agreement on random instances is the primary correctness check for the
+engine; the two paths deliberately share no trajectory code.  The oracle is
+the engine's reference only: the root's cycle is read from the engine.
 """
 
 from __future__ import annotations
 
-from stirtree.meander import EngineError, stirred_vertex
-from stirtree.tree import ROOT
+from stirtree.meander import SpaceTimePoint, run
 
 
 class Permutation:
@@ -74,33 +73,33 @@ def transposition_oracle(bars) -> Permutation:
     return Permutation(forward)
 
 
+def orbit(bars, v: bytes) -> tuple[bytes, ...]:
+    """Cycle of v under the stirring permutation, starting at v.
+
+    One recorded engine run from (v, 0) with no stop target ends only on
+    its return to the start.  It wraps at whole times only, the k-th time
+    on the pole of sigma^k(v), so the cycle is v followed by the poles
+    where it wrapped, less the last wrap, on v.  The engine's revisit,
+    crossing-count and wrap-count guards bound the run.
+    """
+    segments = run(bars, SpaceTimePoint(v, 0.0)).segments
+    return (v,) + tuple(w for w, _, hi in segments if hi == 1.0)[:-1]
+
+
 def stirring_permutation(bars) -> Permutation:
     """Unit-time stirring permutation computed through the meander engine.
 
-    Runs the engine from (v, 0) for every vertex incident to a bar;
-    untouched vertices are fixed points.  Must equal the oracle exactly.
+    Reads one :func:`orbit` per cycle, from each vertex incident to a bar
+    that no earlier orbit mapped; untouched vertices are fixed points.  Must
+    equal the oracle exactly.
     """
     support = set()
     for e in bars.edges_with_bars():
         support.add(e)
         support.add(e[:-1])
-    mapping = {v: stirred_vertex(bars, v) for v in sorted(support)}
+    mapping: dict[bytes, bytes] = {}
+    for v in sorted(support):
+        if v not in mapping:
+            cyc = orbit(bars, v)
+            mapping.update(zip(cyc, cyc[1:] + cyc[:1]))
     return Permutation(mapping)
-
-
-def cycle_of_root(bars) -> tuple[bytes, ...]:
-    """Orbit of the root under the stirring permutation, starting at the root.
-
-    Iterates the engine's unit-time map.  The orbit lies in the support of
-    the permutation, inside the endpoints of the barred edges, so an orbit
-    longer than ``2 * bars.count + 1`` is an engine fault, not a long cycle.
-    """
-    longest = 2 * bars.count + 1
-    cyc = [ROOT]
-    w = stirred_vertex(bars, ROOT)
-    while w != ROOT:
-        cyc.append(w)
-        if len(cyc) > longest:
-            raise EngineError(f"root orbit did not close within {longest} steps")
-        w = stirred_vertex(bars, w)
-    return tuple(cyc)

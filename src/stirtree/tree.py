@@ -41,7 +41,8 @@ class TreeShape:
             raise ValueError(f"depth must be >= 1, got {self.n}")
         if self.d > 255:
             raise CapacityError("byte addressing supports degree <= 255")
-        if self.d ** (self.n + 1) > _CAPACITY_LIMIT:
+        # n >= 62 puts d**(n+1) >= 2**63 and is refused before the power
+        if self.n >= 62 or self.d ** (self.n + 1) > _CAPACITY_LIMIT:
             raise CapacityError(
                 f"d**(n+1) = {self.d}**{self.n + 1} exceeds the 2**62 counter range"
             )

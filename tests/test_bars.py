@@ -336,6 +336,14 @@ def test_intensity_must_be_finite_and_nonnegative(t):
         LazyPoissonBars(SHAPE22, t, TrialStreams(1, "bad-t").at(0))
 
 
+@pytest.mark.parametrize("t", [0.8, -0.1, math.nan])
+def test_thinning_rate_must_lie_in_zero_to_the_base_rate(t):
+    lazy = LazyPoissonBars(SHAPE22, 0.2, TrialStreams(3, "thin-t").at(0))
+    with pytest.raises(ValueError, match="thinning rate"):
+        lazy.thinned(t)
+    assert lazy.thinned(0.2) is lazy and lazy.thinned(0.0).heights_on(b"\x00") == ()
+
+
 @pytest.mark.parametrize(
     "d, n, t, v",
     [

@@ -3,8 +3,10 @@
 import csv
 import json
 import os
+import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -14,12 +16,12 @@ import stirtree
 import stirtree.estimators as estimators
 import stirtree.meander as meander
 import stirtree.stirring as stirring
-from stirtree.bars import BarCollection, LazyPoissonBars
+from stirtree.bars import Bar, BarCollection, LazyPoissonBars
 from stirtree.cli import main
 from stirtree.meander import EngineError
 from stirtree.rng import TrialStreams
 from stirtree.stirring import stirring_permutation, transposition_oracle
-from stirtree.tree import TreeShape
+from stirtree.tree import ROOT, TreeShape
 from stirtree.verify import check_oracle_equivalence
 
 
@@ -308,16 +310,97 @@ def test_capacity_exit_3(capsys):
         assert err.startswith("capacity error:"), args
 
 
+def test_capacity_exit_3_before_the_power_of_a_huge_depth():
+    # 8**(10**10 + 1) takes 3.7 GB to compute just to refuse it; the child
+    # runs under a 1.5 GB address-space limit, so a regression fails with a
+    # MemoryError instead of exhausting the host
+    src = str(Path(stirtree.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    cmd = [sys.executable, "-m", "stirtree.cli", "estimate", "pn", "--d", "8",
+           "--n", "10000000000"]
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000,) * 2)
+
+    start = time.monotonic()
+    res = subprocess.run(
+        cmd, env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
+        preexec_fn=limit_memory, timeout=60,
+    )
+    assert res.returncode == 3 and res.stdout == ""
+    assert res.stderr.startswith("capacity error:") and res.stderr.count("\n") == 1
+    assert time.monotonic() - start < 10  # startup only, no power computed
+
+
+class _OneWayHops:
+    """An inconsistent collection: the one joint on each pole at height 0.5
+    leads on along a fixed chain of vertices and never back, so a run from
+    the root never returns to its start."""
+
+    shape = TreeShape(2, 2)
+    count = 100  # keeps the crossing-count guard out of the way
+    chain = [ROOT, b"\x00", b"\x01", b"\x00\x00", b"\x00\x01", b"\x01\x00", b"\x01\x01"]
+
+    def pole(self, v):
+        i = self.chain.index(v)
+        nxt = self.chain[i + 1] if i + 1 < len(self.chain) else self.chain[1]
+        return (0.5,), ((nxt, nxt),)
+
+
 def test_root_orbit_that_never_closes_exit_4(monkeypatch, capsys):
-    # a unit-time map that never leads back to the root: the orbit guard
-    # stops it after 2 * bars.count + 1 vertices instead of looping forever
-    monkeypatch.setattr(stirring, "stirred_vertex", lambda bars, v: b"\x00")
-    with pytest.raises(EngineError, match="root orbit did not close within 1 steps"):
-        stirring.cycle_of_root(BarCollection(TreeShape(2, 2), {}))
+    # the chain loops back to vertex 0, not the root: the engine's revisit
+    # guard stops the root orbit instead of it looping forever
+    class NeverCloses:
+        def __init__(self, shape, t, gen):
+            pass
+
+        def realize(self):
+            return _OneWayHops()
+
+    with pytest.raises(EngineError, match="revisited state"):
+        stirring.orbit(_OneWayHops(), ROOT)
+    monkeypatch.setattr("stirtree.cli.LazyPoissonBars", NeverCloses)
     code = main(["sim", "--d", "2", "--n", "2", "--t", "0.5", "--trials", "3"])
     out, err = capsys.readouterr()
     assert code == 4 and out == ""
-    assert err.startswith("engine error: root orbit did not close within")
+    assert err.startswith("engine error: trajectory revisited state")
+
+
+def test_root_orbit_engine_fault_exit_4(capsys):
+    one = BarCollection.from_bars(TreeShape(2, 2), [Bar(b"\x01", 0.3)])
+    meander._joint_search_inclusive = True
+    try:
+        with pytest.raises(EngineError):
+            stirring.orbit(one, ROOT)
+        code = main(["sim", "--d", "2", "--n", "2", "--t", "0.5", "--trials", "3"])
+    finally:
+        meander._joint_search_inclusive = False
+    out, err = capsys.readouterr()
+    assert code == 4 and out == ""  # trial 0 already fails
+    assert err.startswith("engine error:")
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_sim_rows_before_a_failing_trial_are_written(fmt, tmp_path, monkeypatch, capsys):
+    args = ["sim", "--d", "2", "--n", "3", "--t", "0.5", "--seed", "9", "--trials", "5",
+            "--format", fmt, "--out"]
+    assert main(args + [str(tmp_path / "clean")]) == 0
+    calls = []
+
+    def orbit_failing_at_trial_2(bars, v):
+        calls.append(v)
+        if len(calls) == 3:
+            raise EngineError("injected at trial 2")
+        return stirring.orbit(bars, v)
+
+    monkeypatch.setattr("stirtree.cli.orbit", orbit_failing_at_trial_2)
+    code = main(args + [str(tmp_path / "cut")])
+    _, err = capsys.readouterr()
+    assert code == 4 and err == "engine error: injected at trial 2\n"
+    cut = (tmp_path / "cut").read_text().splitlines()
+    header = 1 if fmt == "csv" else 0
+    assert len(cut) == header + 2
+    assert cut == (tmp_path / "clean").read_text().splitlines()[: header + 2]
 
 
 def test_bad_usage_exit_2(capsys):

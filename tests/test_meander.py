@@ -13,10 +13,9 @@ from stirtree.meander import (
     hit_level,
     return_time,
     run,
-    stirred_vertex,
 )
 from stirtree.rng import TrialStreams
-from stirtree.stirring import transposition_oracle
+from stirtree.stirring import orbit, transposition_oracle
 from stirtree.tree import ROOT, TreeShape, path_to_root
 
 S22 = TreeShape(2, 2)
@@ -114,19 +113,22 @@ def test_hit_level_probability_level_one():
     assert abs(p - expected) < 4 * math.sqrt(expected * (1 - expected) / trials)
 
 
-def test_stirred_vertex_basics():
+def test_orbit_basics():
     bars = BarCollection(S22, {})
-    assert stirred_vertex(bars, ROOT) == ROOT
+    assert orbit(bars, ROOT) == (ROOT,)
     one = BarCollection.from_bars(S22, [Bar(b"\x01", 0.3)])
-    assert stirred_vertex(one, ROOT) == b"\x01"
-    assert stirred_vertex(one, b"\x01") == ROOT
-    assert stirred_vertex(one, b"\x00") == b"\x00"
+    assert orbit(one, ROOT) == (ROOT, b"\x01")
+    assert orbit(one, b"\x01") == (b"\x01", ROOT)
+    assert orbit(one, b"\x00") == (b"\x00",)
+    # one run from (v, 0): it returns to its start at time len(cycle)
+    traj = run(one, SpaceTimePoint(ROOT, 0.0))
+    assert traj.outcome == ("returned", 2.0, (ROOT, 0.0)) and traj.wraps == 2
 
 
 def test_double_bar_same_edge_identity():
     bars = BarCollection.from_bars(S22, [Bar(b"\x00", 0.2), Bar(b"\x00", 0.7)])
-    assert stirred_vertex(bars, ROOT) == ROOT
-    assert stirred_vertex(bars, b"\x00") == b"\x00"
+    assert orbit(bars, ROOT) == (ROOT,)
+    assert orbit(bars, b"\x00") == (b"\x00",)
 
 
 def test_three_way_stop_rule_orbit_avoiding_root_origin():

@@ -7,11 +7,11 @@ import pytest
 from stirtree.bars import Bar, BarCollection, LazyPoissonBars
 from stirtree.estimators import estimate_pn
 from stirtree.events import root_trajectory
-from stirtree.meander import hit_level
+from stirtree.meander import SpaceTimePoint, hit_level, run
 from stirtree.rng import TrialStreams
 from stirtree.stirring import (
     Permutation,
-    cycle_of_root,
+    orbit,
     stirring_permutation,
     transposition_oracle,
 )
@@ -35,7 +35,7 @@ def test_oracle_trivial_cases():
 
 def test_figure_one_cycle_has_three_elements():
     bars = BarCollection.from_bars(S22, [Bar(b"\x00", 0.3), Bar(b"\x01", 0.6)])
-    cycle = cycle_of_root(bars)
+    cycle = orbit(bars, ROOT)
     assert len(cycle) == 3
     assert set(cycle) == {ROOT, b"\x00", b"\x01"}
     assert cycle[0] == ROOT
@@ -47,6 +47,21 @@ def test_engine_equals_oracle_on_random_instances():
         d, n, tau = [(2, 3, 1.0), (3, 2, 2.0), (3, 3, 0.5)][trial % 3]
         bars = LazyPoissonBars(TreeShape(d, n), tau / d, gen).realize()
         assert stirring_permutation(bars) == transposition_oracle(bars), trial
+
+
+def test_orbit_is_the_oracle_cycle_read_off_one_run():
+    gen = TrialStreams(117, "orbit").at(0)
+    for trial in range(300):
+        d, n, tau = [(2, 3, 1.0), (3, 2, 2.0)][trial % 2]
+        bars = LazyPoissonBars(TreeShape(d, n), tau / d, gen).realize()
+        sigma = transposition_oracle(bars)
+        for v in sorted(sigma.support() | {ROOT}):
+            cyc = orbit(bars, v)
+            assert cyc[0] == v and len(set(cyc)) == len(cyc), trial
+            assert [sigma(w) for w in cyc] == list(cyc[1:] + cyc[:1]), trial
+            # the run wraps once per cycle vertex and returns at that time
+            out = run(bars, SpaceTimePoint(v, 0.0), record=False).outcome
+            assert out == ("returned", float(len(cyc)), (v, 0.0)), trial
 
 
 def test_cycles_partition_support():
@@ -70,9 +85,9 @@ def test_permutation_validation():
 
 
 def test_cycle_report_trivial_cases():
-    assert cycle_of_root(BarCollection(S22, {})) == (ROOT,)
+    assert orbit(BarCollection(S22, {}), ROOT) == (ROOT,)
     single = BarCollection.from_bars(S22, [Bar(b"\x00", 0.9)])
-    assert cycle_of_root(single) == (ROOT, b"\x00")
+    assert orbit(single, ROOT) == (ROOT, b"\x00")
     assert not root_trajectory(single).reached
 
 
