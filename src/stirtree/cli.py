@@ -29,7 +29,7 @@ from stirtree.rng import TrialStreams
 from stirtree.stirring import orbit
 from stirtree.tree import ROOT, CapacityError, TreeShape, vertex_to_str
 
-# Most points a lo:hi:step grid may expand to.
+# Most points a t grid may hold, in either form.
 _GRID_MAX_POINTS = 10_000
 
 
@@ -167,6 +167,9 @@ def _parse_grid(text: str) -> list[float]:
         if last >= _GRID_MAX_POINTS:
             raise ValueError(f"t grid {text!r} has over {_GRID_MAX_POINTS} points")
         return [round(lo + k * step, 12) for k in range(math.floor(last) + 1)]
+    if text.count(",") >= _GRID_MAX_POINTS:  # counted before a list is built
+        # the list itself, as long as a --config file, stays out of the message
+        raise ValueError(f"t grid has over {_GRID_MAX_POINTS} points")
     return [float(x) for x in text.split(",") if x.strip()]
 
 

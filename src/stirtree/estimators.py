@@ -97,36 +97,28 @@ def _pn_batch(job) -> list[list[int]]:
     return hists
 
 
-def _depth_profiles(
-    shape: TreeShape, t_grid: Sequence[float], trials: int, seed: int, workers: int
+def depth_profiles(
+    shape: TreeShape, t_grid: Sequence[float], trials: int, seed: int, workers: int = 1
 ) -> list[list[int]]:
-    """:func:`depth_profile` at every t of a strictly ascending grid, coupled.
-
-    All t share one rate-t_max draw per trial (common random numbers), so
-    the profiles are correlated across t, and differences between them
-    have far less variance than independent profiles would give.  Each
-    one still has the exact law of :func:`depth_profile` at its t, and
-    the t_max profile is bit-identical to it.
-    """
-    ts = tuple(t_grid)
-    for t in ts:  # a negative t below t_max would thin to no bars, silently
-        check_rate(t)
-    parts = _map_batches(_pn_batch, shape, ts, seed, trials, workers)
-    return [[sum(level) for level in zip(*hists)] for hists in zip(*parts)]
-
-
-def depth_profile(
-    shape: TreeShape, t: float, trials: int, seed: int, workers: int = 1
-) -> list[int]:
-    """Trials whose root-origin run on T_n lands at deepest level k, k = 0..n.
+    """Per t of a strictly ascending grid, the trials whose root-origin run
+    on T_n lands at deepest level k, k = 0..n.
 
     Until a run first lands on level m < n it visits only poles above m,
     whose edges and draw order are the same on T_m as on T_n; so
     ``_reached(profile, m)`` is the depth-m hit count, on depth n's stream.
-    This is the one-point grid of the coupled profiles that
-    :func:`critical_scan` reads.
+    All t share one rate-t_max draw per trial (common random numbers), so
+    the profiles are correlated across t, and differences between them
+    have far less variance than independent profiles would give.  Each
+    one still has the exact law of a one-point grid at its t, and the
+    t_max profile is bit-identical to it.
     """
-    return _depth_profiles(shape, (t,), trials, seed, workers)[0]
+    ts = tuple(t_grid)
+    for t in ts:  # a negative t below t_max would thin to no bars, silently
+        check_rate(t)
+    if any(a >= b for a, b in zip(ts, ts[1:])):  # _pn_batch reads t_max as ts[-1]
+        raise ValueError("t grid must be strictly ascending")
+    parts = _map_batches(_pn_batch, shape, ts, seed, trials, workers)
+    return [[sum(level) for level in zip(*hists)] for hists in zip(*parts)]
 
 
 def _reached(profile: list[int], n: int) -> int:
@@ -138,7 +130,7 @@ def estimate_pn(
     shape: TreeShape, t: float, trials: int, seed: int, workers: int = 1
 ) -> Estimate:
     """Probability that the meander from the root origin reaches depth n."""
-    hits = _reached(depth_profile(shape, t, trials, seed, workers), shape.n)
+    hits = _reached(depth_profiles(shape, (t,), trials, seed, workers)[0], shape.n)
     return _bernoulli(f"pn(d={shape.d},n={shape.n},t={t or 0})", hits, trials, seed)
 
 
@@ -282,25 +274,31 @@ class TailReport:
     notes: tuple  # why rows are missing: the cluster notice first, then level pairs
 
 
+_CLUSTER_SIZES = (1, 2, 3, 4)  # thresholds of the cluster tail rows
+
+
 def cluster_size_bound(d: int, tau: float, ell: int) -> float:
     """Tail bound for the root cluster size, valid for d >= 11 tau^2."""
     return 1.1 * math.exp(-1.0) * (math.e * tau * tau / d) ** ell
 
 
-def _cluster_tail_batch(job) -> np.ndarray:
-    """Cluster sizes for trials lo..hi-1; root layer first, deeper lazily."""
+def _cluster_tail_batch(job) -> list[int]:
+    """Trials lo..hi-1 with root cluster size >= 1, 2, 3, 4; root layer
+    first, deeper lazily."""
     shape, t, seed, lo, hi = job
     root_edges = [bytes((i,)) for i in range(shape.d)]
     streams = TrialStreams(seed, "tails-deep", shape.d, shape.n, t)
-    sizes = np.zeros(hi - lo, dtype=np.int64)
+    at_least = [0] * len(_CLUSTER_SIZES)
     for i in range(lo, hi):
         gen = streams.at(i)
         counts = gen.poisson(t, size=shape.d).tolist()
         if max(counts) >= 2:
             bars = LazyPoissonBars(shape, t, gen)
             bars.prefill_counts(root_edges, counts)
-            sizes[i - lo] = multibar_cluster(bars).size
-    return sizes
+            size = multibar_cluster(bars).size
+            for k, ell in enumerate(_CLUSTER_SIZES):
+                at_least[k] += size >= ell
+    return at_least
 
 
 def tail_checks(
@@ -329,9 +327,8 @@ def tail_checks(
         notes.append(f"cluster tail skipped: d={d} < 11*tau^2={11 * tau * tau:.3g}")
     else:
         parts = _map_batches(_cluster_tail_batch, shape, t, seed, trials, workers)
-        sizes = np.concatenate(parts)
-        for ell in (1, 2, 3, 4):
-            emp = float((sizes >= ell).mean())
+        for ell, count in zip(_CLUSTER_SIZES, map(sum, zip(*parts))):
+            emp = count / trials
             se = math.sqrt(emp * (1.0 - emp) / trials)
             bound = cluster_size_bound(d, tau, ell)
             ok = emp <= bound + _SLACK_SE * se
@@ -349,7 +346,7 @@ def tail_checks(
                 visits[j, len(v)] += 1
         if shape.n > 1:  # one profile on T_{n-1} holds each depth-(n-i) plug-in
             shallow = TreeShape(d, shape.n - 1)
-            profile = depth_profile(shallow, t, lv_trials, seed + 101, workers)
+            profile = depth_profiles(shallow, (t,), lv_trials, seed + 101, workers)[0]
         for i, k in level_pairs:
             if shape.n - i < 1:
                 notes.append(f"level pair ({i},{k}) skipped: n-i < 1")
@@ -457,7 +454,7 @@ def critical_scan(
     ts = sorted(t_grid)
     profiles = {}
     for deepest in {s.d: s for s in sorted(shapes, key=lambda s: s.n)}.values():
-        coupled = _depth_profiles(deepest, ts, trials, seed, workers)
+        coupled = depth_profiles(deepest, ts, trials, seed, workers)
         profiles.update(((deepest.d, t), p) for t, p in zip(ts, coupled))
     rows = []
     for shape in sorted(shapes, key=lambda s: (s.d, s.n)):
@@ -469,38 +466,7 @@ def critical_scan(
     return ScanTable(tuple(rows), trials, seed)
 
 
-# --- coupled thinning ---------------------------------------------------------------
-
-
-def _coupled_indicators(
-    indicator, shape: TreeShape, t_values: Sequence[float], trials: int, seed: int
-) -> np.ndarray:
-    """``indicator`` of the rate-t thinnings of one rate-t_max draw per trial.
-
-    Every bar carries a uniform mark; the collection at rate t keeps the bars
-    with mark <= t / t_max, realizing the nested coupling of collections
-    across rates on every seed.
-    """
-    _check_trials(trials)
-    ts = list(t_values)
-    if ts != sorted(ts):
-        raise ValueError("t values must be ascending")
-    t_max = ts[-1]
-    streams = TrialStreams(seed, "coupled", shape.d, shape.n, t_max)
-    out = np.zeros((trials, len(ts)), dtype=bool)
-    for i in range(trials):
-        bars = LazyPoissonBars(shape, t_max, streams.at(i))
-        out[i] = [indicator(bars.thinned(t)) for t in ts]
-    return out
-
-
-def coupled_hit_indicators(
-    shape: TreeShape, t_values: Sequence[float], trials: int, seed: int
-) -> np.ndarray:
-    """Hit indicators under the shared-bar thinning coupling."""
-    return _coupled_indicators(
-        lambda bars: hit_level(bars).reached, shape, t_values, trials, seed
-    )
+# --- percolation proxy ---------------------------------------------------------------
 
 
 def bar_cluster_reaches_boundary(bars) -> bool:
@@ -518,15 +484,6 @@ def bar_cluster_reaches_boundary(bars) -> bool:
             return True
         stack.extend(e + bytes((i,)) for i in range(shape.d))
     return False
-
-
-def coupled_percolation_indicators(
-    shape: TreeShape, t_values: Sequence[float], trials: int, seed: int
-) -> np.ndarray:
-    """Percolation indicators under the same thinning coupling."""
-    return _coupled_indicators(
-        bar_cluster_reaches_boundary, shape, t_values, trials, seed
-    )
 
 
 # --- gain-channel check --------------------------------------------------------------

@@ -19,8 +19,6 @@ import stirtree.meander as meander
 from stirtree.bars import LazyPoissonBars
 from stirtree.estimators import (
     cluster_size_bound,
-    coupled_hit_indicators,
-    coupled_percolation_indicators,
     estimate_pn,
     generation_survival,
     gw_extinction,
@@ -186,8 +184,9 @@ def test_c09_branching_bound(c09_depth8):
     reason="unattainable as formulated: the depth-n hit indicator is not "
     "pathwise monotone under bar addition (off-pivotal curtailment)",
 )
-def test_c10_per_seed_monotonicity_as_stated():
-    ind = coupled_hit_indicators(TreeShape(3, 4), [0.2, 0.3, 0.4], 10_000, SEED)
+def test_c10_per_seed_monotonicity_as_stated(hit_indicators):
+    # the scan's own coupling: one rate-0.4 draw per trial, thinned down
+    ind = hit_indicators(TreeShape(3, 4), [0.2, 0.3, 0.4], 10_000, SEED)
     diffs = np.diff(ind.astype(np.int8), axis=1)
     violations = int((diffs < 0).sum())
     _report(
@@ -197,9 +196,9 @@ def test_c10_per_seed_monotonicity_as_stated():
     assert violations == 0
 
 
-def test_c10_companion_percolation_monotone():
+def test_c10_companion_percolation_monotone(percolation_indicators):
     # what the thinning coupling does make exactly monotone per seed
-    ind = coupled_percolation_indicators(TreeShape(3, 4), [0.2, 0.3, 0.4], 10_000, SEED)
+    ind = percolation_indicators(TreeShape(3, 4), [0.2, 0.3, 0.4], 10_000, SEED)
     diffs = np.diff(ind.astype(np.int8), axis=1)
     violations = int((diffs < 0).sum())
     _report(

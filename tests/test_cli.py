@@ -190,6 +190,21 @@ def test_scan_grid_point_cap_exit_2(grid, capsys):
     assert code == 2 and "over 10000 points" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("points, code", [(10_001, 2), (10_000, 0)])
+def test_scan_comma_grid_point_cap(points, code, tmp_path, capsys):
+    # a comma list from --config is as long as the file: counted before parsing
+    grid = ",".join(f"{k / 100_000:.5f}" for k in range(1, points + 1))
+    config = tmp_path / "grid.json"
+    config.write_text(json.dumps({"t_grid": grid}))
+    args = ["scan", "--d", "2", "--n", "1", "--trials", "1", "--config", str(config)]
+    assert main(args) == code
+    out, err = capsys.readouterr()
+    if code:
+        assert out == "" and "over 10000 points" in err
+    else:
+        assert len(out.splitlines()) == points
+
+
 @pytest.mark.parametrize("t", ["nan", "inf", "-1"])
 @pytest.mark.parametrize(
     "command",

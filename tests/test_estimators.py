@@ -12,11 +12,9 @@ from stirtree.estimators import (
     Estimate,
     bar_cluster_reaches_boundary,
     cluster_size_bound,
-    coupled_hit_indicators,
-    coupled_percolation_indicators,
     critical_scan,
     critical_window,
-    depth_profile,
+    depth_profiles,
     estimate_pn,
     generation_survival,
     gw_extinction,
@@ -106,13 +104,11 @@ S22 = TreeShape(2, 2)
         lambda: z_estimate(S22, 0.5, 0, 1),
         lambda: tail_checks(TreeShape(16, 2), 1 / 16, 0, 1, level_trials=0),
         lambda: tail_checks(S22, 0.5, 0, 1),  # cluster part skipped
-        lambda: coupled_hit_indicators(S22, [0.2, 0.4], 0, 1),
-        lambda: coupled_percolation_indicators(S22, [0.2, 0.4], 0, 1),
         lambda: bare_root_gain_check(S22, 0.5, 0, 1),
     ],
     ids=[
         "pn", "pn-rate-0", "scan", "russo", "z", "tails", "tails-no-cluster",
-        "coupled-hit", "coupled-percolation", "bare-root-gain",
+        "bare-root-gain",
     ],
 )
 def test_trials_below_one_rejected(call):
@@ -409,9 +405,25 @@ def test_coupled_scan_rejects_bad_rates():
 
 def test_depth_profile_worker_invariant():
     shape = TreeShape(3, 4)
-    profile = depth_profile(shape, 0.4, 9000, 43)
-    assert len(profile) == shape.n + 1 and sum(profile) == 9000
-    assert depth_profile(shape, 0.4, 9000, 43, workers=2) == profile
+    profiles = depth_profiles(shape, (0.3, 0.4), 9000, 43)
+    assert [len(p) for p in profiles] == [shape.n + 1] * 2
+    assert [sum(p) for p in profiles] == [9000] * 2
+    assert depth_profiles(shape, (0.3, 0.4), 9000, 43, workers=2) == profiles
+
+
+@pytest.mark.parametrize("grid", [(0.2, 0.0, 0.4), (0.4, 0.2), (0.2, 0.2, 0.4)])
+def test_depth_profiles_reject_a_grid_not_strictly_ascending(grid):
+    # out of order, t = 0 would read an empty profile, silently
+    with pytest.raises(ValueError, match="strictly ascending"):
+        depth_profiles(TreeShape(3, 2), grid, 10, 1)
+
+
+def test_per_trial_hits_sum_to_the_depth_profiles(hit_indicators):
+    # one-trial chunks of the scan's batch are the trials of its profiles
+    shape, ts = TreeShape(3, 4), (0.2, 0.3, 0.4)
+    ind = hit_indicators(shape, ts, 2000, 97)
+    profiles = depth_profiles(shape, ts, 2000, 97)
+    assert ind.sum(axis=0).tolist() == [p[-1] for p in profiles]
 
 
 @pytest.mark.parametrize(
@@ -423,17 +435,17 @@ def test_critical_scan_rejects_duplicates(shapes, grid):
         critical_scan(shapes, grid, 10, 1)
 
 
-def test_coupled_percolation_monotone_exact():
-    ind = coupled_percolation_indicators(TreeShape(3, 4), [0.2, 0.3, 0.4], 4000, 97)
+def test_coupled_percolation_monotone_exact(percolation_indicators):
+    ind = percolation_indicators(TreeShape(3, 4), [0.2, 0.3, 0.4], 4000, 97)
     diffs = np.diff(ind.astype(np.int8), axis=1)
     assert (diffs >= 0).all()  # bar addition can only grow the bar cluster
 
 
-def test_coupled_hit_indicator_not_monotone():
+def test_coupled_hit_indicator_not_monotone(hit_indicators):
     # the meander hit indicator genuinely drops on some seeds when bars are
     # added: the off-pivotal mechanism at work (this is why the derivative
     # identity is needed at all)
-    ind = coupled_hit_indicators(TreeShape(3, 4), [0.2, 0.3, 0.4], 4000, 97)
+    ind = hit_indicators(TreeShape(3, 4), [0.2, 0.3, 0.4], 4000, 97)
     diffs = np.diff(ind.astype(np.int8), axis=1)
     assert (diffs < 0).any()
     # the rate-wise averages still increase over this range

@@ -11,10 +11,9 @@ import pytest
 
 from stirtree.estimators import (
     bare_root_gain_check,
-    coupled_hit_indicators,
-    coupled_percolation_indicators,
     estimate_pn,
     russo_check,
+    tail_checks,
     z_estimate,
 )
 from stirtree.tree import TreeShape
@@ -34,14 +33,6 @@ def test_russo_pivotal_frequencies():
     assert (res.p_on, res.p_off) == (361 / 2000, 83 / 2000)
 
 
-def test_coupled_indicator_column_sums():
-    ts = [0.2, 0.3, 0.4]
-    hit = coupled_hit_indicators(TreeShape(3, 4), ts, 600, 7)
-    perc = coupled_percolation_indicators(TreeShape(3, 4), ts, 600, 7)
-    assert hit.sum(axis=0).tolist() == [29, 94, 184]
-    assert perc.sum(axis=0).tolist() == [36, 115, 230]
-
-
 def test_z_estimate_mean():
     est = z_estimate(TreeShape(16, 4), 1 / 16, 600, 8)
     assert est.mean == 13.695596077543687
@@ -50,3 +41,9 @@ def test_z_estimate_mean():
 def test_bare_root_gain():
     gain, ref, _z = bare_root_gain_check(TreeShape(3, 4), 0.3, 1000, 9)
     assert (gain.mean, ref.mean) == (238 / 1000, 235 / 1000)
+
+
+def test_cluster_tail_counts():
+    rep = tail_checks(TreeShape(16, 4), 1 / 16, 100_000, 10, level_trials=0)
+    emp = [row.empirical for row in rep.cluster_rows]
+    assert emp == [k / 100_000 for k in (2921, 122, 2, 0)]
