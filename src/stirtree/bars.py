@@ -21,7 +21,6 @@ from stirtree.tree import (
     TreeShape,
     edge_from_index,
     edge_index,
-    edges_from_indices,
     is_valid_edge,
     vertex_from_str,
     vertex_to_str,
@@ -33,14 +32,17 @@ class Bar(NamedTuple):
     height: float
 
 
-# Most values (Poisson counts plus heights) one draw may ask for, checked
-# before the draw: (1 + t)·|E| for realize(), and the mean (d + 1)·t of one
-# lazy pole's heights.  Measured peak memory per value: 30 B at t = 0.145
-# (realize() at (8, 7, 0.145): 2.7e6 values, 78 MB) and about 60 B at large
-# t (58 B at (2, 1, 1e6), 60 B at (2, 10, 100)), so a draw at the budget
-# peaks near 0.8 GB in the critical window and near 1.5 GB at large t.
-# (8, 8, 0.145) needs 2.2e7 and fits.
-_DRAW_BUDGET = 25_000_000
+# Most values (Poisson counts plus heights) one collection may draw.
+# Checked before any draw: (1 + t)·|E| for realize(), and the mean
+# (d + 1)·t of one lazy pole's heights.  A lazy run draws one pole per
+# vertex it visits, so the heights a lazy collection holds are checked too,
+# after each count draw and before its heights.  Measured whole-command peak
+# RSS above the import, per height drawn, at t = 1e5 to 1e6 on 2 vCPU with
+# numpy 2.4.6: `estimate pn` about 250 B, `estimate z` and `scan` 310-370
+# B, lazy `sim` 350-500 B (three engine runs, and the added bar's poles
+# copied).  So a command at the budget peaks near 1.25 GB, under 1.5 GB:
+# `sim --d 36 --n 1 --n1 0 --t 67000`, 2.4e6 heights, peaked at 1.23 GB.
+_DRAW_BUDGET = 2_500_000
 
 
 def _check_budget(values: float, what: str) -> None:
@@ -64,14 +66,6 @@ def check_rate(t: float) -> None:
 def _usable(hs: list[float]) -> bool:
     """Heights all > 0 and pairwise distinct: sorted, strictly increasing."""
     return min(hs) > 0.0 and len(set(hs)) == len(hs)
-
-
-def _usable_block(vals: np.ndarray) -> bool:
-    """:func:`_usable` on a non-empty, unsorted array, with no Python
-    object per height: the minimum is > 0 and, once sorted, no two
-    neighbours are equal."""
-    s = np.sort(vals)
-    return bool(s[0] > 0.0) and not (s[1:] == s[:-1]).any()
 
 
 def _distinct_heights(rng: np.random.Generator, k: int) -> tuple[float, ...]:
@@ -281,14 +275,14 @@ class BarCollection(_PoleIndexMixin):
 class LazyPoissonBars(_PoleIndexMixin):
     """Poisson-t collection realized on demand from a counter-based stream.
 
-    The package's one Poisson sampler: estimators query it lazily, and
-    :meth:`realize` draws every edge at once where a full collection is
-    needed.  Per-edge counts (and then heights) are sampled the first time
-    an edge is queried.  Query order is a deterministic function of the
-    realized bars, so a fixed (seed, trial) stream reproduces the same
-    collection; the joint law over every touched edge is exactly Poisson-t.  ``count`` is
-    the number of bars realized so far, which bounds every run that only
-    visits realized poles.
+    The package's one Poisson sampler: the estimators and ``sim`` query it
+    lazily, and :meth:`realize` reads every edge in index order where a
+    check needs the full collection.  Per-edge counts (and then heights) are
+    sampled the first time an edge is queried.  Query order is a
+    deterministic function of the realized bars, so a fixed (seed, trial)
+    stream reproduces the same collection; the joint law over every touched
+    edge is exactly Poisson-t.  ``count`` is the number of bars realized so
+    far, which bounds every run that only visits realized poles.
     """
 
     __slots__ = ("shape", "t", "count", "_rng", "_counts", "_heights", "_marks", "_poles")
@@ -309,42 +303,21 @@ class LazyPoissonBars(_PoleIndexMixin):
         """Every edge's bars at once, as an immutable :class:`BarCollection`.
 
         Draws what ``count_on`` then ``heights_on`` over all edges in index
-        order would: the counts in one vector draw, then every barred
-        edge's heights from one vector draw, read edge by edge in index
-        order.  The stream's doubles are one contiguous sequence, so a
-        redraw just reads on, and the collection and the generator's end
-        position equal the per-edge path's.  Needs a collection with
-        nothing realized yet, and spends its stream, so query the returned
-        collection afterwards.
+        order would: the counts in one vector draw, then each barred edge's
+        heights in index order.  Needs a collection with nothing realized
+        yet, and spends its stream, so query the returned collection
+        afterwards.
         """
         if self._counts:
             raise ValueError("realize() needs a collection with nothing realized yet")
         _check_budget((1 + self.t) * self.shape.edge_count, "realize()")
         by_edge: dict[bytes, tuple[float, ...]] = {}
         if self.t > 0:  # rate-0 counts consume no draws; skip the |E| zeros
-            rng = self._rng
-            counts = rng.poisson(self.t, size=self.shape.edge_count)
+            shape, rng = self.shape, self._rng
+            counts = rng.poisson(self.t, size=shape.edge_count)
             barred = counts.nonzero()[0]
-            ks = counts[barred].tolist()
-            del counts  # |E| counts: free them before the heights build up
-            block = rng.random(sum(ks))
-            clean = not block.size or _usable_block(block)  # no slice redraws
-            vals = block.tolist()
-            del block
-            pos = 0
-            for e, k in zip(edges_from_indices(self.shape, barred), ks):
-                end = pos + k
-                hs = vals[pos:end]
-                if k > 1:
-                    hs.sort()
-                while not (clean or _usable(hs)):
-                    # _distinct_heights' redraw reads the next k doubles, so
-                    # every later slice moves k along: extend the block by k
-                    vals += rng.random(k).tolist()
-                    pos, end = end, end + k
-                    hs = sorted(vals[pos:end])
-                by_edge[e] = tuple(hs)
-                pos = end
+            for i, k in zip(barred.tolist(), counts[barred].tolist()):
+                by_edge[edge_from_index(shape, i)] = _distinct_heights(rng, k)
         return BarCollection(self.shape, by_edge, validate=False)
 
     def prefill_counts(self, edges: Iterable[bytes], counts: Iterable[int]) -> None:
@@ -359,6 +332,7 @@ class LazyPoissonBars(_PoleIndexMixin):
             k = int(self._rng.poisson(self.t))
             self._counts[edge] = k
             self.count += k
+            _check_budget(self.count, "one lazy collection")
         return k
 
     def heights_on(self, edge: bytes) -> tuple[float, ...]:
@@ -401,6 +375,7 @@ class LazyPoissonBars(_PoleIndexMixin):
             ks = self._rng.poisson(self.t, size=len(unknown)).tolist()
             counts.update(zip(unknown, ks))
             self.count += sum(ks)
+            _check_budget(self.count, "one lazy collection")
         heights = self._heights
         groups = []
         for e in edges:

@@ -22,14 +22,15 @@ import sys
 from typing import Iterable, Iterator
 
 from stirtree import estimators, verify
-from stirtree.bars import LazyPoissonBars, sample_added
+from stirtree.bars import Bar, LazyPoissonBars, sample_added
 from stirtree.events import detect, root_trajectory
 from stirtree.meander import EngineError
 from stirtree.rng import TrialStreams
 from stirtree.stirring import orbit
 from stirtree.tree import ROOT, CapacityError, TreeShape, vertex_to_str
 
-# Most points a t grid may hold, in either form.
+# Most points a t grid may hold, in either form, and most entries a scan's
+# depth list may hold; a comma list's commas are counted before it is parsed.
 _GRID_MAX_POINTS = 10_000
 
 
@@ -178,8 +179,11 @@ def _sim_rows(ns: dict) -> Iterator[dict]:
     streams = TrialStreams(ns["seed"], "sim", shape.d, shape.n, ns["t"])
     for i in range(ns["trials"]):
         gen = streams.at(i)
-        bars = LazyPoissonBars(shape, ns["t"], gen).realize()
+        # the added bar first, then the bars as the runs query them
         added = sample_added(shape, gen)
+        bars = LazyPoissonBars(shape, ns["t"], gen)
+        while added.height in bars.heights_on(added.edge):
+            added = Bar(added.edge, float(gen.random()))
         cycle = [vertex_to_str(v, shape.d) for v in orbit(bars, ROOT)]
         traj = root_trajectory(bars)
         rec = detect(bars, added, traj, n1=ns["n1"])
@@ -287,7 +291,10 @@ def cmd_scan(ns: dict) -> int:
     if not grid:
         print("empty t grid", file=sys.stderr)
         return 2
-    depths = [int(x) for x in str(ns["n"]).split(",")]
+    text = str(ns["n"])
+    if text.count(",") >= _GRID_MAX_POINTS:  # before any int() or TreeShape
+        raise ValueError(f"depth list has over {_GRID_MAX_POINTS} entries")
+    depths = [int(x) for x in text.split(",")]
     shapes = [TreeShape(ns["d"], n) for n in depths]
     table = estimators.critical_scan(
         shapes, grid, ns["trials"], ns["seed"], ns["workers"]

@@ -14,13 +14,11 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-import numpy as np
-
 from stirtree.bars import Bar, LocationSet, merge_intervals
 from stirtree.meander import EngineError, SpaceTimePoint, Trajectory, hit_level, run
 from stirtree.tree import (
     ROOT,
-    edges_from_indices,
+    edge_from_index,
     path_to_root,
     vertex_to_str,
 )
@@ -364,7 +362,8 @@ def untouched_locations(bars, trajectory: Trajectory) -> LocationSet:
     shape = bars.shape
     cov = trajectory.coverage()
     out: dict[bytes, tuple[tuple[float, float], ...]] = {}
-    for e in edges_from_indices(shape, np.arange(shape.edge_count)):
+    for i in range(shape.edge_count):
+        e = edge_from_index(shape, i)
         touched = merge_intervals(list(cov.get(e[:-1], ())) + list(cov.get(e, ())))
         holes: list[tuple[float, float]] = []
         lo = 0.0

@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-
 ROOT: bytes = b""
 
 # All counters must stay inside 64-bit signed range (numpy indexing).
@@ -93,32 +91,6 @@ def edge_from_index(shape: TreeShape, idx: int) -> bytes:
     for k in range(lvl - 1, -1, -1):
         rem, syms[k] = divmod(rem, d)
     return bytes(syms)
-
-
-def edges_from_indices(shape: TreeShape, idx: np.ndarray) -> list[bytes]:
-    """Vectorized :func:`edge_from_index` over an ascending index array."""
-    if not len(idx):
-        return []
-    if idx[0] < 0 or idx[-1] >= shape.edge_count:
-        raise ValueError("edge index out of range")
-    d, n = shape.d, shape.n
-    # i + 1 is the bijective base-d numeral of edge i's address, with digit
-    # s + 1 for symbol s, so i % d is the last symbol and i // d - 1 the
-    # parent edge's index.  Columns left of a shorter address are unread.
-    syms = np.empty((len(idx), n), dtype=np.uint8)
-    rem = idx
-    for k in range(n - 1, -1, -1):
-        rem, syms[:, k] = np.divmod(rem, d)
-        rem -= 1
-    starts = [0]  # starts[l - 1]: the index of the first edge of length l
-    for lvl in range(1, n + 1):
-        starts.append(starts[-1] + d**lvl)
-    cuts = np.searchsorted(idx, starts).tolist()
-    edges: list[bytes] = []
-    for lvl in range(1, n + 1):
-        buf = syms[cuts[lvl - 1] : cuts[lvl], n - lvl :].tobytes()
-        edges += [buf[i : i + lvl] for i in range(0, len(buf), lvl)]
-    return edges
 
 
 def vertex_to_str(v: bytes, d: int) -> str:

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-import stirtree.bars as bars_mod
 from stirtree.bars import (
     Bar,
     BarCollection,
@@ -21,7 +20,7 @@ from stirtree.bars import (
 from stirtree.events import root_trajectory
 from stirtree.meander import hit_level
 from stirtree.rng import TrialStreams
-from stirtree.tree import CapacityError, TreeShape, edge_from_index
+from stirtree.tree import ROOT, CapacityError, TreeShape, edge_from_index
 
 SHAPE22 = TreeShape(2, 2)
 
@@ -271,10 +270,9 @@ class _ScriptedGen:
 
 
 def test_realize_redraws_as_the_lazy_path_does():
-    # edges in index order on T_2(2): counts 1, 0, 2, 0, 0, 1, so the first
-    # block holds 4 doubles.  Edge 0 draws an exact 0.0 and redraws; edge 2
-    # draws a tie and redraws past the block; edge 5, the last, starts past
-    # the block, draws 0.0 and redraws
+    # edges in index order on T_2(2): counts 1, 0, 2, 0, 0, 1.  Edge 0
+    # draws an exact 0.0 and redraws; edge 2 draws a tie and redraws; edge
+    # 5, the last, draws 0.0 and redraws
     shape = TreeShape(2, 2)
     counts = [1, 0, 2, 0, 0, 1]
     doubles = [0.0, 0.5, 0.3, 0.3, 0.9, 0.2, 0.0, 0.7, 0.25, 0.75]
@@ -285,42 +283,41 @@ def test_realize_redraws_as_the_lazy_path_does():
     assert full.heights_on(b"\x00") == (0.5,)
     assert full.heights_on(b"\x00\x00") == (0.2, 0.9)
     assert full.heights_on(b"\x01\x01") == (0.7,)
-    # the block, then one top-up of k doubles per redraw
-    assert gen.calls == ["poisson"] + ["random"] * 4
+    # the counts, then per barred edge one draw of k doubles and one per redraw
+    assert gen.calls == ["poisson"] + ["random"] * 6
     assert gen.random() == ref_gen.random() == 0.25
 
 
-def test_realize_draws_counts_and_heights_in_one_vector_draw_each():
-    gen = _ScriptedGen([1, 0, 2, 0, 0, 1], [0.1, 0.5, 0.3, 0.4])
-    bars = LazyPoissonBars(TreeShape(2, 2), 1.0, gen).realize()
-    assert bars.count == 4
-    assert gen.calls == ["poisson", "random"]
-
-
-@given(
-    st.lists(
-        st.sampled_from([0.0, 0.25, 0.5]) | st.floats(0.0, 1.0, exclude_max=True),
-        min_size=1,
-    )
-)
-def test_block_check_is_the_per_slice_check(vals):
-    # realize() checks its whole block in numpy; the slices keep the list form
-    assert bars_mod._usable_block(np.array(vals)) == bars_mod._usable(sorted(vals))
-
-
 def test_draw_budget_checked_before_any_draw():
-    # (8, 8, 0.145) asks for 2.2e7 counts and heights and is drawn, (8, 9,
-    # 0.145) for 1.8e8 and is refused first; the scripted stream's draws are
+    # (2, 20, 0.19) asks for 2.496e6 counts and heights and is drawn, (2, 20,
+    # 0.2) for 2.517e6 and is refused first; the scripted stream's draws are
     # empty, so neither allocates
     gen = _ScriptedGen([], [])
-    assert LazyPoissonBars(TreeShape(8, 8), 0.145, gen).realize().count == 0
-    assert gen.calls == ["poisson", "random"]
+    assert LazyPoissonBars(TreeShape(2, 20), 0.19, gen).realize().count == 0
+    assert gen.calls == ["poisson"]
     gen = _ScriptedGen([], [])
     with pytest.raises(CapacityError, match="realize"):
-        LazyPoissonBars(TreeShape(8, 9), 0.145, gen).realize()
-    with pytest.raises(CapacityError, match="lazy pole"):  # (d + 1)·t = 3e9
-        LazyPoissonBars(TreeShape(2, 1), 1e9, gen)
+        LazyPoissonBars(TreeShape(2, 20), 0.2, gen).realize()
+    LazyPoissonBars(TreeShape(2, 1), 833_333, gen)  # (d + 1)·t = 2 499 999
+    with pytest.raises(CapacityError, match="lazy pole"):  # 2 500 002
+        LazyPoissonBars(TreeShape(2, 1), 833_334, gen)
     assert gen.calls == []
+
+
+@pytest.mark.parametrize("query", ["pole", "count_on"])
+def test_lazy_heights_checked_against_the_budget_before_they_are_drawn(query):
+    # a run draws a pole per vertex it visits, so the heights a collection
+    # holds are checked after each count draw: the root pole's counts sum to
+    # one over the budget, and its heights are never drawn
+    gen = _ScriptedGen([2_000_000, 500_001], [])
+    lazy = LazyPoissonBars(TreeShape(2, 2), 1.0, gen)
+    with pytest.raises(CapacityError, match="one lazy collection"):
+        if query == "pole":
+            lazy.pole(ROOT)
+        else:
+            lazy.count_on(b"\x00")
+            lazy.count_on(b"\x01")
+    assert "random" not in gen.calls
 
 
 def test_realize_needs_a_fresh_collection():

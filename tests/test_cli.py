@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import os
 import resource
 import subprocess
@@ -13,6 +14,7 @@ import pytest
 
 import stirtree
 
+import stirtree.cli as cli
 import stirtree.estimators as estimators
 import stirtree.meander as meander
 import stirtree.stirring as stirring
@@ -29,16 +31,16 @@ GOLDEN_SIM_ROW = {
     "schema": 1,
     "trial": 0,
     "seed": 7,
-    "cycle": ["ε", "1"],
-    "length": 2,
+    "cycle": ["ε"],
+    "length": 1,
     "boundary_truncated": False,
-    "crossed": 1,
+    "crossed": 0,
     "bottleneck_edge": "",
     "bottleneck_height": "",
     "no_escape": "",
     "pivot": "neither",
     "bottleneck_zone": "",
-    "added_depth_index": 2,
+    "added_depth_index": 1,
     "reached_plain": 0,
     "reached_added": 0,
 }
@@ -93,6 +95,27 @@ def test_sim_csv_rows(tmp_path, capsys):
         rows = list(csv.DictReader(fh))
     assert len(rows) == 10
     assert "pivot" in rows[0] and "cycle" in rows[0]
+
+
+def test_lazy_sim_rows_follow_the_model_law():
+    # sim draws its bars lazily: the truncated share is p_n, the added bar's
+    # edge is uniform (d^n of the |E| = 14 edges end on depth n), and each
+    # row's pivot is read off its own two reach flags
+    shape, t, trials = TreeShape(2, 3), 0.6, 20_000
+    ns = dict(d=2, n="3", t=t, n1=1, seed=5, trials=trials, format="json")
+    truncated = deepest = 0
+    for row in cli._sim_rows(ns):
+        plain, added = row["reached_plain"], row["reached_added"]
+        assert plain == row["boundary_truncated"]
+        want = "on" if added > plain else "off" if plain > added else "neither"
+        assert row["pivot"] == want
+        truncated += row["boundary_truncated"]
+        deepest += row["added_depth_index"] == 0
+    est = estimators.estimate_pn(shape, t, trials, 222)
+    p = truncated / trials
+    assert abs(p - est.mean) < 4 * math.sqrt(est.stderr**2 + p * (1 - p) / trials)
+    q = shape.d**shape.n / shape.edge_count
+    assert abs(deepest / trials - q) < 4 * math.sqrt(q * (1 - q) / trials)
 
 
 def test_estimate_pn_value(capsys):
@@ -205,6 +228,19 @@ def test_scan_comma_grid_point_cap(points, code, tmp_path, capsys):
         assert len(out.splitlines()) == points
 
 
+def test_scan_depth_list_cap(tmp_path, capsys):
+    # a depth list from --config is as long as the file: its commas are
+    # counted before any entry is parsed or any tree built
+    config = tmp_path / "depths.json"
+    config.write_text(json.dumps({"n": ",".join(["3"] * 10_001)}))
+    start = time.monotonic()
+    code = main(["scan", "--d", "2", "--t-grid", "0.5", "--trials", "1",
+                 "--config", str(config)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == "" and "over 10000 entries" in err
+    assert time.monotonic() - start < 1
+
+
 @pytest.mark.parametrize("t", ["nan", "inf", "-1"])
 @pytest.mark.parametrize(
     "command",
@@ -313,9 +349,8 @@ def test_engine_error_exit_4(monkeypatch, capsys):
 def test_capacity_exit_3(capsys):
     for args in (
         ["sim", "--d", "2", "--n", "70", "--t", "0.5"],
-        # over the draw budget, refused before anything is drawn: 9.1 GiB
-        # of counts, 45 GiB of heights, 7.5 GiB for one edge's heights
-        ["sim", "--d", "8", "--n", "10", "--t", "0.138", "--trials", "1"],
+        # over the draw budget, refused before anything is drawn: 7.5 GiB
+        # for one edge's heights
         ["sim", "--d", "2", "--n", "2", "--t", "1e9", "--trials", "1"],
         ["estimate", "pn", "--d", "2", "--n", "1", "--t", "1e9", "--trials", "1"],
     ):
@@ -325,26 +360,39 @@ def test_capacity_exit_3(capsys):
         assert err.startswith("capacity error:"), args
 
 
-def test_capacity_exit_3_before_the_power_of_a_huge_depth():
-    # 8**(10**10 + 1) takes 3.7 GB to compute just to refuse it; the child
-    # runs under a 1.5 GB address-space limit, so a regression fails with a
-    # MemoryError instead of exhausting the host
+def _cli_under_memory_limit(*args):
+    """Run the CLI in a child process under a 1.5 GB address-space limit, so
+    a regression fails with a MemoryError instead of exhausting the host."""
     src = str(Path(stirtree.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    cmd = [sys.executable, "-m", "stirtree.cli", "estimate", "pn", "--d", "8",
-           "--n", "10000000000"]
 
     def limit_memory():
         resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000,) * 2)
 
-    start = time.monotonic()
-    res = subprocess.run(
-        cmd, env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
-        preexec_fn=limit_memory, timeout=60,
+    return subprocess.run(
+        [sys.executable, "-m", "stirtree.cli", *args],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
+        preexec_fn=limit_memory, timeout=120,
     )
+
+
+def test_capacity_exit_3_before_the_power_of_a_huge_depth():
+    # 8**(10**10 + 1) takes 3.7 GB to compute just to refuse it
+    start = time.monotonic()
+    res = _cli_under_memory_limit("estimate", "pn", "--d", "8", "--n", "10000000000")
     assert res.returncode == 3 and res.stdout == ""
     assert res.stderr.startswith("capacity error:") and res.stderr.count("\n") == 1
     assert time.monotonic() - start < 10  # startup only, no power computed
+
+
+def test_sim_draws_lazily_at_a_depth_realize_would_refuse():
+    # (8, 12) has 7.9e10 edges; sim draws only the poles its runs visit
+    res = _cli_under_memory_limit(
+        "sim", "--d", "8", "--n", "12", "--t", "0.138", "--trials", "200"
+    )
+    assert res.returncode == 0 and res.stderr == ""
+    rows = [json.loads(line) for line in res.stdout.splitlines()]
+    assert [row["trial"] for row in rows] == list(range(200))
 
 
 class _OneWayHops:
@@ -365,12 +413,12 @@ class _OneWayHops:
 def test_root_orbit_that_never_closes_exit_4(monkeypatch, capsys):
     # the chain loops back to vertex 0, not the root: the engine's revisit
     # guard stops the root orbit instead of it looping forever
-    class NeverCloses:
+    class NeverCloses(_OneWayHops):
         def __init__(self, shape, t, gen):
             pass
 
-        def realize(self):
-            return _OneWayHops()
+        def heights_on(self, edge):
+            return ()
 
     with pytest.raises(EngineError, match="revisited state"):
         stirring.orbit(_OneWayHops(), ROOT)

@@ -1,8 +1,8 @@
 """Exact seed -> value pins for every estimator that draws lazily.
 
-``GOLDEN_SIM_ROW`` pins one fully realized collection; these pin the lazy
-draw order instead: which edges are queried, in which order, and from which
-counter block.  Any change to that order changes at least one of these
+``GOLDEN_SIM_ROW`` pins one lazy draw of ``sim``; these pin the lazy draw
+order of every estimator: which edges are queried, in which order, and from
+which counter block.  Any change to that order changes at least one of these
 values, so a change that claims bit-identical draws must leave them alone.
 The trial counts are small; the whole module runs in about a second.
 """

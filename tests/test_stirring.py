@@ -98,7 +98,7 @@ def test_truncation_flag_matches_hit_and_pn():
     trials = 20_000
     hits = 0
     for _ in range(trials):
-        # sim's path: a realized collection and one recorded root run
+        # verify's path: a realized collection and one recorded root run
         bars = LazyPoissonBars(shape, t, gen).realize()
         truncated = root_trajectory(bars).reached
         assert truncated == hit_level(bars).reached

@@ -1,6 +1,5 @@
 """Tree addressing: counts, paths, the edge-index bijection, serialization."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,7 +9,6 @@ from stirtree.tree import (
     TreeShape,
     edge_from_index,
     edge_index,
-    edges_from_indices,
     is_valid_edge,
     path_to_root,
     vertex_from_str,
@@ -72,20 +70,6 @@ def test_edge_index_roundtrip(d, n, raw):
     e = edge_from_index(shape, idx)
     assert is_valid_edge(shape, e)
     assert edge_index(shape, e) == idx
-
-
-@pytest.mark.parametrize("d, n", [(2, 1), (2, 5), (3, 4), (8, 4), (255, 2)])
-def test_edges_from_indices_is_edge_from_index_over_the_whole_tree(d, n):
-    shape = TreeShape(d, n)
-    every = np.arange(shape.edge_count)
-    want = [edge_from_index(shape, i) for i in range(shape.edge_count)]
-    assert edges_from_indices(shape, every) == want
-    # an ascending subset, with levels left empty, maps entry by entry
-    some = every[(every * 7919) % 5 == 0]
-    assert edges_from_indices(shape, some) == [want[i] for i in some]
-    assert edges_from_indices(shape, every[:0]) == []
-    with pytest.raises(ValueError, match="out of range"):
-        edges_from_indices(shape, np.array([0, shape.edge_count]))
 
 
 def test_vertex_serialization():
