@@ -32,16 +32,20 @@ class Bar(NamedTuple):
     height: float
 
 
-# Most values (Poisson counts plus heights) one collection may draw.
-# Checked before any draw: (1 + t)·|E| for realize(), and the mean
-# (d + 1)·t of one lazy pole's heights.  A lazy run draws one pole per
-# vertex it visits, so the heights a lazy collection holds are checked too,
-# after each count draw and before its heights.  Measured whole-command peak
-# RSS above the import, per height drawn, at t = 1e5 to 1e6 on 2 vCPU with
-# numpy 2.4.6: `estimate pn` about 250 B, `estimate z` and `scan` 310-370
-# B, lazy `sim` 350-500 B (three engine runs, and the added bar's poles
-# copied).  So a command at the budget peaks near 1.25 GB, under 1.5 GB:
-# `sim --d 36 --n 1 --n1 0 --t 67000`, 2.4e6 heights, peaked at 1.23 GB.
+# Most values (Poisson counts plus heights) one collection may draw; the one
+# memory rule of the package, charged alike on both sampler paths.  Checked
+# before any draw: (1 + t)·|E| for realize(), and the mean (d + 1)·t of one
+# lazy pole's heights.  A lazy run draws one pole per vertex it visits, so
+# the counts and heights a lazy collection holds are checked too, after each
+# count draw and before its heights.  Measured whole-command peak RSS above
+# the import, per height drawn, at t = 1e5 to 1e6 on 2 vCPU with numpy
+# 2.4.6: `estimate pn` about 200 B, lazy `sim` 260-440 B (three engine
+# runs, and the added bar's poles copied).  So a command at the budget peaks
+# near 1.1 GB, under 1.5 GB: `sim --d 36 --n 1 --n1 0 --t 67000`, 2.4e6
+# heights, peaked at 1.09 GB RSS.  Counts cost more on deep trees, keyed by
+# n-byte addresses: one collection filled to the budget with d = 255 poles
+# at depth 64 / 256 / 512 peaked at 0.35 / 0.82 / 1.44 GB above the import,
+# which sets tree._MAX_DEPTH at 256.
 _DRAW_BUDGET = 2_500_000
 
 
@@ -106,7 +110,10 @@ def _pole_of(v: bytes, groups: list[tuple[tuple[float, ...], bytes]]) -> _Pole:
         return hs, ((e, e[:-1] if e == v else e),) * len(hs)
     if not groups:
         return (), ()
-    entries = [(h, (e, e[:-1] if e == v else e)) for hs, e in groups for h in hs]
+    entries = []
+    for hs, e in groups:  # one hop tuple per edge, shared by its joints
+        hop = (e, e[:-1] if e == v else e)
+        entries += [(h, hop) for h in hs]
     entries.sort()
     heights, hops = zip(*entries)
     return heights, hops
@@ -310,10 +317,16 @@ class LazyPoissonBars(_PoleIndexMixin):
         """
         if self._counts:
             raise ValueError("realize() needs a collection with nothing realized yet")
-        _check_budget((1 + self.t) * self.shape.edge_count, "realize()")
+        shape = self.shape
+        if shape.edge_count > _DRAW_BUDGET:  # an int test: |E| may be past float range
+            raise CapacityError(
+                f"realize() would draw a count for each edge of the ({shape.d},"
+                f" {shape.n}) tree, over the budget of {_DRAW_BUDGET} values"
+            )
+        _check_budget((1 + self.t) * shape.edge_count, "realize()")
         by_edge: dict[bytes, tuple[float, ...]] = {}
         if self.t > 0:  # rate-0 counts consume no draws; skip the |E| zeros
-            shape, rng = self.shape, self._rng
+            rng = self._rng
             counts = rng.poisson(self.t, size=shape.edge_count)
             barred = counts.nonzero()[0]
             for i, k in zip(barred.tolist(), counts[barred].tolist()):
@@ -332,7 +345,7 @@ class LazyPoissonBars(_PoleIndexMixin):
             k = int(self._rng.poisson(self.t))
             self._counts[edge] = k
             self.count += k
-            _check_budget(self.count, "one lazy collection")
+            _check_budget(self.count + len(self._counts), "one lazy collection")
         return k
 
     def heights_on(self, edge: bytes) -> tuple[float, ...]:
@@ -375,7 +388,7 @@ class LazyPoissonBars(_PoleIndexMixin):
             ks = self._rng.poisson(self.t, size=len(unknown)).tolist()
             counts.update(zip(unknown, ks))
             self.count += sum(ks)
-            _check_budget(self.count, "one lazy collection")
+            _check_budget(self.count + len(counts), "one lazy collection")
         heights = self._heights
         groups = []
         for e in edges:
@@ -436,8 +449,17 @@ class _Thinned(_PoleIndexMixin):
         return built
 
 
+# Largest edge count the added bar's int64 index draw, integers(0, |E|), takes.
+_INDEX_RANGE = 2**63
+
+
 def sample_added(shape: TreeShape, stream: np.random.Generator) -> Bar:
     """Uniform bar on E(T_n) x [0,1): uniform edge, independent uniform height."""
+    if shape.edge_count > _INDEX_RANGE:
+        raise CapacityError(
+            f"the added bar's edge index on the ({shape.d}, {shape.n}) tree"
+            f" is past the 2**63 range of its draw"
+        )
     idx = int(stream.integers(0, shape.edge_count))
     h = float(stream.random())
     while h == 0.0:

@@ -13,11 +13,10 @@ from __future__ import annotations
 import functools
 import math
 import os
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
-
-import numpy as np
 
 from stirtree.bars import Bar, LazyPoissonBars, check_rate, sample_added
 from stirtree.events import multibar_cluster, root_trajectory, viable_locations
@@ -338,12 +337,13 @@ def tail_checks(
     level_pairs = ((1, 2), (1, 3), (2, 2))
     lv_trials = level_trials if level_trials is not None else min(trials, 20_000)
     if lv_trials > 0:
-        visits = np.zeros((lv_trials, shape.n + 1), dtype=np.int64)  # per level
+        at_least = dict.fromkeys(level_pairs, 0)  # trials with >= k level-i visits
         streams = TrialStreams(seed, "tails-level", shape.d, shape.n, t)
         for j in range(lv_trials):
             bars = LazyPoissonBars(shape, t, streams.at(j))
-            for v in root_trajectory(bars).coverage():
-                visits[j, len(v)] += 1
+            visits = Counter(map(len, root_trajectory(bars).coverage()))
+            for i, k in level_pairs:
+                at_least[i, k] += visits[i] >= k
         if shape.n > 1:  # one profile on T_{n-1} holds each depth-(n-i) plug-in
             shallow = TreeShape(d, shape.n - 1)
             profile = depth_profiles(shallow, (t,), lv_trials, seed + 101, workers)[0]
@@ -352,7 +352,7 @@ def tail_checks(
                 notes.append(f"level pair ({i},{k}) skipped: n-i < 1")
                 continue
             p = _bernoulli("plug-in", _reached(profile, shape.n - i), lv_trials, seed)
-            emp = float((visits[:, i] >= k).mean())
+            emp = at_least[i, k] / lv_trials
             se = math.sqrt(emp * (1.0 - emp) / lv_trials)
             base = 1.0 - p.mean * math.exp(-t)
             bound = base ** (k - 1)

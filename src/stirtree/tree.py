@@ -4,7 +4,10 @@ Vertices are immutable byte strings over the alphabet ``{0, ..., d-1}``;
 the root is the empty string.  An edge is addressed by its child vertex,
 so ``e[:-1]`` is the parent endpoint and ``e`` itself the child endpoint.
 The tree is never materialized: every operation is arithmetic on
-addresses, which keeps depth-n trees with billions of vertices usable.
+addresses (Python ints, so |E| has no fixed range), which keeps trees far
+past 2**64 vertices usable.  Memory is bounded where it is spent, by the
+sampler's draw budget (``bars._DRAW_BUDGET``); the shape itself bounds only
+the degree, by the byte-address format, and the depth.
 """
 
 from __future__ import annotations
@@ -14,15 +17,19 @@ from functools import cached_property
 
 ROOT: bytes = b""
 
-# All counters must stay inside 64-bit signed range (numpy indexing).
-_CAPACITY_LIMIT = 2**62
+# Deepest tree accepted, checked before any power of d.  A lazy collection
+# filled to the draw budget with poles this deep (d = 255) peaks under the
+# 1.5 GB a command may use; see bars._DRAW_BUDGET.
+_MAX_DEPTH = 256
 
 _DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
 
 
 class CapacityError(ValueError):
-    """Raised when (d, n) would push vertex/edge counts past 2**62, or one
-    draw of bars would go over the sampler's budget (``bars._DRAW_BUDGET``)."""
+    """Raised when a shape is past the byte-address degree (255) or the depth
+    bound (``_MAX_DEPTH``), when one collection's draws would go over the
+    sampler's budget (``bars._DRAW_BUDGET``), or when the uniform added bar
+    needs an edge index past the 2**63 range of its draw."""
 
 
 @dataclass(frozen=True)
@@ -39,11 +46,8 @@ class TreeShape:
             raise ValueError(f"depth must be >= 1, got {self.n}")
         if self.d > 255:
             raise CapacityError("byte addressing supports degree <= 255")
-        # n >= 62 puts d**(n+1) >= 2**63 and is refused before the power
-        if self.n >= 62 or self.d ** (self.n + 1) > _CAPACITY_LIMIT:
-            raise CapacityError(
-                f"d**(n+1) = {self.d}**{self.n + 1} exceeds the 2**62 counter range"
-            )
+        if self.n > _MAX_DEPTH:
+            raise CapacityError(f"depth {self.n} is over the bound of {_MAX_DEPTH}")
 
     @cached_property
     def vertex_count(self) -> int:

@@ -320,6 +320,29 @@ def test_lazy_heights_checked_against_the_budget_before_they_are_drawn(query):
     assert "random" not in gen.calls
 
 
+@pytest.mark.parametrize("query", ["pole", "count_on"])
+def test_lazy_budget_charges_counts_as_well_as_heights(query):
+    # every drawn value counts, as in realize(): 2 499 999 heights and their
+    # count fill the budget exactly, and one more count is over it
+    gen = _ScriptedGen([2_499_999, 0], [])
+    lazy = LazyPoissonBars(TreeShape(2, 2), 1.0, gen)
+    with pytest.raises(CapacityError, match="one lazy collection"):
+        if query == "pole":
+            lazy.pole(ROOT)
+        else:
+            assert lazy.count_on(b"\x00") == 2_499_999
+            lazy.count_on(b"\x01")
+    assert "random" not in gen.calls
+
+
+def test_realize_refuses_an_edge_count_past_float_range_before_any_draw():
+    # |E| of (255, 200) is about 10**481: compared as an int, never scaled
+    gen = _ScriptedGen([], [])
+    with pytest.raises(CapacityError, match="realize"):
+        LazyPoissonBars(TreeShape(255, 200), 0.004, gen).realize()
+    assert gen.calls == []
+
+
 def test_realize_needs_a_fresh_collection():
     lazy = LazyPoissonBars(SHAPE22, 0.5, TrialStreams(2, "fresh").at(0))
     lazy.count_on(b"\x00")

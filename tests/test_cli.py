@@ -61,6 +61,46 @@ def test_sim_golden_row(capsys):
     assert json.loads(out.strip()) == GOLDEN_SIM_ROW
 
 
+# `sim --d 3 --n 4 --t 0.4 --seed 7 --trials 20 --format csv`, verbatim: its
+# cycles of up to 17 vertices and its crossed added bar pin the lazy draw
+# order that every sim column reads
+GOLDEN_SIM_RUN = """\
+schema,trial,seed,cycle,length,boundary_truncated,crossed,bottleneck_edge,bottleneck_height,no_escape,pivot,bottleneck_zone,added_depth_index,reached_plain,reached_added
+1,0,7,ε 0011 00 0,4,True,0,,,,neither,,0,1,1
+1,1,7,ε 1,2,False,1,,,,neither,,3,0,0
+1,2,7,ε 222 2 01 0100 0102 010 0,8,True,0,,,,neither,,0,1,1
+1,3,7,ε 2,2,False,0,,,,neither,,0,0,0
+1,4,7,ε,1,False,0,,,,neither,,0,0,0
+1,5,7,ε,1,False,0,,,,neither,,0,0,0
+1,6,7,ε,1,False,0,,,,neither,,1,0,0
+1,7,7,ε 100 101 1012 1010 10 12 120 1,9,True,0,,,,neither,,0,1,1
+1,8,7,ε,1,False,0,,,,neither,,0,0,0
+1,9,7,ε 11 1,3,False,0,,,,neither,,0,0,0
+1,10,7,ε,1,False,0,,,,neither,,0,0,0
+1,11,7,ε,1,False,0,,,,neither,,0,0,0
+1,12,7,ε 12 1,3,False,0,,,,neither,,0,0,0
+1,13,7,ε 2 210 21 2121 2122 212 20 0 00 0010 001 0001 000 0002 0020 002,17,True,0,,,,neither,,1,1,1
+1,14,7,ε,1,False,0,,,,neither,,1,0,0
+1,15,7,ε 1 122 12 121,5,True,0,,,,neither,,0,1,1
+1,16,7,ε 20 2010 201 2,5,True,0,,,,neither,,1,1,1
+1,17,7,ε,1,False,0,,,,neither,,0,0,0
+1,18,7,ε,1,False,0,,,,neither,,0,0,0
+1,19,7,ε 0,2,False,0,,,,neither,,0,0,0
+"""
+
+
+def test_sim_golden_run(capsys):
+    code, out = run_cli(
+        [
+            "sim", "--d", "3", "--n", "4", "--t", "0.4", "--seed", "7",
+            "--trials", "20", "--format", "csv",
+        ],
+        capsys,
+    )
+    assert code == 0
+    assert out.splitlines() == GOLDEN_SIM_RUN.splitlines()
+
+
 def test_sim_deterministic(capsys):
     args = ["sim", "--d", "2", "--n", "3", "--t", "0.5", "--seed", "9", "--trials", "5"]
     _, out1 = run_cli(args, capsys)
@@ -360,8 +400,8 @@ def test_capacity_exit_3(capsys):
         assert err.startswith("capacity error:"), args
 
 
-def _cli_under_memory_limit(*args):
-    """Run the CLI in a child process under a 1.5 GB address-space limit, so
+def _python_under_memory_limit(*args):
+    """Run Python in a child process under a 1.5 GB address-space limit, so
     a regression fails with a MemoryError instead of exhausting the host."""
     src = str(Path(stirtree.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -370,10 +410,14 @@ def _cli_under_memory_limit(*args):
         resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000,) * 2)
 
     return subprocess.run(
-        [sys.executable, "-m", "stirtree.cli", *args],
+        [sys.executable, *args],
         env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
         preexec_fn=limit_memory, timeout=120,
     )
+
+
+def _cli_under_memory_limit(*args):
+    return _python_under_memory_limit("-m", "stirtree.cli", *args)
 
 
 def test_capacity_exit_3_before_the_power_of_a_huge_depth():
@@ -393,6 +437,75 @@ def test_sim_draws_lazily_at_a_depth_realize_would_refuse():
     assert res.returncode == 0 and res.stderr == ""
     rows = [json.loads(line) for line in res.stdout.splitlines()]
     assert [row["trial"] for row in rows] == list(range(200))
+
+
+@pytest.mark.parametrize(
+    "args, rows",
+    [
+        (["scan", "--d", "8", "--n", "64", "--t-grid", "0.142"], 1),
+        (["scan", "--d", "32", "--n", "8,16,32", "--t-grid", "0.032"], 3),
+        (["estimate", "pn", "--d", "16", "--n", "32", "--t", "0.066"], 1),
+        (["estimate", "z", "--d", "8", "--n", "40", "--t", "0.142"], 1),
+        # four cluster rows and three level rows
+        (["estimate", "tails", "--d", "16", "--n", "32", "--t", "0.0625"], 7),
+    ],
+)
+def test_deep_trees_run(args, rows, capsys):
+    # each command runs a tree with d**(n+1) far past 2**64; the lazy runs
+    # address vertices as byte strings and draw only the poles they visit
+    code, out = run_cli(args + ["--trials", "200"], capsys)
+    assert code == 0 and len(out.splitlines()) == rows
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["scan", "--d", "8", "--n", "64,257", "--t-grid", "0.142"],
+        ["estimate", "pn", "--d", "2", "--n", "257"],
+        ["sim", "--d", "2", "--n", "257", "--n1", "0"],
+    ],
+)
+def test_depth_past_the_bound_exit_3_at_once(args, capsys):
+    start = time.monotonic()
+    code = main(args)
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    assert err == "capacity error: depth 257 is over the bound of 256\n"
+    assert time.monotonic() - start < 1
+
+
+def test_added_bar_past_the_index_range_exit_3(capsys):
+    # |E| of (8, 21) is about 1.05e19, past the 2**63 of the edge draw
+    code = main(["sim", "--d", "8", "--n", "21", "--t", "0.138", "--trials", "5"])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    assert err.startswith("capacity error:") and "added bar" in err
+    code, out = run_cli(["sim", "--d", "8", "--n", "20", "--t", "0.138", "--trials", "5"], capsys)
+    assert code == 0 and len(out.splitlines()) == 5
+
+
+_FILL_TO_THE_BUDGET = """
+import numpy as np
+from stirtree.bars import LazyPoissonBars
+from stirtree.rng import TrialStreams
+from stirtree.tree import _MAX_DEPTH, CapacityError, TreeShape
+
+bars = LazyPoissonBars(TreeShape(255, _MAX_DEPTH), 0.004, TrialStreams(1, "fill").at(0))
+symbols = np.random.default_rng(0)
+try:
+    while True:  # distinct poles one level above the leaves: 256 counts each
+        bars.pole(bytes(symbols.integers(0, 255, size=_MAX_DEPTH - 1).tolist()))
+except CapacityError as exc:
+    print("capacity error:", exc)
+"""
+
+
+def test_lazy_collection_at_the_depth_bound_stops_at_the_budget():
+    # the counts a deep pole holds, keyed by long addresses, outweigh its
+    # heights: charged to the budget, they stop the fill near 0.8 GB
+    res = _python_under_memory_limit("-c", _FILL_TO_THE_BUDGET)
+    assert res.returncode == 0 and res.stderr == ""
+    assert res.stdout.startswith("capacity error: one lazy collection")
 
 
 class _OneWayHops:

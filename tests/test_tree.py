@@ -35,12 +35,14 @@ def test_vertex_count_and_level_partition():
 
 def test_capacity_guard():
     with pytest.raises(CapacityError):
-        TreeShape(2, 62)
+        TreeShape(2, 257)  # one past the depth bound
+    with pytest.raises(CapacityError):
+        TreeShape(256, 3)  # past the one-byte address symbols
     with pytest.raises(ValueError):
         TreeShape(1, 3)
     with pytest.raises(ValueError):
         TreeShape(3, 0)
-    TreeShape(2, 61)  # largest depth that still fits
+    assert TreeShape(255, 256).edge_count > 2**2000  # the deepest, widest shape
 
 
 def test_path_to_root_examples():
