@@ -37,15 +37,18 @@ class Bar(NamedTuple):
 # before any draw: (1 + t)·|E| for realize(), and the mean (d + 1)·t of one
 # lazy pole's heights.  A lazy run draws one pole per vertex it visits, so
 # the counts and heights a lazy collection holds are checked too, after each
-# count draw and before its heights.  Measured whole-command peak RSS above
-# the import, per height drawn, at t = 1e5 to 1e6 on 2 vCPU with numpy
-# 2.4.6: `estimate pn` about 200 B, lazy `sim` 260-440 B (three engine
-# runs, and the added bar's poles copied).  So a command at the budget peaks
-# near 1.1 GB, under 1.5 GB: `sim --d 36 --n 1 --n1 0 --t 67000`, 2.4e6
-# heights, peaked at 1.09 GB RSS.  Counts cost more on deep trees, keyed by
-# n-byte addresses: one collection filled to the budget with d = 255 poles
-# at depth 64 / 256 / 512 peaked at 0.35 / 0.82 / 1.44 GB above the import,
-# which sets tree._MAX_DEPTH at 256.
+# count draw and before its heights: every count drawn is charged once, kept
+# in a pole's child list or per edge, zero or not.  Measured whole-command
+# peak RSS above the import on 2 vCPU with numpy 2.4.6, at the budget: lazy
+# `sim --d 36 --n 1 --n1 0 --t 67000`, 2.4e6 heights, 1.05 GB (1.08 GB
+# RSS, under 1.5 GB; three engine runs, and the added bar's poles copied);
+# `estimate pn --d 2 --n 1 --t 833333`, 0.13 GB.  Counts kept per edge cost
+# more on deep trees, keyed by n-byte addresses: one collection filled to
+# the budget with d = 255 poles whose counts are kept per edge peaked at
+# 0.36 / 0.83 GB above the import at depth 64 / 256, and at 1.44 GB at
+# depth 512 (the bound patched out), which sets tree._MAX_DEPTH at 256.
+# Kept as child lists, as root-origin runs draw them, the same fill peaks
+# at 28 / 33 MB at depth 64 / 256.
 _DRAW_BUDGET = 2_500_000
 
 
@@ -103,20 +106,28 @@ def _pole_of(v: bytes, groups: list[tuple[tuple[float, ...], bytes]]) -> _Pole:
     """Merge the ``(heights, edge)`` groups of the barred edges at v into a pole.
 
     The parent edge v leads up to ``v[:-1]``, a child edge down to itself.
-    Each group's heights ascend already, so one group needs no sort.
+    Each group's heights ascend already, so one group needs no sort.  The
+    groups come in ascending edge order (the parent edge v is a prefix of
+    every child edge), and a height tied across edges keeps that order.
     """
     if len(groups) == 1:
         hs, e = groups[0]
         return hs, ((e, e[:-1] if e == v else e),) * len(hs)
     if not groups:
         return (), ()
-    entries = []
-    for hs, e in groups:  # one hop tuple per edge, shared by its joints
+    # Sort the heights alone, then put each edge's hop (one tuple shared by
+    # its joints) at its heights' places: no per-joint object is built.
+    heights = [h for hs, _ in groups for h in hs]
+    heights.sort()
+    hops: list = [None] * len(heights)
+    for hs, e in groups:
         hop = (e, e[:-1] if e == v else e)
-        entries += [(h, hop) for h in hs]
-    entries.sort()
-    heights, hops = zip(*entries)
-    return heights, hops
+        for h in hs:
+            i = bisect_left(heights, h)
+            while hops[i] is not None:  # a tie taken by an earlier edge
+                i += 1
+            hops[i] = hop
+    return tuple(heights), tuple(hops)
 
 
 class _PoleIndexMixin:
@@ -149,6 +160,12 @@ class _PoleIndexMixin:
                 groups.append((hs, e))
         built = self._poles[v] = _pole_of(v, groups)
         return built
+
+    def built_poles(self) -> list[bytes]:
+        """The vertices whose poles are built, in build order.  On a fresh
+        collection these are the poles its first run queried, in first-query
+        order."""
+        return list(self._poles)
 
     def with_added(self, bar: Bar) -> "_WithAdded":
         """This collection plus one bar (the two-level coupling B, B∪A)."""
@@ -290,9 +307,19 @@ class LazyPoissonBars(_PoleIndexMixin):
     stream reproduces the same collection; the joint law over every touched
     edge is exactly Poisson-t.  ``count`` is the number of bars realized so
     far, which bounds every run that only visits realized poles.
+
+    A pole that draws all d child counts of its vertex keeps them as one
+    list, and only a child with a bar gets an address and a heights entry;
+    at dilute rates most children have none.  Counts drawn any other way
+    (the parent edge of a pole, :meth:`count_on` and
+    :meth:`prefill_counts`) are kept per edge, and a vertex with such a
+    child builds its pole edge by edge.
     """
 
-    __slots__ = ("shape", "t", "count", "_rng", "_counts", "_heights", "_marks", "_poles")
+    __slots__ = (
+        "shape", "t", "count", "_drawn", "_rng", "_kids", "_counts", "_split",
+        "_heights", "_marks", "_pole_marks", "_poles",
+    )
 
     def __init__(self, shape: TreeShape, t: float, rng: np.random.Generator) -> None:
         check_rate(t)
@@ -300,10 +327,14 @@ class LazyPoissonBars(_PoleIndexMixin):
         self.shape = shape
         self.t = t
         self.count = 0
+        self._drawn = 0  # counts held, drawn or prefilled; charged to the budget
         self._rng = rng
-        self._counts: dict[bytes, int] = {}
+        self._kids: dict[bytes, list[int]] = {}  # v -> its d child counts
+        self._counts: dict[bytes, int] = {}  # per-edge counts, none in _kids
+        self._split: set[bytes] = set()  # the parents of the edges in _counts
         self._heights: dict[bytes, tuple[float, ...]] = {}
-        self._marks: dict[bytes, np.ndarray] = {}
+        self._marks: dict[bytes, list[float]] = {}
+        self._pole_marks: dict[bytes, list[float]] = {}
         self._poles = {}
 
     def realize(self) -> BarCollection:
@@ -315,7 +346,7 @@ class LazyPoissonBars(_PoleIndexMixin):
         yet, and spends its stream, so query the returned collection
         afterwards.
         """
-        if self._counts:
+        if self._drawn:
             raise ValueError("realize() needs a collection with nothing realized yet")
         shape = self.shape
         if shape.edge_count > _DRAW_BUDGET:  # an int test: |E| may be past float range
@@ -333,33 +364,49 @@ class LazyPoissonBars(_PoleIndexMixin):
                 by_edge[edge_from_index(shape, i)] = _distinct_heights(rng, k)
         return BarCollection(self.shape, by_edge, validate=False)
 
+    def _adopt(self, edge: bytes, k: int) -> None:
+        """Keep one count drawn for ``edge`` alone."""
+        self._counts[edge] = k
+        self._split.add(edge[:-1])
+        self.count += k
+        self._drawn += 1
+
     def prefill_counts(self, edges: Iterable[bytes], counts: Iterable[int]) -> None:
         """Adopt externally sampled counts (e.g. a conditioned root layer)."""
         for e, k in zip(edges, counts):
-            self._counts[e] = int(k)
-            self.count += int(k)
+            self._adopt(e, int(k))
+
+    def _known_count(self, edge: bytes) -> int | None:
+        kids = self._kids.get(edge[:-1])
+        return self._counts.get(edge) if kids is None else kids[edge[-1]]
 
     def count_on(self, edge: bytes) -> int:
-        k = self._counts.get(edge)
+        k = self._known_count(edge)
         if k is None:
             k = int(self._rng.poisson(self.t))
-            self._counts[edge] = k
-            self.count += k
-            _check_budget(self.count + len(self._counts), "one lazy collection")
+            self._adopt(edge, k)
+            _check_budget(self.count + self._drawn, "one lazy collection")
         return k
 
     def heights_on(self, edge: bytes) -> tuple[float, ...]:
         hs = self._heights.get(edge)
         if hs is None:
-            hs = _distinct_heights(self._rng, self.count_on(edge))
-            self._heights[edge] = hs
+            k = self.count_on(edge)
+            if not k:
+                return ()
+            hs = self._heights[edge] = _distinct_heights(self._rng, k)
         return hs
 
     def marks_on(self, edge: bytes) -> list[float]:
         """Uniform [0, 1) thinning marks, one per bar in height order."""
         ms = self._marks.get(edge)
         if ms is None:
-            ms = self._marks[edge] = self._rng.random(self.count_on(edge)).tolist()
+            k = self.count_on(edge)
+            if not k:  # rng.random(0) would consume nothing
+                return []
+            rng = self._rng  # one mark draws what rng.random(1) would, at less cost
+            ms = [rng.random()] if k == 1 else rng.random(k).tolist()
+            self._marks[edge] = ms
         return ms
 
     def thinned(self, t: float) -> "LazyPoissonBars | _Thinned":
@@ -372,34 +419,110 @@ class LazyPoissonBars(_PoleIndexMixin):
             raise ValueError(f"thinning rate {t!r} outside [0, {self.t!r}]")
         return self if t == self.t else _Thinned(self, t)
 
+    def pole_marks(self, v: bytes) -> list[float]:
+        """The marks of pole v's joints, in pole order; every thinning reads it.
+
+        An edge's marks are drawn on its first appearance in the pole's
+        height order.  An edge's joints ascend as its heights do, so its
+        j-th joint here is its j-th bar and carries mark j.
+        """
+        ms = self._pole_marks.get(v)
+        if ms is None:
+            seen: dict[bytes, int] = {}
+            ms = []
+            for e, _dest in self.pole(v)[1]:
+                j = seen.get(e, 0)
+                seen[e] = j + 1
+                ms.append(self.marks_on(e)[j])
+            self._pole_marks[v] = ms
+        return ms
+
+    def thinnings_differ(self, poles: Iterable[bytes], t: float, t_ref: float) -> bool:
+        """Whether the thinnings to t and to t_ref > t differ on some pole of
+        ``poles``: a joint there has its mark in (t, t_ref] / self.t.
+
+        Reads :meth:`pole_marks` pole by pole in the given order and stops
+        at the first pole that differs.  When ``poles`` are the poles a
+        root-origin run on the rate-t_ref thinning visited, in first-visit
+        order, those are the marks a run on the rate-t thinning draws
+        first, in the same order; so when no pole differs that run is the
+        same run and need not be made, and when one does, running it draws
+        nothing more than it would have.  An empty band (t >= t_ref) draws
+        nothing.
+        """
+        lo, hi = t / self.t, t_ref / self.t
+        if lo < hi:
+            for v in poles:
+                for m in self.pole_marks(v):
+                    if lo < m <= hi:
+                        return True
+        return False
+
     def pole(self, v: bytes) -> _Pole:
         built = self._poles.get(v)
         if built is not None:
             return built
         # Counts, then heights, are drawn in incident-edge order (the parent
         # edge, then the children by symbol), as count_on then heights_on
-        # edge by edge would draw them.
-        edges = _incident_edges(self.shape, v)
+        # edge by edge would draw them: the unknown counts in one call, then
+        # the heights of the barred edges.  At dilute rates most counts are
+        # zero and draw no heights.
+        if v in self._split or len(v) == self.shape.n:
+            barred = self._counts_by_edge(v)
+        else:
+            barred = self._counts_at_once(v)
+        heights, rng = self._heights, self._rng
+        groups = []
+        for e, k in barred:
+            hs = heights.get(e)
+            if hs is None:
+                hs = heights[e] = _distinct_heights(rng, k)
+            groups.append((hs, e))
+        built = self._poles[v] = _pole_of(v, groups)
+        return built
+
+    def _counts_at_once(self, v: bytes) -> list[tuple[bytes, int]]:
+        """Draw the counts at v, none of whose children is known: the d
+        child counts stay one list.  Returns the barred incident edges."""
+        d = self.shape.d
+        up = self._known_count(v) if v else 0
+        ks = self._rng.poisson(self.t, size=d + (up is None)).tolist()
+        if up is None:
+            up = ks[0]
+            self._adopt(v, up)
+            kids = ks[1:]
+        else:
+            kids = ks
+        self._kids[v] = kids
+        self.count += sum(kids)
+        self._drawn += d
+        _check_budget(self.count + self._drawn, "one lazy collection")
+        barred = [(v, up)] if up else []
+        barred += [(v + _SYMBOLS[s], k) for s, k in enumerate(kids) if k]
+        return barred
+
+    def _counts_by_edge(self, v: bytes) -> list[tuple[bytes, int]]:
+        """Draw the unknown counts at v, a vertex in ``_split`` or with no
+        children, and keep them per edge.  Returns the barred incident edges."""
         counts = self._counts
-        # Vector-sample the unknown incident counts in one call; at dilute
-        # intensities most of them are zero and no heights are ever drawn.
-        unknown = [e for e in edges if e not in counts]
+        edges = _incident_edges(self.shape, v)
+        children = edges[1:] if v else edges
+        up = self._known_count(v) if v else 0
+        unknown = [e for e in children if e not in counts]
+        if up is None:
+            unknown.insert(0, v)
         if unknown:
             ks = self._rng.poisson(self.t, size=len(unknown)).tolist()
             counts.update(zip(unknown, ks))
+            if up is None:
+                up = ks[0]
+                self._split.add(v[:-1])
             self.count += sum(ks)
-            _check_budget(self.count + len(counts), "one lazy collection")
-        heights = self._heights
-        groups = []
-        for e in edges:
-            k = counts[e]
-            if k:
-                hs = heights.get(e)
-                if hs is None:
-                    hs = heights[e] = _distinct_heights(self._rng, k)
-                groups.append((hs, e))
-        built = self._poles[v] = _pole_of(v, groups)
-        return built
+            self._drawn += len(ks)
+            _check_budget(self.count + self._drawn, "one lazy collection")
+        barred = [(v, up)] if up else []
+        barred += [(e, k) for e in children if (k := counts[e])]
+        return barred
 
 
 class _Thinned(_PoleIndexMixin):
@@ -425,27 +548,22 @@ class _Thinned(_PoleIndexMixin):
         return tuple(h for h, m in zip(hs, marks) if m <= self._keep)
 
     def pole(self, v: bytes) -> _Pole:
-        """The base's pole at v, less the joints of bars marked above keep.
+        """The base's pole at v, less the joints whose mark is above keep.
 
-        The base draws the pole's counts and heights; only the marks of its
-        barred edges are new draws, taken the first time each edge shows up
-        in the pole's height order.  An edge's joints ascend as its heights
-        do, so its j-th joint here is its j-th bar and carries mark j.
+        The base draws the pole's counts and heights, and its marks
+        (:meth:`LazyPoissonBars.pole_marks`), which every thinning shares.
         """
         built = self._poles.get(v)
         if built is not None:
             return built
-        heights, hops = self._base.pole(v)
-        marks_on, keep = self._base.marks_on, self._keep
-        seen: dict[bytes, int] = {}
-        kept = []
-        for h, hop in zip(heights, hops):
-            e = hop[0]
-            j = seen.get(e, 0)
-            seen[e] = j + 1
-            if marks_on(e)[j] <= keep:
-                kept.append((h, hop))
-        built = self._poles[v] = tuple(zip(*kept)) if kept else ((), ())
+        base = self._base
+        heights, hops = base.pole(v)
+        keep = self._keep
+        kept = [i for i, m in enumerate(base.pole_marks(v)) if m <= keep]
+        if len(kept) < len(heights):
+            heights = tuple([heights[i] for i in kept])
+            hops = tuple([hops[i] for i in kept])
+        built = self._poles[v] = heights, hops
         return built
 
 

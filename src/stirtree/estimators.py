@@ -76,23 +76,46 @@ def _map_batches(
 # --- boundary-hit probability ------------------------------------------------
 
 
+def _deepest_levels(bars: LazyPoissonBars, ts) -> list[int]:
+    """The deepest level of the root-origin run on the thinning of ``bars``
+    to each t of ``ts``, a descending grid with ts[0] = bars.t.
+
+    The run at bars.t is made first.  Each lower t is run only where its
+    thinning differs from the last run's on a pole that run visited
+    (:meth:`LazyPoissonBars.thinnings_differ`); elsewhere it is that same
+    run, so its level is copied.  Either way the stream ends where running
+    every t would leave it.
+    """
+    traj = hit_level(bars)
+    poles, t_ref = bars.built_poles(), bars.t
+    levels = []
+    for t in ts:
+        if bars.thinnings_differ(poles, t, t_ref):
+            view = bars.thinned(t)
+            traj = hit_level(view)
+            poles = view.built_poles()
+        levels.append(traj.deepest)
+        t_ref = t
+    return levels
+
+
 def _pn_batch(job) -> list[list[int]]:
     """Per t of the ascending grid, the deepest-level histogram of trials
     lo..hi-1.  Each trial draws one collection at the top rate t_max, on
-    the stream of a single-t run at t_max, and runs it first; then, from
-    the top down, each lower t runs on its thinning to t."""
+    the stream of a single-t run at t_max, and reads every t > 0 off its
+    thinnings (:func:`_deepest_levels`)."""
     shape, ts, seed, lo, hi = job
     hists = [[0] * (shape.n + 1) for _ in ts]
     if ts[0] == 0.0:  # no bars: every run wraps once at the root and returns
         hists[0][0] = hi - lo
     runs = [(hist, t) for hist, t in zip(hists, ts) if t > 0.0][::-1]
     if runs:
-        t_max = ts[-1]
-        streams = TrialStreams(seed, "pn", shape.d, shape.n, t_max)
+        down = [t for _, t in runs]
+        streams = TrialStreams(seed, "pn", shape.d, shape.n, down[0])
         for i in range(lo, hi):
-            bars = LazyPoissonBars(shape, t_max, streams.at(i))
-            for hist, t in runs:
-                hist[hit_level(bars.thinned(t)).deepest] += 1
+            bars = LazyPoissonBars(shape, down[0], streams.at(i))
+            for (hist, _), level in zip(runs, _deepest_levels(bars, down)):
+                hist[level] += 1
     return hists
 
 
@@ -109,7 +132,9 @@ def depth_profiles(
     the profiles are correlated across t, and differences between them
     have far less variance than independent profiles would give.  Each
     one still has the exact law of a one-point grid at its t, and the
-    t_max profile is bit-identical to it.
+    t_max profile is bit-identical to it.  A lower t is run only where its
+    thinning differs on a pole that the run one rate up visited; the
+    profiles are those of running every t, to the bit.
     """
     ts = tuple(t_grid)
     for t in ts:  # a negative t below t_max would thin to no bars, silently
@@ -146,6 +171,36 @@ class RussoCheck:
     p_off: float
 
 
+def _russo_trial(shape: TreeShape, t: float, fd_step: float, gen) -> tuple[int, ...]:
+    """One paired trial of :func:`russo_check`: the depth-n hit indicators
+    (plus, center, minus) of B+, B0 and B-, and a = I(B0 + A) - I(B0).
+
+    B0 is run only where it differs from B+ on the poles B+'s run visited,
+    and B- only where it differs from B0 on B0's; elsewhere each is the
+    run it is compared with (see :meth:`LazyPoissonBars.thinnings_differ`).
+    B0 + A runs only when B0's run visited an endpoint pole of A: otherwise
+    it is B0's run, and a = 0.
+    """
+    added = sample_added(shape, gen)
+    top = LazyPoissonBars(shape, t + fd_step, gen)
+    mid = top.thinned(t)
+    while added.height in mid.heights_on(added.edge):
+        added = Bar(added.edge, float(gen.random()))
+    plus = center = hit_level(top).reached
+    poles = top.built_poles()
+    if top.thinnings_differ(poles, t, top.t):
+        center = hit_level(mid).reached
+        poles = mid.built_poles()
+    over = mid.with_added(added)
+    a = 0
+    if added.edge in poles or added.edge[:-1] in poles:
+        a = hit_level(over).reached - center
+    minus = center
+    if top.thinnings_differ(poles, t - fd_step, t):
+        minus = hit_level(top.thinned(t - fd_step)).reached
+    return plus, center, minus, a
+
+
 def _russo_batch(fd_step: float, job) -> tuple[int, ...]:
     """Paired trials lo..hi-1; the integer tallies of :func:`russo_check`:
     (on, off, sum b, sum b^2, sum a*b, sum of I(B+) - 2 I(B0) + I(B-))."""
@@ -153,16 +208,7 @@ def _russo_batch(fd_step: float, job) -> tuple[int, ...]:
     streams = TrialStreams(seed, "russo", shape.d, shape.n, t)
     on = off = sb = sbb = sab = second = 0
     for i in range(lo, hi):
-        gen = streams.at(i)
-        added = sample_added(shape, gen)
-        top = LazyPoissonBars(shape, t + fd_step, gen)
-        mid = top.thinned(t)
-        while added.height in mid.heights_on(added.edge):
-            added = Bar(added.edge, float(gen.random()))
-        plus = hit_level(top).reached
-        center = hit_level(mid).reached
-        a = hit_level(mid.with_added(added)).reached - center
-        minus = hit_level(top.thinned(t - fd_step)).reached
+        plus, center, minus, a = _russo_trial(shape, t, fd_step, streams.at(i))
         b = plus - minus
         on += a == 1
         off += a == -1
@@ -189,7 +235,9 @@ def russo_check(
     paired X = |E| a - b / (2h) has mean lhs - rhs and se(X) holds the
     covariance of the two sides exactly.  The bias allowance is the
     three-point rule, |mean of I(B+) - 2 I(B0) + I(B-)| (an estimate of
-    h^2 p''), charged in quadrature with se(X).
+    h^2 p''), charged in quadrature with se(X).  A run whose poles are
+    those of a run already made is not made again (:func:`_russo_trial`);
+    the tallies are those of making all four runs per trial, to the bit.
     """
     if not 0.0 < fd_step < t:
         raise ValueError("fd_step must lie in (0, t)")

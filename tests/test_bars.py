@@ -348,6 +348,10 @@ def test_realize_needs_a_fresh_collection():
     lazy.count_on(b"\x00")
     with pytest.raises(ValueError, match="nothing realized"):
         lazy.realize()
+    lazy = LazyPoissonBars(SHAPE22, 0.5, TrialStreams(2, "fresh").at(0))
+    lazy.pole(ROOT)  # counts kept as the root's child list
+    with pytest.raises(ValueError, match="nothing realized"):
+        lazy.realize()
 
 
 @pytest.mark.parametrize("t", [math.nan, math.inf, -1.0])
@@ -388,6 +392,58 @@ def test_lazy_pole_draws_parent_then_children(d, n, t, v):
     assert sum(counts) > 0
     assert pole == dense.pole(v)
     assert gen.random() == ref_gen.random()
+
+
+@pytest.mark.parametrize(
+    "d, n, t, v, first",
+    [
+        (3, 3, 1.2, b"\x01", [b"\x01\x02"]),  # a child's count alone
+        (3, 3, 1.2, b"\x01", [b"\x01\x00\x02"]),  # a grandchild's count alone
+        (3, 3, 1.2, b"\x01", [b"\x01"]),  # the parent edge's count alone
+        (3, 3, 1.5, b"", [b"\x02", b"\x00"]),
+        (2, 4, 1.5, b"\x00\x01", [b"\x00\x01\x01\x00"]),
+    ],
+)
+def test_lazy_pole_after_counts_drawn_one_at_a_time(d, n, t, v, first):
+    # counts drawn alone first, as a conditioned root layer or an added bar's
+    # edge are: the pole then draws the rest as count_on would, edge by edge
+    shape = TreeShape(d, n)
+    gen = TrialStreams(4, "pole-after").at(0)
+    lazy = LazyPoissonBars(shape, t, gen)
+    for e in first:
+        lazy.count_on(e)
+    pole = lazy.pole(v)
+    ref_gen = TrialStreams(4, "pole-after").at(0)
+    ref = LazyPoissonBars(shape, t, ref_gen)
+    for e in first:
+        ref.count_on(e)
+    incident = ([v] if v else []) + [v + bytes((i,)) for i in range(d) if len(v) < n]
+    counts = [ref.count_on(e) for e in incident]
+    dense = BarCollection(shape, {e: ref.heights_on(e) for e in incident})
+    assert sum(counts) > 0
+    assert pole == dense.pole(v)
+    assert [lazy.count_on(e) for e in incident] == counts
+    assert lazy.count == ref.count
+    assert gen.random() == ref_gen.random()
+
+
+def test_pole_keeps_the_edge_order_of_tied_heights():
+    # a height shared by the parent edge and two children: the joints keep
+    # the edges' order, as sorting (height, (edge, dest)) pairs would
+    shape = TreeShape(3, 2)
+    v = b"\x01"
+    by_edge = {
+        v: (0.25, 0.5),
+        v + b"\x02": (0.5, 0.75),
+        v + b"\x00": (0.1, 0.5),
+        v + b"\x01": (0.3,),
+    }
+    pole = BarCollection(shape, by_edge).pole(v)
+    pairs = sorted(
+        (h, (e, e[:-1] if e == v else e)) for e, hs in by_edge.items() for h in hs
+    )
+    assert pole == (tuple(h for h, _ in pairs), tuple(hop for _, hop in pairs))
+    assert [hop[0] for hop in pole[1][3:6]] == [v, v + b"\x00", v + b"\x02"]
 
 
 @settings(max_examples=80, deadline=None)

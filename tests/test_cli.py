@@ -400,6 +400,15 @@ def test_capacity_exit_3(capsys):
         assert err.startswith("capacity error:"), args
 
 
+def test_sim_past_the_base_36_digits_exit_3(capsys):
+    # sim rows name vertices by base-36 digit strings, so sim stops at d = 36
+    # while the estimators run up to d = 255
+    code = main(["sim", "--d", "40", "--n", "2", "--t", "0.02", "--trials", "3"])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    assert err == "capacity error: string serialization supports degree <= 36\n"
+
+
 def _python_under_memory_limit(*args):
     """Run Python in a child process under a 1.5 GB address-space limit, so
     a regression fails with a MemoryError instead of exhausting the host."""
@@ -494,15 +503,18 @@ bars = LazyPoissonBars(TreeShape(255, _MAX_DEPTH), 0.004, TrialStreams(1, "fill"
 symbols = np.random.default_rng(0)
 try:
     while True:  # distinct poles one level above the leaves: 256 counts each
-        bars.pole(bytes(symbols.integers(0, 255, size=_MAX_DEPTH - 1).tolist()))
+        v = bytes(symbols.integers(0, 255, size=_MAX_DEPTH - 1).tolist())
+        bars.pole(v + b"\\x00")  # a leaf first, so v's counts are kept per edge
+        bars.pole(v)
 except CapacityError as exc:
     print("capacity error:", exc)
 """
 
 
 def test_lazy_collection_at_the_depth_bound_stops_at_the_budget():
-    # the counts a deep pole holds, keyed by long addresses, outweigh its
-    # heights: charged to the budget, they stop the fill near 0.8 GB
+    # the counts a deep pole holds, kept per edge and keyed by long
+    # addresses, outweigh its heights: charged to the budget, they stop the
+    # fill near 0.8 GB
     res = _python_under_memory_limit("-c", _FILL_TO_THE_BUDGET)
     assert res.returncode == 0 and res.stderr == ""
     assert res.stdout.startswith("capacity error: one lazy collection")

@@ -5,6 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import stirtree.bars as bars_mod
 import stirtree.estimators as estimators
@@ -24,7 +25,7 @@ from stirtree.estimators import (
     z_bracket,
     z_estimate,
 )
-from stirtree.bars import Bar, BarCollection, LazyPoissonBars
+from stirtree.bars import Bar, BarCollection, LazyPoissonBars, sample_added
 from stirtree.meander import hit_level
 from stirtree.rng import TrialStreams
 from stirtree.tree import TreeShape, edge_from_index
@@ -409,6 +410,90 @@ def test_depth_profile_worker_invariant():
     assert [len(p) for p in profiles] == [shape.n + 1] * 2
     assert [sum(p) for p in profiles] == [9000] * 2
     assert depth_profiles(shape, (0.3, 0.4), 9000, 43, workers=2) == profiles
+
+
+# Shapes and rates where thinned runs are sometimes skipped and sometimes
+# made: a rate scale c puts t_max = c / d around each d's critical window.
+SKIP_SHAPES = st.sampled_from([TreeShape(2, 2), TreeShape(3, 4), TreeShape(8, 6)])
+RATE_SCALES = st.floats(0.6, 2.5)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    shape=SKIP_SHAPES,
+    scale=RATE_SCALES,
+    shares=st.lists(st.floats(0.05, 0.99), min_size=2, max_size=4, unique=True),
+    seed=st.integers(0, 2**32),
+)
+def test_skipped_thinned_runs_are_the_runs_they_stand_for(shape, scale, shares, seed):
+    # each trial's levels and the stream position it leaves equal those of
+    # running the engine on every thinning, from the top rate down
+    t_max = scale / shape.d
+    ts = sorted({t_max * f for f in shares} | {t_max}, reverse=True)
+    assert len(ts) >= 3
+    gen = TrialStreams(seed, "skip").at(0)
+    levels = estimators._deepest_levels(LazyPoissonBars(shape, t_max, gen), ts)
+    ref_gen = TrialStreams(seed, "skip").at(0)
+    ref = LazyPoissonBars(shape, t_max, ref_gen)
+    assert levels == [hit_level(ref.thinned(t)).deepest for t in ts]
+    assert gen.random() == ref_gen.random()
+
+
+def _russo_trial_running_every_run(shape, t, h, gen):
+    added = sample_added(shape, gen)
+    top = LazyPoissonBars(shape, t + h, gen)
+    mid = top.thinned(t)
+    while added.height in mid.heights_on(added.edge):
+        added = Bar(added.edge, float(gen.random()))
+    plus = hit_level(top).reached
+    center = hit_level(mid).reached
+    a = hit_level(mid.with_added(added)).reached - center
+    minus = hit_level(top.thinned(t - h)).reached
+    return plus, center, minus, a
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    shape=SKIP_SHAPES,
+    scale=RATE_SCALES,
+    step=st.floats(0.02, 0.5),
+    seed=st.integers(0, 2**32),
+)
+def test_skipped_russo_runs_are_the_runs_they_stand_for(shape, scale, step, seed):
+    t = scale / shape.d
+    h = t * step
+    gen = TrialStreams(seed, "skip-russo").at(0)
+    got = estimators._russo_trial(shape, t, h, gen)
+    ref_gen = TrialStreams(seed, "skip-russo").at(0)
+    assert got == _russo_trial_running_every_run(shape, t, h, ref_gen)
+    assert gen.random() == ref_gen.random()
+
+
+def _counting_engine_runs(monkeypatch):
+    runs = []
+
+    def counted(bars):
+        runs.append(bars)
+        return hit_level(bars)
+
+    monkeypatch.setattr(estimators, "hit_level", counted)
+    return runs
+
+
+def test_scan_skips_thinned_runs_on_unchanged_poles(monkeypatch):
+    # three rates would take three runs per trial with no skipping
+    runs = _counting_engine_runs(monkeypatch)
+    estimators._pn_batch((TreeShape(8, 8), (0.13, 0.145, 0.16), 5, 0, 500))
+    assert len(runs) < 3 * 500
+
+
+def test_russo_skips_runs_on_unchanged_poles(monkeypatch):
+    # B+, B0, B0 + A and B- would take four runs per trial with no skipping
+    runs = _counting_engine_runs(monkeypatch)
+    estimators._russo_batch(0.05, (TreeShape(2, 2), 0.5, 5, 0, 500))
+    assert len(runs) < 4 * 500
+    # B0 + A runs only where B0's run visited a pole of A
+    assert sum(isinstance(b, bars_mod._WithAdded) for b in runs) < 500
 
 
 @pytest.mark.parametrize("grid", [(0.2, 0.0, 0.4), (0.4, 0.2), (0.2, 0.2, 0.4)])

@@ -10,7 +10,9 @@ The trial counts are small; the whole module runs in about a second.
 import pytest
 
 from stirtree.estimators import (
+    _russo_batch,
     bare_root_gain_check,
+    critical_scan,
     estimate_pn,
     russo_check,
     tail_checks,
@@ -31,6 +33,22 @@ def test_estimate_pn_hit_counts(d, n, t, trials, seed, hits):
 def test_russo_pivotal_frequencies():
     res = russo_check(TreeShape(2, 2), 0.5, 0.05, 2000, 6)
     assert (res.p_on, res.p_off) == (361 / 2000, 83 / 2000)
+
+
+def test_russo_tallies():
+    # on, off, sum b, sum b^2, sum a*b and the second difference: the minus
+    # run enters through b and the second difference only
+    tallies = _russo_batch(0.05, (TreeShape(2, 2), 0.5, 6, 0, 2000))
+    assert tallies == (361, 83, 174, 232, 14, -4)
+
+
+def test_scan_rows():
+    # every row of a coupled three-rate scan: the rates below t_max are read
+    # off thinnings of each trial's one draw
+    shapes = [TreeShape(8, n) for n in (4, 6, 8)]
+    table = critical_scan(shapes, [0.13, 0.145, 0.16], 1500, 3)
+    hits = [452, 542, 638, 327, 424, 532, 231, 337, 466]
+    assert [row[3] for row in table.rows] == [k / 1500 for k in hits]
 
 
 def test_z_estimate_mean():
