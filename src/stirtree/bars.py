@@ -37,18 +37,18 @@ class Bar(NamedTuple):
 # before any draw: (1 + t)·|E| for realize(), and the mean (d + 1)·t of one
 # lazy pole's heights.  A lazy run draws one pole per vertex it visits, so
 # the counts and heights a lazy collection holds are checked too, after each
-# count draw and before its heights: every count drawn is charged once, kept
-# in a pole's child list or per edge, zero or not.  Measured whole-command
-# peak RSS above the import on 2 vCPU with numpy 2.4.6, at the budget: lazy
-# `sim --d 36 --n 1 --n1 0 --t 67000`, 2.4e6 heights, 1.05 GB (1.08 GB
-# RSS, under 1.5 GB; three engine runs, and the added bar's poles copied);
-# `estimate pn --d 2 --n 1 --t 833333`, 0.13 GB.  Counts kept per edge cost
-# more on deep trees, keyed by n-byte addresses: one collection filled to
-# the budget with d = 255 poles whose counts are kept per edge peaked at
-# 0.36 / 0.83 GB above the import at depth 64 / 256, and at 1.44 GB at
+# child list's draw and before any heights: every count drawn is charged
+# once, zero or not.  A recorded engine run keeps two tuples per crossing,
+# so meander.run bounds its record by this budget too.  Measured peak RSS
+# of the whole command at the budget on 2 vCPU with numpy 2.4.6: lazy
+# `sim --d 36 --n 1 --n1 0 --t 67000`, 2.4e6 heights, 0.50 to 0.90 GB over
+# seeds 1-8 (five stop at the record's bound and exit 3).  Heights are kept
+# per barred edge, keyed by n-byte addresses, so they cost most on deep
+# trees: a (2, 256) collection at t = 0.5 filled to the budget with leaf
+# then parent poles peaked at 0.98 GB above the import, and at 1.55 GB at
 # depth 512 (the bound patched out), which sets tree._MAX_DEPTH at 256.
-# Kept as child lists, as root-origin runs draw them, the same fill peaks
-# at 28 / 33 MB at depth 64 / 256.
+# Child-count lists stay small: the same fill at (255, 256), t = 0.004,
+# peaks at 30 MB.
 _DRAW_BUDGET = 2_500_000
 
 
@@ -94,14 +94,6 @@ def _distinct_heights(rng: np.random.Generator, k: int) -> tuple[float, ...]:
 _Pole = tuple[tuple[float, ...], tuple[tuple[bytes, bytes], ...]]
 
 
-def _incident_edges(shape: TreeShape, v: bytes) -> list[bytes]:
-    """The edges with a joint on pole v: the parent edge, then the children."""
-    edges = [v] if v else []
-    if len(v) < shape.n:
-        edges += [v + s for s in _SYMBOLS[: shape.d]]
-    return edges
-
-
 def _pole_of(v: bytes, groups: list[tuple[tuple[float, ...], bytes]]) -> _Pole:
     """Merge the ``(heights, edge)`` groups of the barred edges at v into a pole.
 
@@ -133,11 +125,12 @@ def _pole_of(v: bytes, groups: list[tuple[tuple[float, ...], bytes]]) -> _Pole:
 class _PoleIndexMixin:
     """Lazily built per-pole index of incident joints.
 
-    ``pole(v)`` returns ``(heights, hops)`` where heights is the ascending
-    tuple of joint heights on the pole at v and ``hops[i] = (edge, dest)``
-    names the supporting edge and the vertex at the other joint.  Built on
-    first visit and cached; collections are immutable afterwards, so sharing
-    across concurrent runs is safe once built.
+    Each collection's ``pole(v)`` returns ``(heights, hops)`` where heights
+    is the ascending tuple of joint heights on the pole at v and
+    ``hops[i] = (edge, dest)`` names the supporting edge and the vertex at
+    the other joint.  Built on first visit and cached in ``_poles``;
+    collections are immutable afterwards, so sharing across concurrent runs
+    is safe once built.
     """
 
     shape: TreeShape
@@ -148,18 +141,6 @@ class _PoleIndexMixin:
 
     def count_on(self, edge: bytes) -> int:
         return len(self.heights_on(edge))
-
-    def pole(self, v: bytes) -> _Pole:
-        built = self._poles.get(v)
-        if built is not None:
-            return built
-        groups = []
-        for e in _incident_edges(self.shape, v):
-            hs = self.heights_on(e)
-            if hs:
-                groups.append((hs, e))
-        built = self._poles[v] = _pole_of(v, groups)
-        return built
 
     def built_poles(self) -> list[bytes]:
         """The vertices whose poles are built, in build order.  On a fresh
@@ -263,6 +244,18 @@ class BarCollection(_PoleIndexMixin):
     def heights_on(self, edge: bytes) -> tuple[float, ...]:
         return self._by_edge.get(edge, ())
 
+    def pole(self, v: bytes) -> _Pole:
+        built = self._poles.get(v)
+        if built is not None:
+            return built
+        edges = [v] if v else []  # the parent edge, then the children
+        if len(v) < self.shape.n:
+            edges += [v + s for s in _SYMBOLS[: self.shape.d]]
+        by_edge = self._by_edge
+        groups = [(hs, e) for e in edges if (hs := by_edge.get(e))]
+        built = self._poles[v] = _pole_of(v, groups)
+        return built
+
     def edges_with_bars(self) -> Iterable[bytes]:
         return self._by_edge.keys()
 
@@ -301,24 +294,21 @@ class LazyPoissonBars(_PoleIndexMixin):
 
     The package's one Poisson sampler: the estimators and ``sim`` query it
     lazily, and :meth:`realize` reads every edge in index order where a
-    check needs the full collection.  Per-edge counts (and then heights) are
-    sampled the first time an edge is queried.  Query order is a
-    deterministic function of the realized bars, so a fixed (seed, trial)
-    stream reproduces the same collection; the joint law over every touched
-    edge is exactly Poisson-t.  ``count`` is the number of bars realized so
-    far, which bounds every run that only visits realized poles.
-
-    A pole that draws all d child counts of its vertex keeps them as one
-    list, and only a child with a bar gets an address and a heights entry;
-    at dilute rates most children have none.  Counts drawn any other way
-    (the parent edge of a pole, :meth:`count_on` and
-    :meth:`prefill_counts`) are kept per edge, and a vertex with such a
-    child builds its pole edge by edge.
+    check needs the full collection.  Counts are drawn per vertex: the
+    first need of any child count of v (:meth:`count_on` or a pole) draws
+    all d of them in one call and keeps them as v's child list.  An edge's
+    heights are drawn the first time they are needed, and only a barred
+    edge gets an address and a heights entry; at dilute rates most children
+    have none.  Query order is a deterministic function of the realized
+    bars, so a fixed (seed, trial) stream reproduces the same collection;
+    the joint law over every touched edge is exactly Poisson-t.  ``count``
+    is the number of bars realized so far, which bounds every run that only
+    visits realized poles.
     """
 
     __slots__ = (
-        "shape", "t", "count", "_drawn", "_rng", "_kids", "_counts", "_split",
-        "_heights", "_marks", "_pole_marks", "_poles",
+        "shape", "t", "count", "_drawn", "_rng", "_kids", "_heights", "_marks",
+        "_pole_marks", "_poles",
     )
 
     def __init__(self, shape: TreeShape, t: float, rng: np.random.Generator) -> None:
@@ -330,8 +320,6 @@ class LazyPoissonBars(_PoleIndexMixin):
         self._drawn = 0  # counts held, drawn or prefilled; charged to the budget
         self._rng = rng
         self._kids: dict[bytes, list[int]] = {}  # v -> its d child counts
-        self._counts: dict[bytes, int] = {}  # per-edge counts, none in _kids
-        self._split: set[bytes] = set()  # the parents of the edges in _counts
         self._heights: dict[bytes, tuple[float, ...]] = {}
         self._marks: dict[bytes, list[float]] = {}
         self._pole_marks: dict[bytes, list[float]] = {}
@@ -364,29 +352,28 @@ class LazyPoissonBars(_PoleIndexMixin):
                 by_edge[edge_from_index(shape, i)] = _distinct_heights(rng, k)
         return BarCollection(self.shape, by_edge, validate=False)
 
-    def _adopt(self, edge: bytes, k: int) -> None:
-        """Keep one count drawn for ``edge`` alone."""
-        self._counts[edge] = k
-        self._split.add(edge[:-1])
-        self.count += k
-        self._drawn += 1
+    def _keep(self, v: bytes, kids: list[int]) -> list[int]:
+        """Keep v's d child counts, charged to the budget before any heights."""
+        self._kids[v] = kids
+        self.count += sum(kids)
+        self._drawn += len(kids)
+        _check_budget(self.count + self._drawn, "one lazy collection")
+        return kids
 
-    def prefill_counts(self, edges: Iterable[bytes], counts: Iterable[int]) -> None:
-        """Adopt externally sampled counts (e.g. a conditioned root layer)."""
-        for e, k in zip(edges, counts):
-            self._adopt(e, int(k))
+    def _kids_of(self, v: bytes) -> list[int]:
+        """v's d child counts, drawn in one call on first need."""
+        kids = self._kids.get(v)
+        if kids is None:
+            kids = self._keep(v, self._rng.poisson(self.t, size=self.shape.d).tolist())
+        return kids
 
-    def _known_count(self, edge: bytes) -> int | None:
-        kids = self._kids.get(edge[:-1])
-        return self._counts.get(edge) if kids is None else kids[edge[-1]]
+    def prefill_root(self, counts: list[int]) -> None:
+        """Adopt externally sampled root-layer counts (e.g. a conditioned
+        root layer), one per root edge by symbol."""
+        self._keep(b"", list(counts))
 
     def count_on(self, edge: bytes) -> int:
-        k = self._known_count(edge)
-        if k is None:
-            k = int(self._rng.poisson(self.t))
-            self._adopt(edge, k)
-            _check_budget(self.count + self._drawn, "one lazy collection")
-        return k
+        return self._kids_of(edge[:-1])[edge[-1]]
 
     def heights_on(self, edge: bytes) -> tuple[float, ...]:
         hs = self._heights.get(edge)
@@ -464,13 +451,15 @@ class LazyPoissonBars(_PoleIndexMixin):
             return built
         # Counts, then heights, are drawn in incident-edge order (the parent
         # edge, then the children by symbol), as count_on then heights_on
-        # edge by edge would draw them: the unknown counts in one call, then
-        # the heights of the barred edges.  At dilute rates most counts are
-        # zero and draw no heights.
-        if v in self._split or len(v) == self.shape.n:
-            barred = self._counts_by_edge(v)
-        else:
-            barred = self._counts_at_once(v)
+        # edge by edge would draw them.  A root-origin run reaches v from its
+        # parent's pole, so the parent edge's count is known already and only
+        # v's child list is drawn.  At dilute rates most counts are zero and
+        # draw no heights.
+        up = self.count_on(v) if v else 0
+        barred = [(v, up)] if up else []
+        if len(v) < self.shape.n:
+            kids = self._kids_of(v)
+            barred += [(v + _SYMBOLS[s], k) for s, k in enumerate(kids) if k]
         heights, rng = self._heights, self._rng
         groups = []
         for e, k in barred:
@@ -480,49 +469,6 @@ class LazyPoissonBars(_PoleIndexMixin):
             groups.append((hs, e))
         built = self._poles[v] = _pole_of(v, groups)
         return built
-
-    def _counts_at_once(self, v: bytes) -> list[tuple[bytes, int]]:
-        """Draw the counts at v, none of whose children is known: the d
-        child counts stay one list.  Returns the barred incident edges."""
-        d = self.shape.d
-        up = self._known_count(v) if v else 0
-        ks = self._rng.poisson(self.t, size=d + (up is None)).tolist()
-        if up is None:
-            up = ks[0]
-            self._adopt(v, up)
-            kids = ks[1:]
-        else:
-            kids = ks
-        self._kids[v] = kids
-        self.count += sum(kids)
-        self._drawn += d
-        _check_budget(self.count + self._drawn, "one lazy collection")
-        barred = [(v, up)] if up else []
-        barred += [(v + _SYMBOLS[s], k) for s, k in enumerate(kids) if k]
-        return barred
-
-    def _counts_by_edge(self, v: bytes) -> list[tuple[bytes, int]]:
-        """Draw the unknown counts at v, a vertex in ``_split`` or with no
-        children, and keep them per edge.  Returns the barred incident edges."""
-        counts = self._counts
-        edges = _incident_edges(self.shape, v)
-        children = edges[1:] if v else edges
-        up = self._known_count(v) if v else 0
-        unknown = [e for e in children if e not in counts]
-        if up is None:
-            unknown.insert(0, v)
-        if unknown:
-            ks = self._rng.poisson(self.t, size=len(unknown)).tolist()
-            counts.update(zip(unknown, ks))
-            if up is None:
-                up = ks[0]
-                self._split.add(v[:-1])
-            self.count += sum(ks)
-            self._drawn += len(ks)
-            _check_budget(self.count + self._drawn, "one lazy collection")
-        barred = [(v, up)] if up else []
-        barred += [(e, k) for e in children if (k := counts[e])]
-        return barred
 
 
 class _Thinned(_PoleIndexMixin):

@@ -132,7 +132,7 @@ def _parse_args(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
     return args
 
 
-def _check_counts(ns: dict) -> None:
+def _check_run_flags(ns: dict) -> None:
     for key in ("trials", "workers"):
         value = ns.get(key)  # None: verify's suite scales, or estimate gw
         if value is not None and value < 1:
@@ -314,7 +314,7 @@ _COMMANDS = {
 def main(argv=None) -> int:
     ns = vars(_parse_args(build_parser(), argv))
     try:
-        _check_counts(ns)
+        _check_run_flags(ns)
         if ns["out"]:  # the path becomes the open file, before any work
             try:
                 ns["out"] = open(ns["out"], "w", newline="")

@@ -333,7 +333,6 @@ def _cluster_tail_batch(job) -> list[int]:
     """Trials lo..hi-1 with root cluster size >= 1, 2, 3, 4; root layer
     first, deeper lazily."""
     shape, t, seed, lo, hi = job
-    root_edges = [bytes((i,)) for i in range(shape.d)]
     streams = TrialStreams(seed, "tails-deep", shape.d, shape.n, t)
     at_least = [0] * len(_CLUSTER_SIZES)
     for i in range(lo, hi):
@@ -341,7 +340,7 @@ def _cluster_tail_batch(job) -> list[int]:
         counts = gen.poisson(t, size=shape.d).tolist()
         if max(counts) >= 2:
             bars = LazyPoissonBars(shape, t, gen)
-            bars.prefill_counts(root_edges, counts)
+            bars.prefill_root(counts)
             size = multibar_cluster(bars).size
             for k, ell in enumerate(_CLUSTER_SIZES):
                 at_least[k] += size >= ell
@@ -551,7 +550,6 @@ def bare_root_gain_check(
         raise ValueError("needs depth >= 2")
     _check_trials(trials)
     d = shape.d
-    root_edges = [bytes((i,)) for i in range(d)]
     streams = TrialStreams(seed, "bare-root-gain", d, shape.n, t)
     hits = 0
     for i in range(trials):
@@ -561,7 +559,7 @@ def bare_root_gain_check(
         while h == 0.0:
             h = float(gen.random())
         bars = LazyPoissonBars(shape, t, gen)
-        bars.prefill_counts(root_edges, [0] * d)
+        bars.prefill_root([0] * d)
         if hit_level(bars).reached:
             raise EngineError("bar-free root layer cannot reach depth n unaided")
         hits += hit_level(bars.with_added(Bar(edge, h))).reached

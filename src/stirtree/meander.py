@@ -22,8 +22,8 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
-from stirtree.bars import merge_intervals
-from stirtree.tree import ROOT
+from stirtree.bars import _DRAW_BUDGET, merge_intervals
+from stirtree.tree import ROOT, CapacityError
 
 # Test-only fault injection: when True the joint search is inclusive, i.e.
 # the right-continuity rule is skipped.  Never enable outside tests.
@@ -136,6 +136,9 @@ def run(
     (each bar is crossed at most twice, each pole covered at most once), the
     crossing count stays within twice the bar count (for lazy collections,
     the bars realized so far) and the wrap count within the vertex count.
+    A recorded run keeps two tuples per crossing, so it is bounded by the
+    sampler's draw budget too: past ``_DRAW_BUDGET`` crossings it raises
+    ``CapacityError``.
     """
     v0, h0 = start
     if not 0.0 <= h0 < 1.0:
@@ -173,6 +176,10 @@ def run(
             hb = boundary
             t_ev = wraps + (hb - h0)
             if record:
+                if len(crossings) == _DRAW_BUDGET:
+                    raise CapacityError(
+                        f"a recorded run would keep over {_DRAW_BUDGET} crossings"
+                    )
                 segments.append((v, h, hb))
                 crossings.append((edge_k, hb, w == edge_k, t_ev))
             ncross += 1

@@ -18,8 +18,10 @@ from functools import cached_property
 ROOT: bytes = b""
 
 # Deepest tree accepted, checked before any power of d.  A lazy collection
-# filled to the draw budget with poles this deep (d = 255) peaks under the
-# 1.5 GB a command may use; see bars._DRAW_BUDGET.
+# keeps its heights per barred edge, keyed by n-byte addresses, so filled to
+# the draw budget with poles this deep (d = 2) it peaks near 1 GB, under the
+# 1.5 GB a command may use, and at twice the depth over it; see
+# bars._DRAW_BUDGET.
 _MAX_DEPTH = 256
 
 _DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"

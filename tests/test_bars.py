@@ -315,24 +315,25 @@ def test_lazy_heights_checked_against_the_budget_before_they_are_drawn(query):
         if query == "pole":
             lazy.pole(ROOT)
         else:
-            lazy.count_on(b"\x00")
             lazy.count_on(b"\x01")
     assert "random" not in gen.calls
 
 
 @pytest.mark.parametrize("query", ["pole", "count_on"])
 def test_lazy_budget_charges_counts_as_well_as_heights(query):
-    # every drawn value counts, as in realize(): 2 499 999 heights and their
-    # count fill the budget exactly, and one more count is over it
-    gen = _ScriptedGen([2_499_999, 0], [])
+    # every drawn value counts, as in realize(): the root's two counts and
+    # the 2 499 998 heights of edge 0 fill the budget exactly, and the next
+    # child list, edge 0's, is over it; edge 0's heights are never drawn
+    gen = _ScriptedGen([2_499_998, 0, 0, 0], [])
     lazy = LazyPoissonBars(TreeShape(2, 2), 1.0, gen)
     with pytest.raises(CapacityError, match="one lazy collection"):
         if query == "pole":
-            lazy.pole(ROOT)
+            lazy.pole(b"\x00")
         else:
-            assert lazy.count_on(b"\x00") == 2_499_999
-            lazy.count_on(b"\x01")
-    assert "random" not in gen.calls
+            assert lazy.count_on(b"\x00") == 2_499_998
+            assert lazy.count_on(b"\x01") == 0
+            lazy.count_on(b"\x00\x00")
+    assert gen.calls == ["poisson", "poisson"]
 
 
 def test_realize_refuses_an_edge_count_past_float_range_before_any_draw():
@@ -345,11 +346,11 @@ def test_realize_refuses_an_edge_count_past_float_range_before_any_draw():
 
 def test_realize_needs_a_fresh_collection():
     lazy = LazyPoissonBars(SHAPE22, 0.5, TrialStreams(2, "fresh").at(0))
-    lazy.count_on(b"\x00")
+    lazy.count_on(b"\x00")  # one count read draws the root's child list
     with pytest.raises(ValueError, match="nothing realized"):
         lazy.realize()
     lazy = LazyPoissonBars(SHAPE22, 0.5, TrialStreams(2, "fresh").at(0))
-    lazy.pole(ROOT)  # counts kept as the root's child list
+    lazy.pole(ROOT)
     with pytest.raises(ValueError, match="nothing realized"):
         lazy.realize()
 
@@ -397,16 +398,17 @@ def test_lazy_pole_draws_parent_then_children(d, n, t, v):
 @pytest.mark.parametrize(
     "d, n, t, v, first",
     [
-        (3, 3, 1.2, b"\x01", [b"\x01\x02"]),  # a child's count alone
-        (3, 3, 1.2, b"\x01", [b"\x01\x00\x02"]),  # a grandchild's count alone
-        (3, 3, 1.2, b"\x01", [b"\x01"]),  # the parent edge's count alone
+        (3, 3, 1.2, b"\x01", [b"\x01\x02"]),  # v's own child list
+        (3, 3, 1.2, b"\x01", [b"\x01\x00\x02"]),  # a child's child list
+        (3, 3, 1.2, b"\x01", [b"\x01"]),  # the list of v's parent edge
         (3, 3, 1.5, b"", [b"\x02", b"\x00"]),
         (2, 4, 1.5, b"\x00\x01", [b"\x00\x01\x01\x00"]),
     ],
 )
-def test_lazy_pole_after_counts_drawn_one_at_a_time(d, n, t, v, first):
-    # counts drawn alone first, as a conditioned root layer or an added bar's
-    # edge are: the pole then draws the rest as count_on would, edge by edge
+def test_lazy_pole_after_child_counts_read_first(d, n, t, v, first):
+    # counts read first, as an added bar's edge is: each read draws its
+    # vertex's whole child list, and the pole then draws only the lists it
+    # still lacks, as count_on over its edges would
     shape = TreeShape(d, n)
     gen = TrialStreams(4, "pole-after").at(0)
     lazy = LazyPoissonBars(shape, t, gen)
@@ -425,6 +427,21 @@ def test_lazy_pole_after_counts_drawn_one_at_a_time(d, n, t, v, first):
     assert [lazy.count_on(e) for e in incident] == counts
     assert lazy.count == ref.count
     assert gen.random() == ref_gen.random()
+
+
+def test_count_on_draws_the_whole_child_list_once():
+    # a vertex's d child counts are one draw: the first count read makes one
+    # poisson call, its siblings read without a draw, and the parent's pole
+    # draws only the heights of the barred children
+    gen = _ScriptedGen([0, 2, 0], [0.6, 0.4])
+    lazy = LazyPoissonBars(TreeShape(3, 2), 1.0, gen)
+    assert lazy.count_on(b"\x01") == 2
+    assert gen.calls == ["poisson"]
+    assert [lazy.count_on(bytes((s,))) for s in range(3)] == [0, 2, 0]
+    assert gen.calls == ["poisson"]
+    assert lazy.pole(ROOT) == ((0.4, 0.6), ((b"\x01", b"\x01"),) * 2)
+    assert gen.calls == ["poisson", "random"]
+    assert lazy.count == 2
 
 
 def test_pole_keeps_the_edge_order_of_tied_heights():

@@ -62,30 +62,30 @@ def test_sim_golden_row(capsys):
 
 
 # `sim --d 3 --n 4 --t 0.4 --seed 7 --trials 20 --format csv`, verbatim: its
-# cycles of up to 17 vertices and its crossed added bar pin the lazy draw
-# order that every sim column reads
+# cycles of up to 10 vertices, its two crossed added bars and its far
+# bottleneck pin the lazy draw order that every sim column reads
 GOLDEN_SIM_RUN = """\
 schema,trial,seed,cycle,length,boundary_truncated,crossed,bottleneck_edge,bottleneck_height,no_escape,pivot,bottleneck_zone,added_depth_index,reached_plain,reached_added
-1,0,7,ε 0011 00 0,4,True,0,,,,neither,,0,1,1
+1,0,7,ε 2,2,False,0,,,,neither,,0,0,0
 1,1,7,ε 1,2,False,1,,,,neither,,3,0,0
-1,2,7,ε 222 2 01 0100 0102 010 0,8,True,0,,,,neither,,0,1,1
-1,3,7,ε 2,2,False,0,,,,neither,,0,0,0
+1,2,7,ε 0 1,3,False,0,,,,neither,,0,0,0
+1,3,7,ε 002 00 0,4,False,0,,,,neither,,0,0,0
 1,4,7,ε,1,False,0,,,,neither,,0,0,0
-1,5,7,ε,1,False,0,,,,neither,,0,0,0
-1,6,7,ε,1,False,0,,,,neither,,1,0,0
-1,7,7,ε 100 101 1012 1010 10 12 120 1,9,True,0,,,,neither,,0,1,1
-1,8,7,ε,1,False,0,,,,neither,,0,0,0
-1,9,7,ε 11 1,3,False,0,,,,neither,,0,0,0
-1,10,7,ε,1,False,0,,,,neither,,0,0,0
+1,5,7,ε 1 2 22 2211 221,6,True,0,,,,neither,,0,1,1
+1,6,7,ε 2211 221 2212 222 2220 22 2,8,True,0,,,,neither,,1,1,1
+1,7,7,ε 2002 2000 200 20 2010 201 22 221 2,10,True,0,,,,neither,,0,1,1
+1,8,7,ε 2 20,3,False,0,,,,neither,,0,0,0
+1,9,7,ε 01 011 1 12 10,6,False,0,,,,neither,,0,0,0
+1,10,7,ε 2,2,False,0,,,,neither,,0,0,0
 1,11,7,ε,1,False,0,,,,neither,,0,0,0
-1,12,7,ε 12 1,3,False,0,,,,neither,,0,0,0
-1,13,7,ε 2 210 21 2121 2122 212 20 0 00 0010 001 0001 000 0002 0020 002,17,True,0,,,,neither,,1,1,1
-1,14,7,ε,1,False,0,,,,neither,,1,0,0
-1,15,7,ε 1 122 12 121,5,True,0,,,,neither,,0,1,1
-1,16,7,ε 20 2010 201 2,5,True,0,,,,neither,,1,1,1
+1,12,7,ε,1,False,0,,,,neither,,0,0,0
+1,13,7,ε 011 01 0,4,False,0,,,,neither,,1,0,0
+1,14,7,ε 1 112 1120 11,5,True,0,,,,neither,,1,1,1
+1,15,7,ε 22 21 20 2 01 0,7,False,0,,,,neither,,0,0,0
+1,16,7,ε 00 0 11 1 1111,6,True,1,00,0.8180490312536502,0,neither,far,1,1,1
 1,17,7,ε,1,False,0,,,,neither,,0,0,0
 1,18,7,ε,1,False,0,,,,neither,,0,0,0
-1,19,7,ε 0,2,False,0,,,,neither,,0,0,0
+1,19,7,ε,1,False,0,,,,neither,,0,0,0
 """
 
 
@@ -448,6 +448,21 @@ def test_sim_draws_lazily_at_a_depth_realize_would_refuse():
     assert [row["trial"] for row in rows] == list(range(200))
 
 
+@pytest.mark.parametrize("seed, code", [(3, 0), (7, 3)])
+def test_sim_at_the_draw_budget_exits_0_or_3(seed, code):
+    # 2.4e6 bars on the d = 36 star fill the draw budget, and the root
+    # orbit's record of two tuples per crossing can outweigh them: the record
+    # stops at the budget's count of crossings, so the command ends in a row
+    # or a capacity error, never in a MemoryError under the 1.5 GB limit
+    res = _cli_under_memory_limit(
+        "sim", "--d", "36", "--n", "1", "--n1", "0", "--t", "67000",
+        "--trials", "1", "--seed", str(seed),
+    )
+    full = "capacity error: a recorded run would keep over 2500000 crossings\n"
+    assert (res.returncode, res.stderr) == (code, full if code else "")
+    assert len(res.stdout.splitlines()) == (code == 0)
+
+
 @pytest.mark.parametrize(
     "args, rows",
     [
@@ -494,30 +509,43 @@ def test_added_bar_past_the_index_range_exit_3(capsys):
 
 
 _FILL_TO_THE_BUDGET = """
+import resource
+
 import numpy as np
 from stirtree.bars import LazyPoissonBars
 from stirtree.rng import TrialStreams
 from stirtree.tree import _MAX_DEPTH, CapacityError, TreeShape
 
+def peak_mb():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
+
+at_import = peak_mb()
 bars = LazyPoissonBars(TreeShape(255, _MAX_DEPTH), 0.004, TrialStreams(1, "fill").at(0))
 symbols = np.random.default_rng(0)
+pairs = 0
 try:
-    while True:  # distinct poles one level above the leaves: 256 counts each
+    while True:  # distinct poles one level above the leaves: 510 counts a pair
         v = bytes(symbols.integers(0, 255, size=_MAX_DEPTH - 1).tolist())
-        bars.pole(v + b"\\x00")  # a leaf first, so v's counts are kept per edge
-        bars.pole(v)
+        bars.pole(v + b"\\x00")  # a leaf first: it draws v's child list
+        bars.pole(v)  # and v's pole its parent's, keyed by a 255-byte address
+        pairs += 1
 except CapacityError as exc:
     print("capacity error:", exc)
+print("pole pairs:", pairs)
+print("peak MB above the import:", round(peak_mb() - at_import))
 """
 
 
 def test_lazy_collection_at_the_depth_bound_stops_at_the_budget():
-    # the counts a deep pole holds, kept per edge and keyed by long
-    # addresses, outweigh its heights: charged to the budget, they stop the
-    # fill near 0.8 GB
+    # the counts a deep pole holds are charged to the budget, so the fill
+    # stops there (4 882 pole pairs); kept as child lists they peak near
+    # 30 MB, and 200 MB catches counts kept per edge under 255-byte keys,
+    # which take about 0.8 GB
     res = _python_under_memory_limit("-c", _FILL_TO_THE_BUDGET)
     assert res.returncode == 0 and res.stderr == ""
-    assert res.stdout.startswith("capacity error: one lazy collection")
+    stopped, pairs, peak = res.stdout.splitlines()
+    assert stopped.startswith("capacity error: one lazy collection")
+    assert int(peak.rsplit(":", 1)[1]) < 200, (pairs, peak)
 
 
 class _OneWayHops:

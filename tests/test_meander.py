@@ -16,7 +16,7 @@ from stirtree.meander import (
 )
 from stirtree.rng import TrialStreams
 from stirtree.stirring import orbit, transposition_oracle
-from stirtree.tree import ROOT, TreeShape, path_to_root
+from stirtree.tree import ROOT, CapacityError, TreeShape, path_to_root
 
 S22 = TreeShape(2, 2)
 S23 = TreeShape(2, 3)
@@ -41,6 +41,18 @@ def test_single_bar_hits_level_one():
 def test_figure_one_three_unit_circuit():
     # one bar on each root edge, nothing below: three unit laps, 3-cycle
     bars = BarCollection.from_bars(S22, [Bar(b"\x00", 0.3), Bar(b"\x01", 0.6)])
+    assert return_time(bars, SpaceTimePoint(ROOT, 0.0)) == 3.0
+
+
+def test_recorded_run_keeps_at_most_the_draw_budget_of_crossings(monkeypatch):
+    # the three-unit circuit crosses its two bars twice each; a record of
+    # four crossings is refused under a budget of three, an unrecorded run
+    # keeps no record and is not
+    bars = BarCollection.from_bars(S22, [Bar(b"\x00", 0.3), Bar(b"\x01", 0.6)])
+    assert len(run(bars, SpaceTimePoint(ROOT, 0.0)).crossings) == 4
+    monkeypatch.setattr(meander, "_DRAW_BUDGET", 3)
+    with pytest.raises(CapacityError, match="over 3 crossings"):
+        run(bars, SpaceTimePoint(ROOT, 0.0))
     assert return_time(bars, SpaceTimePoint(ROOT, 0.0)) == 3.0
 
 
