@@ -14,6 +14,7 @@ import numpy as np
 
 from stirtree.bars import (
     LazyPoissonBars,
+    _check_budget,
     normalized_position,
     sample_added,
     sample_uniform_on,
@@ -33,7 +34,7 @@ from stirtree.meander import EngineError, SpaceTimePoint, return_time
 from stirtree.rng import TrialStreams
 from stirtree.stirring import stirring_permutation, transposition_oracle
 from stirtree.tree import ROOT, TreeShape
-from stirtree import estimators
+from stirtree import estimators, ks
 
 
 @dataclass
@@ -163,11 +164,15 @@ def check_shift_invariance(trials: int, seed: int) -> CheckResult:
 
     Truncated runs (depth-n poles hit first) enter as +inf, so the censoring
     pattern is compared too.  Two-sample KS on every pair of start heights.
+    The return times of all heights are kept, so their count is charged to
+    the draw budget before the first draw.
     """
-    from scipy import stats  # lazy: scipy dominates the CLI start-up time
     shape = TreeShape(2, 4)
     t = 0.5
     heights = (0.0, 0.25, 0.5, 0.75)
+    _check_budget(
+        len(heights) * trials, f"the shift check at {trials} trials per height"
+    )
     samples = {}
     for h in heights:
         vals = np.empty(trials)
@@ -180,7 +185,7 @@ def check_shift_invariance(trials: int, seed: int) -> CheckResult:
     worst = None
     for i, a in enumerate(heights):
         for b in heights[i + 1 :]:
-            p = stats.ks_2samp(samples[a], samples[b]).pvalue
+            p = ks.two_sample_pvalue(samples[a], samples[b])
             if worst is None or p < worst[2]:
                 worst = (a, b, p)
     passed = bool(worst[2] > _KS_P_FLOOR)
@@ -200,7 +205,6 @@ def check_conditional_sampler(
     direct route draws from the viable-location set; positions normalized by
     the set's inverse CDF pool into one two-sample KS test.
     """
-    from scipy import stats  # lazy: scipy dominates the CLI start-up time
     shape = TreeShape(3, 4)
     t = 0.4
     cond_b, cond_rej, cond_dir = (
@@ -227,7 +231,7 @@ def check_conditional_sampler(
         gen_d = cond_dir.at(b_i)
         for _ in range(per_instance):
             direct.append(normalized_position(vl, sample_uniform_on(vl, gen_d)))
-    p = stats.ks_2samp(rej, direct).pvalue
+    p = ks.two_sample_pvalue(rej, direct)
     passed = bool(p > _KS_P_FLOOR)
     efficiency = len(rej) / tries_total if tries_total else 0.0
     detail = (
@@ -246,7 +250,6 @@ def check_exploration_law(trials: int, seed: int) -> CheckResult:
     part: the uncrossed counts match a Poisson with the untouched mass, and
     their positions are uniform within the region.
     """
-    from scipy import stats  # lazy: scipy dominates the CLI start-up time
     shape = TreeShape(2, 3)
     t = 0.7
     count_excess = 0.0
@@ -269,7 +272,7 @@ def check_exploration_law(trials: int, seed: int) -> CheckResult:
         count_excess += len(leftover) - mu
         mu_total += mu
     z = count_excess / math.sqrt(mu_total) if mu_total > 0 else 0.0
-    p_ks = stats.kstest(positions, "uniform").pvalue if positions else 1.0
+    p_ks = ks.uniform_pvalue(positions) if positions else 1.0
     passed = bool(exact_bad == 0 and abs(z) < 4.0 and p_ks > _KS_P_FLOOR)
     detail = (
         f"{exact_bad} touched leftovers, count z={z:.2f}, position KS p={p_ks:.4g}"

@@ -729,6 +729,38 @@ def test_verify_unknown_check_exit_2(capsys):
     assert out == ""  # rejected before any check runs
 
 
+@pytest.mark.parametrize(
+    "seed, check, code, line",
+    [
+        # the two known false alarms of the KS checks, pinned as they stand
+        (1406002, "conditional", 1,
+         "[FAIL] conditional-sampler: pooled KS p=0.0007214 over 40 collections"
+         " x 25, rejection efficiency 0.016 (replay: {'seed': 1406002})"),
+        (9404000, "exploration", 1,
+         "[FAIL] exploration-law: 0 touched leftovers, count z=-0.22, position KS"
+         " p=0.0002952 (replay: {'seed': 9404000})"),
+        (10, "shift", 0,
+         "[PASS] shift-invariance: min pairwise KS p=0.8188 at heights (0.0, 0.75)"),
+    ],
+)
+def test_verify_ks_golden_lines(seed, check, code, line, capsys):
+    assert run_cli(["verify", "--seed", str(seed), "--only", check], capsys) == (
+        code, line + "\n"
+    )
+
+
+@pytest.mark.parametrize("trials", [625_001, 300_000_000])
+def test_verify_shift_past_the_draw_budget_exits_3(trials):
+    # the check keeps four return times per trial: past 625 000 trials that
+    # is over the draw budget, refused before the first draw
+    res = _cli_under_memory_limit("verify", "--only", "shift", "--trials", str(trials))
+    assert (res.returncode, res.stdout) == (3, "")
+    assert res.stderr == (
+        f"capacity error: the shift check at {trials} trials per height would"
+        f" draw about {4 * trials:.3g} values, over the budget of 2500000\n"
+    )
+
+
 def test_verify_default_suite_exits_zero(capsys):
     # the full suite at its default scales is the verify contract
     code, out = run_cli(["verify", "--seed", "12"], capsys)
