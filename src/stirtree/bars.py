@@ -38,11 +38,11 @@ class Bar(NamedTuple):
 # lazy pole's heights.  A lazy run draws one pole per vertex it visits, so
 # the counts and heights a lazy collection holds are checked too, after each
 # child list's draw and before any heights: every count drawn is charged
-# once, zero or not.  A recorded engine run keeps two tuples per crossing,
-# so meander.run bounds its record by this budget too.  Measured peak RSS
-# of the whole command at the budget on 2 vCPU with numpy 2.4.6: lazy
-# `sim --d 36 --n 1 --n1 0 --t 67000`, 2.4e6 heights, 0.50 to 0.90 GB over
-# seeds 1-8 (five stop at the record's bound and exit 3).  Heights are kept
+# once, zero or not.  An engine run keeps one record entry per state, so
+# meander.run bounds every run's crossings by this budget too.  Measured
+# peak RSS of the whole command at the budget on 2 vCPU with numpy 2.4.6:
+# lazy `sim --d 36 --n 1 --n1 0 --t 67000`, 2.4e6 heights, 0.33 to 0.46 GB
+# over seeds 1-8 (five stop at the record's bound and exit 3).  Heights are kept
 # per barred edge, keyed by n-byte addresses, so they cost most on deep
 # trees: a (2, 256) collection at t = 0.5 filled to the budget with leaf
 # then parent poles peaked at 0.98 GB above the import, and at 1.55 GB at

@@ -23,8 +23,8 @@ from typing import Iterable, Iterator
 
 from stirtree import estimators, verify
 from stirtree.bars import Bar, LazyPoissonBars, sample_added
-from stirtree.events import detect, root_trajectory
-from stirtree.meander import EngineError
+from stirtree.events import detect
+from stirtree.meander import EngineError, hit_level
 from stirtree.rng import TrialStreams
 from stirtree.stirring import orbit
 from stirtree.tree import ROOT, CapacityError, TreeShape, vertex_to_str
@@ -185,7 +185,7 @@ def _sim_rows(ns: dict) -> Iterator[dict]:
         while added.height in bars.heights_on(added.edge):
             added = Bar(added.edge, float(gen.random()))
         cycle = [vertex_to_str(v, shape.d) for v in orbit(bars, ROOT)]
-        traj = root_trajectory(bars)
+        traj = hit_level(bars)
         rec = detect(bars, added, traj, n1=ns["n1"])
         row = {
             "schema": 1,

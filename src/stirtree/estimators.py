@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 from stirtree.bars import Bar, LazyPoissonBars, check_rate, sample_added
-from stirtree.events import multibar_cluster, root_trajectory, viable_locations
+from stirtree.events import multibar_cluster, viable_locations
 from stirtree.meander import EngineError, hit_level
 from stirtree.rng import TrialStreams
 from stirtree.tree import TreeShape
@@ -272,7 +272,7 @@ def _z_batch(job) -> tuple[float, float]:
     for i in range(lo, hi):
         bars = LazyPoissonBars(shape, t, streams.at(i))
         # the run draws before the cluster: a seed's values depend on that order
-        traj = root_trajectory(bars)
+        traj = hit_level(bars)
         m = viable_locations(bars, traj, multibar_cluster(bars)).measure()
         s += m
         s2 += m * m
@@ -347,6 +347,23 @@ def _cluster_tail_batch(job) -> list[int]:
     return at_least
 
 
+_LEVEL_PAIRS = ((1, 2), (1, 3), (2, 2))  # (level i, visits k) of the level tail rows
+
+
+def _level_tail_batch(job) -> list[int]:
+    """Trials lo..hi-1 whose root-origin run visits at least k level-i
+    poles, per (i, k) of ``_LEVEL_PAIRS``."""
+    shape, t, seed, lo, hi = job
+    streams = TrialStreams(seed, "tails-level", shape.d, shape.n, t)
+    at_least = [0] * len(_LEVEL_PAIRS)
+    for j in range(lo, hi):
+        bars = LazyPoissonBars(shape, t, streams.at(j))
+        visits = Counter(map(len, hit_level(bars).coverage()))
+        for m, (i, k) in enumerate(_LEVEL_PAIRS):
+            at_least[m] += visits[i] >= k
+    return at_least
+
+
 def tail_checks(
     shape: TreeShape,
     t: float,
@@ -381,25 +398,18 @@ def tail_checks(
             cluster_rows.append(TailRow(f"P(cluster>= {ell})", ell, emp, se, bound, ok))
 
     level_rows: list[TailRow] = []
-    level_pairs = ((1, 2), (1, 3), (2, 2))
     lv_trials = level_trials if level_trials is not None else min(trials, 20_000)
     if lv_trials > 0:
-        at_least = dict.fromkeys(level_pairs, 0)  # trials with >= k level-i visits
-        streams = TrialStreams(seed, "tails-level", shape.d, shape.n, t)
-        for j in range(lv_trials):
-            bars = LazyPoissonBars(shape, t, streams.at(j))
-            visits = Counter(map(len, root_trajectory(bars).coverage()))
-            for i, k in level_pairs:
-                at_least[i, k] += visits[i] >= k
+        parts = _map_batches(_level_tail_batch, shape, t, seed, lv_trials, workers)
         if shape.n > 1:  # one profile on T_{n-1} holds each depth-(n-i) plug-in
             shallow = TreeShape(d, shape.n - 1)
             profile = depth_profiles(shallow, (t,), lv_trials, seed + 101, workers)[0]
-        for i, k in level_pairs:
+        for (i, k), count in zip(_LEVEL_PAIRS, map(sum, zip(*parts))):
             if shape.n - i < 1:
                 notes.append(f"level pair ({i},{k}) skipped: n-i < 1")
                 continue
             p = _bernoulli("plug-in", _reached(profile, shape.n - i), lv_trials, seed)
-            emp = at_least[i, k] / lv_trials
+            emp = count / lv_trials
             se = math.sqrt(emp * (1.0 - emp) / lv_trials)
             base = 1.0 - p.mean * math.exp(-t)
             bound = base ** (k - 1)

@@ -1,7 +1,7 @@
 """Detectors for the event family driving the pivotality analysis.
 
 Everything here is a pure function of a bar collection (plus the added bar
-and, where relevant, a recorded trajectory): the crossing and bottleneck
+and, where relevant, the root-origin trajectory): the crossing and bottleneck
 events, pivotality of the added bar, the viable-location set, the root
 multibar cluster and its boundary, root-edge statistics, and the two
 escape-route edge sets after each crossing of a trajectory.
@@ -16,12 +16,7 @@ from typing import Iterator, Optional
 
 from stirtree.bars import Bar, LocationSet, merge_intervals
 from stirtree.meander import EngineError, SpaceTimePoint, Trajectory, hit_level, run
-from stirtree.tree import (
-    ROOT,
-    edge_from_index,
-    path_to_root,
-    vertex_to_str,
-)
+from stirtree.tree import edge_from_index, path_to_root, vertex_to_str
 
 
 @dataclass(frozen=True)
@@ -90,11 +85,6 @@ class EscapeRoutes:
     escape_vertices: tuple  # (edge, lowest unvisited offspring of its parent)
 
 
-def root_trajectory(bars) -> Trajectory:
-    """Recorded run from the root origin to the depth-n poles or back."""
-    return run(bars, SpaceTimePoint(ROOT, 0.0), level=bars.shape.n)
-
-
 def _crossed(traj: Trajectory, added: Bar) -> bool:
     return traj.covers(added.edge[:-1], added.height) or traj.covers(
         added.edge, added.height
@@ -131,7 +121,7 @@ def crossing_without_bottleneck(bars, added: Bar, traj: Trajectory) -> bool:
 def detect(bars, added: Bar, traj: Trajectory, n1: int = 1) -> EventRecord:
     """Classify one (B, A) sample, given the root trajectory of B.
 
-    Reads the plain hit and the crossing from the recorded trajectory, runs
+    Reads the plain hit and the crossing from the root trajectory, runs
     the meander with the added bar, locates the bottleneck on the occupied
     root path, and decides the non-escape event by an explicit run from the
     bottleneck's parent joint with the three-way stop rule (root origin,
@@ -153,7 +143,6 @@ def detect(bars, added: Bar, traj: Trajectory, n1: int = 1) -> EventRecord:
             SpaceTimePoint(bn.edge[:-1], bn.height),
             level=n,
             origin=True,
-            record=False,
         )
         no_escape = esc.outcome.kind == "hit_point"
         zone = "far" if len(bn.edge) <= n - 2 * n1 else "close"
@@ -325,30 +314,32 @@ def _eval_routes(bars, cov: dict, tip: bytes) -> EscapeRoutes:
 
 
 def escape_routes(bars, trajectory: Trajectory) -> Iterator[EscapeRoutes]:
-    """Yield both route sets after each bar crossing of a recorded trajectory.
+    """Yield both route sets after each bar crossing of a trajectory.
 
     Each set is evaluated on the coverage up to that crossing and along the
     root path to its landing vertex.  The coverage grows in place, keeping
     a scan of every crossing linear in the trajectory size.
     """
     cov: dict[bytes, list[tuple[float, float]]] = {}
-    crossings = iter(trajectory.crossings)
-    for v, lo, hi in trajectory.segments:
+    for (v, lo), (w, hi) in trajectory.steps.items():
+        hi = hi or 1.0  # a rise ends at its successor's height, a wrap at 1
         if hi > lo:
             cov.setdefault(v, []).append((lo, hi))
-        if hi < 1.0:  # the rise ends at a crossing or at the final event
-            crossing = next(crossings, None)
-            if crossing is None:
-                return
-            edge_k, _h, down, _t = crossing
-            yield _eval_routes(bars, cov, edge_k if down else edge_k[:-1])
+        if w != v:  # a crossing: the tip is its landing vertex
+            yield _eval_routes(bars, cov, w)
 
 
 # --- conditional-law helpers ------------------------------------------------
 
 
 def crossed_bars(trajectory: Trajectory) -> set[Bar]:
-    return {Bar(e, h) for (e, h, _down, _t) in trajectory.crossings}
+    """The bars the trajectory crossed: a crossing's edge is its longer
+    endpoint."""
+    return {
+        Bar(max(v, w, key=len), h)
+        for (v, _), (w, h) in trajectory.steps.items()
+        if w != v
+    }
 
 
 def untouched_locations(bars, trajectory: Trajectory) -> LocationSet:

@@ -55,10 +55,11 @@ class Trajectory:
     # deepest level the run landed on; a root-origin run reached depth n
     # on T_n exactly when its deepest level on a deeper tree is >= n
     deepest: int
-    # (edge, height, to_child, time) per bar crossing, in order
-    crossings: list
-    # (vertex, lo, hi) rise segments, in order; hi is exclusive
-    segments: list
+    # each state (vertex, h) the run leaves, in order from the start, to
+    # the state it moves to next: the landing (w, hb) of a crossed bar,
+    # (vertex, 0.0) after a wrap, or the start when the run ends inside a
+    # rise; the keys are the run's states, each visited once
+    steps: dict
     # cache of coverage(); not part of the trajectory's value
     _coverage: Optional[dict] = field(
         default=None, init=False, compare=False, repr=False
@@ -72,7 +73,7 @@ class Trajectory:
     def coverage(self) -> dict[bytes, tuple[tuple[float, float], ...]]:
         """Per-pole union of visited heights, merged half-open intervals."""
         if self._coverage is None:
-            self._coverage = build_coverage(self.segments)
+            self._coverage = build_coverage(self.steps)
         return self._coverage
 
     def covers(self, vertex: bytes, h: float) -> bool:
@@ -96,15 +97,19 @@ class Trajectory:
                 "vertex": vertex_to_str(self.outcome.point[0], 36),
                 "height": self.outcome.point[1],
             },
-            "crossings": [
-                [vertex_to_str(e, 36), h, down, t] for (e, h, down, t) in self.crossings
+            "steps": [
+                [vertex_to_str(v, 36), h, vertex_to_str(w, 36), hw]
+                for (v, h), (w, hw) in self.steps.items()
             ],
         }
 
 
-def build_coverage(segments) -> dict[bytes, tuple[tuple[float, float], ...]]:
+def build_coverage(steps: dict) -> dict[bytes, tuple[tuple[float, float], ...]]:
+    """Per-pole union of the rises of ``Trajectory.steps``: each rise ends at
+    its successor's height, or at 1.0 for a wrap (bar heights are > 0)."""
     per_pole: dict[bytes, list[tuple[float, float]]] = {}
-    for v, lo, hi in segments:
+    for (v, lo), (_w, hi) in steps.items():
+        hi = hi or 1.0
         if hi > lo:
             per_pole.setdefault(v, []).append((lo, hi))
     out = {}
@@ -123,7 +128,6 @@ def run(
     *,
     level: Optional[int] = None,
     origin: bool = False,
-    record: bool = True,
 ) -> Trajectory:
     """Simulate from ``start`` until a stop target or the return to start.
 
@@ -136,9 +140,10 @@ def run(
     (each bar is crossed at most twice, each pole covered at most once), the
     crossing count stays within twice the bar count (for lazy collections,
     the bars realized so far) and the wrap count within the vertex count.
-    A recorded run keeps two tuples per crossing, so it is bounded by the
-    sampler's draw budget too: past ``_DRAW_BUDGET`` crossings it raises
-    ``CapacityError``.
+    The record ``steps`` is the revisit guard: a state is new exactly when
+    it is not yet a key.  It keeps one entry per state, so every run is
+    bounded by the sampler's draw budget too: past ``_DRAW_BUDGET``
+    crossings it raises ``CapacityError``.
     """
     v0, h0 = start
     if not 0.0 <= h0 < 1.0:
@@ -149,15 +154,15 @@ def run(
     search = bisect_left if _joint_search_inclusive else bisect_right
     max_wraps = bars.shape.vertex_count
     pole = bars.pole
+    budget = _DRAW_BUDGET
 
     v, h = v0, h0
     heights, hops = pole(v)
     wraps = 0
     deepest = len(v0)
     ncross = 0
-    seen: set = set()
-    segments: list = [] if record else None
-    crossings: list = [] if record else None
+    state = (v0, h0)
+    steps: dict = {}
 
     while True:
         i = search(heights, h)
@@ -166,65 +171,49 @@ def run(
 
         # The start point strictly inside the rise (h, boundary).
         if v == v0 and h < h0 < boundary:
-            if record:
-                segments.append((v, h, h0))
+            steps[state] = (v0, h0)
             outcome = Outcome("returned", float(wraps), (v0, h0))
             break
 
         if crossing:  # cross the bar at height `boundary`
-            edge_k, w = hops[i]
-            hb = boundary
-            t_ev = wraps + (hb - h0)
-            if record:
-                if len(crossings) == _DRAW_BUDGET:
-                    raise CapacityError(
-                        f"a recorded run would keep over {_DRAW_BUDGET} crossings"
-                    )
-                segments.append((v, h, hb))
-                crossings.append((edge_k, hb, w == edge_k, t_ev))
+            if ncross == budget:
+                raise CapacityError(f"a recorded run would keep over {budget} crossings")
             ncross += 1
             if ncross > 2 * bars.count:
                 raise EngineError("crossing count exceeded twice the bar count")
-            state = (w, hb)
-            if w == v0 and hb == h0:
-                outcome = Outcome("returned", t_ev, (v0, h0))
+            w = hops[i][1]
+            nxt = (w, boundary)
+            steps[state] = nxt
+            if w == v0 and boundary == h0:
+                outcome = Outcome("returned", float(wraps), (v0, h0))
                 break
             lw = len(w)
             if lw > deepest:  # only a child crossing can go deeper
                 deepest = lw
                 if lw == level:
-                    outcome = Outcome("hit_level", t_ev, state)
+                    outcome = Outcome("hit_level", wraps + (boundary - h0), nxt)
                     break
-            if state in seen:
-                raise EngineError(f"trajectory revisited state {state!r}")
-            seen.add(state)
-            v, h = w, hb
+            v, h = w, boundary
             heights, hops = pole(v)
         else:  # wrap 1 -> 0 on the current pole
-            if record:
-                segments.append((v, h, 1.0))
             wraps += 1
             if wraps > max_wraps:
                 raise EngineError("wrap count exceeded the vertex count")
-            state = (v, 0.0)
+            nxt = (v, 0.0)
+            steps[state] = nxt
             if v == v0 and h0 == 0.0:
                 outcome = Outcome("returned", float(wraps), (v0, 0.0))
                 break
             if origin and v == ROOT:
-                outcome = Outcome("hit_point", wraps - h0, state)
+                outcome = Outcome("hit_point", wraps - h0, nxt)
                 break
-            if state in seen:
-                raise EngineError(f"trajectory revisited state {state!r}")
-            seen.add(state)
             h = 0.0
+        if nxt in steps:
+            raise EngineError(f"trajectory revisited state {nxt!r}")
+        state = nxt
 
     return Trajectory(
-        start=start,
-        outcome=outcome,
-        wraps=wraps,
-        deepest=deepest,
-        crossings=crossings if record else [],
-        segments=segments if record else [],
+        start=start, outcome=outcome, wraps=wraps, deepest=deepest, steps=steps
     )
 
 
@@ -238,7 +227,7 @@ def hit_level(bars) -> Trajectory:
     the root origin; on the finite tree this dichotomy is exhaustive, and a
     return decides non-reaching exactly (the continuation is periodic).
     """
-    traj = run(bars, _ORIGIN, level=bars.shape.n, record=False)
+    traj = run(bars, _ORIGIN, level=bars.shape.n)
     kind = traj.outcome.kind
     if kind not in ("hit_level", "returned"):
         raise EngineError(f"hit_level run ended with unexpected outcome {kind!r}")
@@ -247,5 +236,5 @@ def hit_level(bars) -> Trajectory:
 
 def return_time(bars, start: SpaceTimePoint) -> Optional[float]:
     """Time of first return to ``start``; None when the depth-n poles come first."""
-    traj = run(bars, start, level=bars.shape.n, record=False)
+    traj = run(bars, start, level=bars.shape.n)
     return None if traj.reached else traj.outcome.time

@@ -76,14 +76,15 @@ def transposition_oracle(bars) -> Permutation:
 def orbit(bars, v: bytes) -> tuple[bytes, ...]:
     """Cycle of v under the stirring permutation, starting at v.
 
-    One recorded engine run from (v, 0) with no stop target ends only on
-    its return to the start.  It wraps at whole times only, the k-th time
-    on the pole of sigma^k(v), so the cycle is v followed by the poles
-    where it wrapped, less the last wrap, on v.  The engine's revisit,
-    crossing-count and wrap-count guards bound the run.
+    One engine run from (v, 0) with no stop target ends only on its
+    return to the start.  It wraps at whole times only, the k-th time onto
+    (sigma^k(v), 0), and bar heights are > 0, so the cycle is the run's
+    states at height 0: the start, then each wrap's successor but the
+    last, which is the start again.  The engine's revisit, crossing-count
+    and wrap-count guards bound the run.
     """
-    segments = run(bars, SpaceTimePoint(v, 0.0)).segments
-    return (v,) + tuple(w for w, _, hi in segments if hi == 1.0)[:-1]
+    steps = run(bars, SpaceTimePoint(v, 0.0)).steps
+    return tuple(w for w, h in steps if h == 0.0)
 
 
 def stirring_permutation(bars) -> Permutation:

@@ -26,11 +26,10 @@ from stirtree.events import (
     escape_routes,
     multibar_cluster,
     root_stats,
-    root_trajectory,
     untouched_locations,
     viable_locations,
 )
-from stirtree.meander import EngineError, SpaceTimePoint, return_time
+from stirtree.meander import EngineError, SpaceTimePoint, hit_level, return_time
 from stirtree.rng import TrialStreams
 from stirtree.stirring import stirring_permutation, transposition_oracle
 from stirtree.tree import ROOT, TreeShape
@@ -95,7 +94,7 @@ _INCLUSION_NAMES = (
 def inclusion_violations(bars, added) -> list[str]:
     """Names of violated per-sample inclusions for one (B, A) draw."""
     d = bars.shape.d
-    traj = root_trajectory(bars)
+    traj = hit_level(bars)
     rec = detect(bars, added, traj)
     cluster = multibar_cluster(bars)
     vl = viable_locations(bars, traj, cluster)
@@ -215,7 +214,7 @@ def check_conditional_sampler(
     tries_total = 0
     for b_i in range(instances):
         bars = LazyPoissonBars(shape, t, cond_b.at(b_i)).realize()
-        traj = root_trajectory(bars)
+        traj = hit_level(bars)
         vl = viable_locations(bars, traj, multibar_cluster(bars))
         if vl.measure() <= 0.0:
             continue  # not reachable; cannot happen from the root pole
@@ -259,7 +258,7 @@ def check_exploration_law(trials: int, seed: int) -> CheckResult:
     streams = TrialStreams(seed, "explore", shape.d, shape.n, t)
     for i in range(trials):
         bars = LazyPoissonBars(shape, t, streams.at(i)).realize()
-        traj = root_trajectory(bars)
+        traj = hit_level(bars)
         found = crossed_bars(traj)
         unt = untouched_locations(bars, traj)
         leftover = [b for b in bars.iter_bars() if b not in found]

@@ -27,7 +27,6 @@ from stirtree.estimators import (
     z_bracket,
     z_estimate,
 )
-from stirtree.events import root_trajectory
 from stirtree.rng import TrialStreams
 from stirtree.tree import TreeShape
 from stirtree.verify import (
@@ -233,10 +232,10 @@ def test_c11_engine_bounds_always_on():
     outcomes = set()
     for _ in range(2_000):
         bars = LazyPoissonBars(shape, 0.5, gen).realize()
-        traj = root_trajectory(bars)
+        traj = meander.hit_level(bars)
         outcomes.add(traj.outcome.kind)
         assert traj.outcome.kind in ("hit_level", "returned")
-        assert len(traj.crossings) <= 2 * bars.count
+        assert sum(v != w for (v, _), (w, _) in traj.steps.items()) <= 2 * bars.count
         assert traj.wraps <= shape.vertex_count
         covered = sum(b - a for ivs in traj.coverage().values() for a, b in ivs)
         assert abs(covered - traj.outcome.time) < 1e-9

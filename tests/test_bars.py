@@ -17,7 +17,6 @@ from stirtree.bars import (
     sample_added,
     sample_uniform_on,
 )
-from stirtree.events import root_trajectory
 from stirtree.meander import hit_level
 from stirtree.rng import TrialStreams
 from stirtree.tree import ROOT, CapacityError, TreeShape, edge_from_index
@@ -492,7 +491,7 @@ def test_with_added_overlay_same_on_lazy_and_materialized(
     assert hit_level(lazy).reached == hit_level(dense).reached
     rebuilt = BarCollection.from_bars(shape, list(dense.iter_bars()) + [added])
     runs = [
-        root_trajectory(bars)
+        hit_level(bars)
         for bars in (lazy.with_added(added), dense.with_added(added), rebuilt)
     ]
     assert runs[0] == runs[1] == runs[2]

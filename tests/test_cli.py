@@ -448,19 +448,36 @@ def test_sim_draws_lazily_at_a_depth_realize_would_refuse():
     assert [row["trial"] for row in rows] == list(range(200))
 
 
+_SIM_WITH_ITS_PEAK = """
+import resource
+import sys
+
+from stirtree.cli import main
+
+code = main(sys.argv[1:])
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // 1024)  # KiB on Linux
+sys.exit(code)
+"""
+
+
 @pytest.mark.parametrize("seed, code", [(3, 0), (7, 3)])
 def test_sim_at_the_draw_budget_exits_0_or_3(seed, code):
     # 2.4e6 bars on the d = 36 star fill the draw budget, and the root
-    # orbit's record of two tuples per crossing can outweigh them: the record
-    # stops at the budget's count of crossings, so the command ends in a row
-    # or a capacity error, never in a MemoryError under the 1.5 GB limit
-    res = _cli_under_memory_limit(
+    # orbit's record of one entry per state can rival them: every run stops
+    # at the budget's count of crossings, so the command ends in a row or a
+    # capacity error, never in a MemoryError under the 1.5 GB limit; the
+    # peak, near 0.45 GB, stays under 650 MB only while a run keeps one
+    # record entry per state and builds no second structure per crossing
+    res = _python_under_memory_limit(
+        "-c", _SIM_WITH_ITS_PEAK,
         "sim", "--d", "36", "--n", "1", "--n1", "0", "--t", "67000",
         "--trials", "1", "--seed", str(seed),
     )
     full = "capacity error: a recorded run would keep over 2500000 crossings\n"
     assert (res.returncode, res.stderr) == (code, full if code else "")
-    assert len(res.stdout.splitlines()) == (code == 0)
+    *rows, peak_mb = res.stdout.splitlines()
+    assert len(rows) == (code == 0)
+    assert int(peak_mb) < 650
 
 
 @pytest.mark.parametrize(
@@ -761,11 +778,27 @@ def test_verify_shift_past_the_draw_budget_exits_3(trials):
     )
 
 
-def test_verify_default_suite_exits_zero(capsys):
+# every check of the default suite at --seed 12; the lines pin each value
+# read off a run's record: the inclusions and escape routes, the viable
+# mass, the conditional sampler's coverage and exploration's crossed bars
+GOLDEN_VERIFY_DEFAULT_SUITE = [
+    "[PASS] oracle-equivalence: 2400 instances, 0 mismatches",
+    "[PASS] event-inclusions: 3000 samples over t=(0.2, 0.33, 0.5), 0 violations",
+    "[PASS] shift-invariance: min pairwise KS p=0.7948 at heights (0.25, 0.5)",
+    "[PASS] russo-derivative: lhs=0.8533±0.0067 rhs=0.8465±0.0084 bias=0.0034 z=0.60",
+    "[PASS] tail-bounds: 7 tail rows, 0 beyond bound+4se",
+    "[PASS] viable-mass-bracket: mean=13.692±0.031 bracket [5.886, 19.200]",
+    "[PASS] conditional-sampler: pooled KS p=0.8882 over 40 collections x 25,"
+    " rejection efficiency 0.018",
+    "[PASS] exploration-law: 0 touched leftovers, count z=-0.29, position KS p=0.558",
+]
+
+
+def test_verify_default_suite_golden_lines(capsys):
     # the full suite at its default scales is the verify contract
     code, out = run_cli(["verify", "--seed", "12"], capsys)
     assert code == 0
-    assert out.count("[PASS]") == 8 and "[FAIL]" not in out
+    assert out.splitlines() == GOLDEN_VERIFY_DEFAULT_SUITE
 
 
 def test_injected_fault_caught_with_replay_seed():

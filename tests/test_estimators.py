@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import stirtree.bars as bars_mod
 import stirtree.estimators as estimators
@@ -215,9 +215,11 @@ def test_z_and_tails_worker_invariant():
     assert z_estimate(shape, 1 / 16, 5000, 57) == z_estimate(
         shape, 1 / 16, 5000, 57, workers=2
     )
-    a = tail_checks(shape, 1 / 16, 9000, 58, level_trials=0)
-    b = tail_checks(shape, 1 / 16, 9000, 58, workers=2, level_trials=0)
+    # two chunks of level trials: the level rows come through the pool too
+    a = tail_checks(shape, 1 / 16, 9000, 58, level_trials=5000)
+    b = tail_checks(shape, 1 / 16, 9000, 58, workers=2, level_trials=5000)
     assert a.cluster_rows == b.cluster_rows
+    assert len(a.level_rows) == 3 and a.level_rows == b.level_rows
 
 
 def test_tail_checks_bounds_and_skip_notice():
@@ -430,7 +432,7 @@ def test_skipped_thinned_runs_are_the_runs_they_stand_for(shape, scale, shares, 
     # running the engine on every thinning, from the top rate down
     t_max = scale / shape.d
     ts = sorted({t_max * f for f in shares} | {t_max}, reverse=True)
-    assert len(ts) >= 3
+    assume(len(ts) >= 3)  # shares 1 ulp apart can round to one rate
     gen = TrialStreams(seed, "skip").at(0)
     levels = estimators._deepest_levels(LazyPoissonBars(shape, t_max, gen), ts)
     ref_gen = TrialStreams(seed, "skip").at(0)

@@ -10,10 +10,10 @@ from stirtree.events import (
     escape_routes,
     multibar_cluster,
     root_stats,
-    root_trajectory,
     untouched_locations,
     viable_locations,
 )
+from stirtree.meander import hit_level
 from stirtree.rng import TrialStreams
 from stirtree.tree import TreeShape, path_to_root
 from stirtree.verify import inclusion_violations
@@ -24,17 +24,17 @@ S22 = TreeShape(2, 2)
 def test_detect_empty_collection_case_split():
     bars = BarCollection(S22, {})
     # added on the root layer: the bare-pole circuit covers its parent joint
-    rec = detect(bars, Bar(b"\x00", 0.4), root_trajectory(bars))
+    rec = detect(bars, Bar(b"\x00", 0.4), hit_level(bars))
     assert rec.crossed and rec.bottleneck_edge is None
     assert rec.pivot == "neither"  # n=2: one added bar cannot reach depth 2
     # added deeper: never met
-    rec2 = detect(bars, Bar(b"\x00\x01", 0.4), root_trajectory(bars))
+    rec2 = detect(bars, Bar(b"\x00\x01", 0.4), hit_level(bars))
     assert not rec2.crossed and rec2.pivot == "neither"
 
 
 def test_detect_single_bar_example():
     bars = BarCollection.from_bars(S22, [Bar(b"\x00", 0.5)])
-    rec = detect(bars, Bar(b"\x00", 0.2), root_trajectory(bars))
+    rec = detect(bars, Bar(b"\x00", 0.2), hit_level(bars))
     assert rec.crossed
     assert rec.bottleneck_edge is None  # path to the added parent is empty
     assert rec.added_depth_index == 2 - 1
@@ -44,7 +44,7 @@ def test_detect_bottleneck_and_no_escape_fields():
     # bar on the root edge plus added bar below it: bottleneck is the root edge
     shape = TreeShape(2, 3)
     bars = BarCollection.from_bars(shape, [Bar(b"\x00", 0.5)])
-    rec = detect(bars, Bar(b"\x00\x01", 0.7), root_trajectory(bars))
+    rec = detect(bars, Bar(b"\x00\x01", 0.7), hit_level(bars))
     assert rec.crossed
     assert rec.bottleneck_edge == b"\x00"
     assert rec.bottleneck_height == 0.5
@@ -56,12 +56,12 @@ def test_detect_bottleneck_and_no_escape_fields():
 def test_bottleneck_zone_cutoff():
     shape = TreeShape(2, 4)
     bars = BarCollection.from_bars(shape, [Bar(b"\x00", 0.5)])
-    rec = detect(bars, Bar(b"\x00\x01", 0.7), root_trajectory(bars), n1=1)
+    rec = detect(bars, Bar(b"\x00\x01", 0.7), hit_level(bars), n1=1)
     assert rec.bottleneck_zone == "far"  # level 1 <= 4 - 2
     deep = BarCollection.from_bars(
         shape, [Bar(b"\x00", 0.1), Bar(b"\x00\x00", 0.2), Bar(b"\x00\x00\x00", 0.3)]
     )
-    rec2 = detect(deep, Bar(b"\x00\x00\x00\x01", 0.35), root_trajectory(deep), n1=1)
+    rec2 = detect(deep, Bar(b"\x00\x00\x00\x01", 0.35), hit_level(deep), n1=1)
     assert rec2.crossed and rec2.bottleneck_edge == b"\x00\x00\x00"
     assert rec2.bottleneck_zone == "close"  # level 3 > 4 - 2
 
@@ -97,7 +97,7 @@ def test_multibar_cluster_truncation_and_boundary_bound():
 
 def test_viable_locations_bar_free_collection():
     empty = BarCollection(S22, {})
-    vl = viable_locations(empty, root_trajectory(empty), multibar_cluster(empty))
+    vl = viable_locations(empty, hit_level(empty), multibar_cluster(empty))
     assert vl.measure() == 2.0
     assert set(vl.intervals) == {b"\x00", b"\x01"}
     assert all(vl.intervals[e] == ((0.0, 1.0),) for e in vl.intervals)
@@ -118,14 +118,14 @@ def test_viable_locations_full_trace_measure_six():
     )
     rep = multibar_cluster(bars)
     assert rep.cluster == frozenset({b"\x00", b"\x01"})
-    vl = viable_locations(bars, root_trajectory(bars), rep)
+    vl = viable_locations(bars, hit_level(bars), rep)
     assert vl.measure() == 6.0
     assert len(vl.intervals) == 6
 
 
 def test_root_stats_trivial_and_laws():
     empty = BarCollection(S22, {})
-    rs = root_stats(empty, root_trajectory(empty), multibar_cluster(empty))
+    rs = root_stats(empty, hit_level(empty), multibar_cluster(empty))
     assert rs.bar_free and rs.low_gap and rs.single_bar_edges == 0
     assert rs.confined_clusterless
 
@@ -139,7 +139,7 @@ def test_root_stats_trivial_and_laws():
     gap = 0
     for _ in range(trials):
         bars = LazyPoissonBars(shape, t, gen).realize()
-        s = root_stats(bars, root_trajectory(bars), multibar_cluster(bars))
+        s = root_stats(bars, hit_level(bars), multibar_cluster(bars))
         free += s.bar_free
         lone += s.single_bar_edges
         gap += s.low_gap
@@ -161,10 +161,12 @@ def test_escape_routes_constructed_path_all_static():
     bars = BarCollection.from_bars(
         shape, [Bar(e, h) for e, h in zip(path, heights)]
     )
-    traj = root_trajectory(bars)
+    traj = hit_level(bars)
     assert traj.outcome.kind == "hit_level"
     sets = list(escape_routes(bars, traj))
-    assert len(sets) == len(traj.crossings) == 3  # one set per crossing
+    # one set per crossing, each crossing one step down the path
+    assert len(sets) == len(traj.steps) == 3
+    assert [w for w, _ in traj.steps.values()] == list(path)
     # after crossing k the tip sits below path edge k, with k + 1 routes
     for k, routes in enumerate(sets):
         assert routes.static == frozenset(path[: k + 1])
@@ -179,7 +181,7 @@ def test_escape_routes_constructed_path_all_static():
 
 def test_escape_routes_empty_for_bare_collection():
     bars = BarCollection(S22, {})
-    traj = root_trajectory(bars)
+    traj = hit_level(bars)
     assert list(escape_routes(bars, traj)) == []  # no crossing, no route set
 
 
@@ -210,7 +212,7 @@ def test_crossing_without_bottleneck_equals_viable_membership():
     for _ in range(2000):
         bars = LazyPoissonBars(shape, 0.7, gen).realize()
         added = sample_added(shape, gen)
-        traj = root_trajectory(bars)
+        traj = hit_level(bars)
         lhs = crossing_without_bottleneck(bars, added, traj)
         vl = viable_locations(bars, traj, multibar_cluster(bars))
         rhs = vl.contains(added.edge, added.height)
@@ -222,7 +224,7 @@ def test_untouched_locations_consistency():
     gen = TrialStreams(157, "unt").at(0)
     for _ in range(200):
         bars = LazyPoissonBars(shape, 0.7, gen).realize()
-        traj = root_trajectory(bars)
+        traj = hit_level(bars)
         found = crossed_bars(traj)
         unt = untouched_locations(bars, traj)
         end_vertex, end_height = traj.outcome.point

@@ -6,7 +6,6 @@ import pytest
 
 import stirtree.meander as meander
 from stirtree.bars import Bar, BarCollection, LazyPoissonBars
-from stirtree.events import root_trajectory
 from stirtree.meander import (
     EngineError,
     SpaceTimePoint,
@@ -27,7 +26,7 @@ def test_bare_pole_full_wrap():
     traj = run(bars, SpaceTimePoint(ROOT, 0.0), level=1)
     assert traj.outcome.kind == "returned"
     assert traj.outcome.time == 1.0
-    assert traj.crossings == []
+    assert traj.steps == {(ROOT, 0.0): (ROOT, 0.0)}  # one wrap, no crossing
 
 
 def test_single_bar_hits_level_one():
@@ -35,7 +34,7 @@ def test_single_bar_hits_level_one():
     bars = BarCollection.from_bars(shape, [Bar(b"\x00", 0.5)])
     traj = hit_level(bars)
     assert traj.reached and traj.outcome.time == 0.5
-    assert len(root_trajectory(bars).crossings) == 1
+    assert traj.steps == {(ROOT, 0.0): (b"\x00", 0.5)}  # one crossing
 
 
 def test_figure_one_three_unit_circuit():
@@ -45,14 +44,21 @@ def test_figure_one_three_unit_circuit():
 
 
 def test_recorded_run_keeps_at_most_the_draw_budget_of_crossings(monkeypatch):
-    # the three-unit circuit crosses its two bars twice each; a record of
-    # four crossings is refused under a budget of three, an unrecorded run
-    # keeps no record and is not
+    # the three-unit circuit crosses its two bars twice each; every run keeps
+    # its record, so under a budget of three crossings every entry point
+    # refuses it, and at four it runs
     bars = BarCollection.from_bars(S22, [Bar(b"\x00", 0.3), Bar(b"\x01", 0.6)])
-    assert len(run(bars, SpaceTimePoint(ROOT, 0.0)).crossings) == 4
+    steps = run(bars, SpaceTimePoint(ROOT, 0.0)).steps
+    assert sum(v != w for (v, _), (w, _) in steps.items()) == 4
     monkeypatch.setattr(meander, "_DRAW_BUDGET", 3)
-    with pytest.raises(CapacityError, match="over 3 crossings"):
-        run(bars, SpaceTimePoint(ROOT, 0.0))
+    for entry in (
+        lambda: run(bars, SpaceTimePoint(ROOT, 0.0)),
+        lambda: return_time(bars, SpaceTimePoint(ROOT, 0.0)),
+        lambda: orbit(bars, ROOT),
+    ):
+        with pytest.raises(CapacityError, match="over 3 crossings"):
+            entry()
+    monkeypatch.setattr(meander, "_DRAW_BUDGET", 4)
     assert return_time(bars, SpaceTimePoint(ROOT, 0.0)) == 3.0
 
 
@@ -65,8 +71,10 @@ def test_right_continuity_start_on_joint():
     # starting exactly at a joint must not cross it at time zero
     bars = BarCollection.from_bars(S22, [Bar(b"\x00", 0.5)])
     traj = run(bars, SpaceTimePoint(ROOT, 0.5), level=2)
-    first = traj.crossings[0]
-    assert first[3] > 0.0  # crossed only after a full lap back into the joint
+    # the first successor is not the start's joint: a wrap, not a crossing
+    assert next(iter(traj.steps.values())) == (ROOT, 0.0)
+    # crossed only after a full lap back into the joint
+    assert list(traj.steps.items())[1] == ((ROOT, 0.0), (b"\x00", 0.5))
     assert traj.outcome.kind == "returned"
     assert traj.outcome.time == 2.0
 
@@ -201,7 +209,7 @@ def test_run_is_pure():
     a = run(bars, SpaceTimePoint(ROOT, 0.0), level=3)
     b = run(bars, SpaceTimePoint(ROOT, 0.0), level=3)
     assert a.outcome == b.outcome
-    assert a.crossings == b.crossings and a.segments == b.segments
+    assert list(a.steps.items()) == list(b.steps.items())
 
 
 def test_trajectory_debug_json():
@@ -209,8 +217,15 @@ def test_trajectory_debug_json():
 
     bars = BarCollection.from_bars(S22, [Bar(b"\x00", 0.5)])
     traj = run(bars, SpaceTimePoint(ROOT, 0.0), level=2)
-    payload = json.dumps(traj.to_json_dict())
-    assert "outcome" in payload
+    payload = json.loads(json.dumps(traj.to_json_dict()))
+    assert payload["outcome"]["kind"] == "returned"
+    # root -> 0 at the bar, a wrap, 0 -> root at the bar, a wrap home
+    assert payload["steps"] == [
+        ["ε", 0.0, "0", 0.5],
+        ["0", 0.5, "0", 0.0],
+        ["0", 0.0, "ε", 0.5],
+        ["ε", 0.5, "ε", 0.0],
+    ]
 
 
 def test_start_height_validation():
@@ -230,7 +245,8 @@ def test_crossing_guard_armed_on_lazy_collections():
             self.count = 0
             return built
 
-    honest = root_trajectory(LazyPoissonBars(S23, 2.0, TrialStreams(5, "undercount").at(0)))
-    assert honest.crossings  # the run below has a crossing to count
+    honest = hit_level(LazyPoissonBars(S23, 2.0, TrialStreams(5, "undercount").at(0)))
+    # the run below has a crossing to count
+    assert any(v != w for (v, _), (w, _) in honest.steps.items())
     with pytest.raises(EngineError, match="crossing count"):
         hit_level(Undercounting(S23, 2.0, TrialStreams(5, "undercount").at(0)))

@@ -12,7 +12,6 @@ run on T_N lands on decides the hit event on every shallower tree T_n.
 from hypothesis import assume, example, given, settings, strategies as st
 
 from stirtree.bars import Bar, BarCollection, LazyPoissonBars
-from stirtree.events import root_trajectory
 from stirtree.meander import SpaceTimePoint, hit_level, run
 from stirtree.rng import TrialStreams
 from stirtree.stirring import stirring_permutation, transposition_oracle
@@ -34,7 +33,7 @@ def _materialized(bars, edges) -> BarCollection:
 
 
 def _visited(traj) -> set:
-    return {v for v, _lo, _hi in traj.segments}
+    return {v for v, _h in traj.steps}
 
 
 def _restricted(bars: BarCollection, n: int) -> BarCollection:
@@ -59,13 +58,13 @@ def test_deepest_level_decides_every_shallower_hit(shape, t, seed):
 @given(shape=shapes, t=rates, seed=seeds)
 def test_lazy_poles_equal_materialized_poles(shape, t, seed):
     lazy = LazyPoissonBars(shape, t, TrialStreams(seed, "prop-lazy").at(0))
-    traj = root_trajectory(lazy)
+    traj = hit_level(lazy)
     built = {v: lazy.pole(v) for v in _visited(traj)}  # cache hits, no draws
     dense = _materialized(lazy, _edges(shape))
     assert lazy.count == dense.count
     assert built == {v: dense.pole(v) for v in built}
     traj.coverage()  # a filled coverage cache is not part of the value
-    assert root_trajectory(dense) == traj
+    assert hit_level(dense) == traj
 
 
 @settings(max_examples=60, deadline=None)
@@ -79,7 +78,7 @@ def test_lazy_poles_equal_materialized_poles(shape, t, seed):
 )
 def test_overlay_poles_equal_rebuilt_poles(shape, t, seed, pick, h):
     lazy = LazyPoissonBars(shape, t, TrialStreams(seed, "prop-overlay").at(0))
-    root_trajectory(lazy)  # some base poles exist before the overlay
+    hit_level(lazy)  # some base poles exist before the overlay
     edges = _edges(shape)
     added = Bar(edges[pick % len(edges)], h)
     assume(h not in lazy.heights_on(added.edge))
@@ -96,12 +95,12 @@ def test_overlay_poles_equal_rebuilt_poles(shape, t, seed, pick, h):
 def test_thinned_poles_equal_rebuilt_poles(shape, t, seed, keep):
     lazy = LazyPoissonBars(shape, t, TrialStreams(seed, "prop-thin").at(0))
     thin = lazy.thinned(t * keep)
-    traj = root_trajectory(thin)
+    traj = hit_level(thin)
     edges = _edges(shape)
     poles = {v: thin.pole(v) for v in [ROOT] + edges}
     rebuilt = _materialized(thin, edges)
     assert poles == {v: rebuilt.pole(v) for v in poles}
-    assert root_trajectory(rebuilt) == traj
+    assert hit_level(rebuilt) == traj
     base = _materialized(lazy, edges)
     assert all(set(rebuilt.heights_on(e)) <= set(base.heights_on(e)) for e in edges)
 
@@ -111,7 +110,7 @@ def test_thinned_poles_equal_rebuilt_poles(shape, t, seed, keep):
 def test_thinned_pole_is_the_base_pole_filtered_by_marks(shape, t, seed, keep):
     lazy = LazyPoissonBars(shape, t, TrialStreams(seed, "prop-thin-filter").at(0))
     thin = lazy.thinned(t * keep)
-    root_trajectory(thin)
+    hit_level(thin)
     edges = _edges(shape)
     poles = {v: thin.pole(v) for v in [ROOT] + edges}
     ratio = t * keep / t
@@ -122,6 +121,22 @@ def test_thinned_pole_is_the_base_pole_filtered_by_marks(shape, t, seed, keep):
             if lazy.marks_on(hop[0])[lazy.heights_on(hop[0]).index(h)] <= ratio
         ]
         assert (list(heights), list(hops)) == ([h for h, _ in kept], [x for _, x in kept])
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape=shapes, t=rates, seed=seeds, h0=st.floats(0.0, 1.0, exclude_max=True))
+def test_steps_chain_the_states_from_the_start(shape, t, seed, h0):
+    bars = LazyPoissonBars(shape, t, TrialStreams(seed, "prop-steps").at(0)).realize()
+    for traj in (hit_level(bars), run(bars, SpaceTimePoint(ROOT, h0))):
+        keys, values = list(traj.steps), list(traj.steps.values())
+        assert keys[0] == traj.start
+        assert values[:-1] == keys[1:]  # each successor is the next state left
+        assert values[-1] == traj.outcome.point
+        # no state is entered twice; the run stops on a new state or the start
+        assert len(set(values)) == len(values)
+        assert values[-1] not in traj.steps or values[-1] == keys[0]
+        crossings = sum(v != w for (v, _), (w, _) in traj.steps.items())
+        assert crossings <= 2 * bars.count
 
 
 @settings(max_examples=60, deadline=None)
@@ -144,13 +159,15 @@ def test_run_started_on_a_joint(shape, t, seed, pick, upper):
     assume(joints)
     edge, h0 = joints[pick % len(joints)]
     v0 = edge[:-1] if upper else edge
+    other = edge if upper else edge[:-1]  # the joint's far endpoint
     traj = run(bars, SpaceTimePoint(v0, h0))
     # right-continuity: the start's own joint is not crossed at time zero;
     # the run comes back to it through that same joint, after whole laps
-    assert all(time > 0.0 for *_bar, time in traj.crossings)
+    assert next(iter(traj.steps.values())) != (other, h0)
     assert traj.outcome.kind == "returned"
     assert traj.outcome.time == float(traj.wraps)
-    assert traj.crossings[-1][:3] == (edge, h0, not upper)
+    (last_v, _), last_w = list(traj.steps.items())[-1]
+    assert (last_v, last_w) == (other, (v0, h0))
     covered = sum(b - a for ivs in traj.coverage().values() for a, b in ivs)
     assert abs(covered - traj.outcome.time) < 1e-9
 
@@ -175,9 +192,9 @@ def test_origin_stop_cuts_the_run_at_its_first_root_wrap(shape, t, seed, pick, h
     level = shape.n if deep else None
     plain = run(bars, start, level=level)
     stop = run(bars, start, level=level, origin=True)
-    root_wraps = [
-        k for k, (v, _lo, hi) in enumerate(plain.segments) if v == ROOT and hi == 1.0
-    ]
+    plain_steps = list(plain.steps.items())
+    # bar heights are > 0, so only a wrap on the root pole moves to (ROOT, 0)
+    root_wraps = [k for k, (_, succ) in enumerate(plain_steps) if succ == (ROOT, 0.0)]
     if start == (ROOT, 0.0):
         # return-to-start is tested first: the origin is the start itself
         assert stop == plain and stop.outcome.kind != "hit_point"
@@ -187,8 +204,7 @@ def test_origin_stop_cuts_the_run_at_its_first_root_wrap(shape, t, seed, pick, h
         first = root_wraps[0] + 1
         assert stop.outcome.kind == "hit_point"
         assert stop.outcome.point == (ROOT, 0.0)
-        assert stop.segments == plain.segments[:first]
-        assert stop.crossings == plain.crossings[: len(stop.crossings)]
+        assert list(stop.steps.items()) == plain_steps[:first]
         assert stop.outcome.time == stop.wraps - h0
     else:
         assert stop == plain

@@ -6,7 +6,6 @@ import pytest
 
 from stirtree.bars import Bar, BarCollection, LazyPoissonBars
 from stirtree.estimators import estimate_pn
-from stirtree.events import root_trajectory
 from stirtree.meander import SpaceTimePoint, hit_level, run
 from stirtree.rng import TrialStreams
 from stirtree.stirring import (
@@ -60,7 +59,7 @@ def test_orbit_is_the_oracle_cycle_read_off_one_run():
             assert cyc[0] == v and len(set(cyc)) == len(cyc), trial
             assert [sigma(w) for w in cyc] == list(cyc[1:] + cyc[:1]), trial
             # the run wraps once per cycle vertex and returns at that time
-            out = run(bars, SpaceTimePoint(v, 0.0), record=False).outcome
+            out = run(bars, SpaceTimePoint(v, 0.0)).outcome
             assert out == ("returned", float(len(cyc)), (v, 0.0)), trial
 
 
@@ -88,7 +87,7 @@ def test_cycle_report_trivial_cases():
     assert orbit(BarCollection(S22, {}), ROOT) == (ROOT,)
     single = BarCollection.from_bars(S22, [Bar(b"\x00", 0.9)])
     assert orbit(single, ROOT) == (ROOT, b"\x00")
-    assert not root_trajectory(single).reached
+    assert not hit_level(single).reached
 
 
 def test_truncation_flag_matches_hit_and_pn():
@@ -98,10 +97,12 @@ def test_truncation_flag_matches_hit_and_pn():
     trials = 20_000
     hits = 0
     for _ in range(trials):
-        # verify's path: a realized collection and one recorded root run
+        # verify's path: a realized collection and one root-origin run,
+        # whose hit flag agrees with the deepest level the estimators read
         bars = LazyPoissonBars(shape, t, gen).realize()
-        truncated = root_trajectory(bars).reached
-        assert truncated == hit_level(bars).reached
+        traj = hit_level(bars)
+        truncated = traj.reached
+        assert truncated == (traj.deepest >= shape.n)
         hits += truncated
     p_cycle = hits / trials
     est = estimate_pn(shape, t, trials, 222)
