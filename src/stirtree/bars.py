@@ -125,12 +125,12 @@ def _pole_of(v: bytes, groups: list[tuple[tuple[float, ...], bytes]]) -> _Pole:
 class _PoleIndexMixin:
     """Lazily built per-pole index of incident joints.
 
-    Each collection's ``pole(v)`` returns ``(heights, hops)`` where heights
-    is the ascending tuple of joint heights on the pole at v and
-    ``hops[i] = (edge, dest)`` names the supporting edge and the vertex at
-    the other joint.  Built on first visit and cached in ``_poles``;
-    collections are immutable afterwards, so sharing across concurrent runs
-    is safe once built.
+    ``pole(v)`` returns ``(heights, hops)`` where heights is the ascending
+    tuple of joint heights on the pole at v and ``hops[i] = (edge, dest)``
+    names the supporting edge and the vertex at the other joint.  Each
+    collection builds a pole in ``_build_pole`` on its first visit, and
+    ``pole`` caches it in ``_poles``; collections are immutable afterwards,
+    so sharing across concurrent runs is safe once built.
     """
 
     shape: TreeShape
@@ -138,6 +138,15 @@ class _PoleIndexMixin:
 
     def heights_on(self, edge: bytes) -> tuple[float, ...]:  # pragma: no cover
         raise NotImplementedError
+
+    def _build_pole(self, v: bytes) -> _Pole:  # pragma: no cover
+        raise NotImplementedError
+
+    def pole(self, v: bytes) -> _Pole:
+        built = self._poles.get(v)
+        if built is None:
+            built = self._poles[v] = self._build_pole(v)
+        return built
 
     def count_on(self, edge: bytes) -> int:
         return len(self.heights_on(edge))
@@ -183,24 +192,17 @@ class _WithAdded(_PoleIndexMixin):
         pos = bisect_left(hs, self._bar.height)
         return hs[:pos] + (self._bar.height,) + hs[pos:]
 
-    def pole(self, v: bytes) -> _Pole:
+    def _build_pole(self, v: bytes) -> _Pole:
         e, h = self._bar
+        heights, hops = self._base.pole(v)
         if v == e:
             dest = e[:-1]
         elif v == e[:-1]:
             dest = e
         else:
-            return self._base.pole(v)
-        cached = self._poles.get(v)
-        if cached is None:
-            heights, hops = self._base.pole(v)
-            i = bisect_left(heights, h)
-            cached = (
-                heights[:i] + (h,) + heights[i:],
-                hops[:i] + ((e, dest),) + hops[i:],
-            )
-            self._poles[v] = cached
-        return cached
+            return heights, hops
+        i = bisect_left(heights, h)
+        return heights[:i] + (h,) + heights[i:], hops[:i] + ((e, dest),) + hops[i:]
 
 
 class BarCollection(_PoleIndexMixin):
@@ -244,17 +246,12 @@ class BarCollection(_PoleIndexMixin):
     def heights_on(self, edge: bytes) -> tuple[float, ...]:
         return self._by_edge.get(edge, ())
 
-    def pole(self, v: bytes) -> _Pole:
-        built = self._poles.get(v)
-        if built is not None:
-            return built
+    def _build_pole(self, v: bytes) -> _Pole:
         edges = [v] if v else []  # the parent edge, then the children
         if len(v) < self.shape.n:
             edges += [v + s for s in _SYMBOLS[: self.shape.d]]
         by_edge = self._by_edge
-        groups = [(hs, e) for e in edges if (hs := by_edge.get(e))]
-        built = self._poles[v] = _pole_of(v, groups)
-        return built
+        return _pole_of(v, [(hs, e) for e in edges if (hs := by_edge.get(e))])
 
     def edges_with_bars(self) -> Iterable[bytes]:
         return self._by_edge.keys()
@@ -445,10 +442,7 @@ class LazyPoissonBars(_PoleIndexMixin):
                         return True
         return False
 
-    def pole(self, v: bytes) -> _Pole:
-        built = self._poles.get(v)
-        if built is not None:
-            return built
+    def _build_pole(self, v: bytes) -> _Pole:
         # Counts, then heights, are drawn in incident-edge order (the parent
         # edge, then the children by symbol), as count_on then heights_on
         # edge by edge would draw them.  A root-origin run reaches v from its
@@ -467,17 +461,17 @@ class LazyPoissonBars(_PoleIndexMixin):
             if hs is None:
                 hs = heights[e] = _distinct_heights(rng, k)
             groups.append((hs, e))
-        built = self._poles[v] = _pole_of(v, groups)
-        return built
+        return _pole_of(v, groups)
 
 
 class _Thinned(_PoleIndexMixin):
     """Rate-t thinning of a lazy collection; see :meth:`LazyPoissonBars.thinned`."""
 
-    __slots__ = ("shape", "_base", "_keep", "_poles")
+    __slots__ = ("shape", "t", "_base", "_keep", "_poles")
 
     def __init__(self, base: LazyPoissonBars, t: float) -> None:
         self.shape = base.shape
+        self.t = t
         self._base = base
         self._keep = t / base.t  # thinned() builds this for 0 <= t < base.t only
         self._poles = {}
@@ -493,15 +487,12 @@ class _Thinned(_PoleIndexMixin):
         marks = self._base.marks_on(edge)
         return tuple(h for h, m in zip(hs, marks) if m <= self._keep)
 
-    def pole(self, v: bytes) -> _Pole:
+    def _build_pole(self, v: bytes) -> _Pole:
         """The base's pole at v, less the joints whose mark is above keep.
 
         The base draws the pole's counts and heights, and its marks
         (:meth:`LazyPoissonBars.pole_marks`), which every thinning shares.
         """
-        built = self._poles.get(v)
-        if built is not None:
-            return built
         base = self._base
         heights, hops = base.pole(v)
         keep = self._keep
@@ -509,26 +500,31 @@ class _Thinned(_PoleIndexMixin):
         if len(kept) < len(heights):
             heights = tuple([heights[i] for i in kept])
             hops = tuple([hops[i] for i in kept])
-        built = self._poles[v] = heights, hops
-        return built
+        return heights, hops
 
 
 # Largest edge count the added bar's int64 index draw, integers(0, |E|), takes.
 _INDEX_RANGE = 2**63
 
 
-def sample_added(shape: TreeShape, stream: np.random.Generator) -> Bar:
-    """Uniform bar on E(T_n) x [0,1): uniform edge, independent uniform height."""
+def sample_added(bars, stream: np.random.Generator) -> Bar:
+    """Uniform bar on E(T_n) x (0,1) to add to ``bars``: a uniform edge, then
+    an independent uniform height, redrawn while it is 0.0 or ties a bar of
+    ``bars`` on that edge (events of probability zero).  The edge's heights
+    are read after the first height draw, so on a lazy collection they are
+    drawn there."""
+    shape = bars.shape
     if shape.edge_count > _INDEX_RANGE:
         raise CapacityError(
             f"the added bar's edge index on the ({shape.d}, {shape.n}) tree"
             f" is past the 2**63 range of its draw"
         )
-    idx = int(stream.integers(0, shape.edge_count))
+    edge = edge_from_index(shape, int(stream.integers(0, shape.edge_count)))
     h = float(stream.random())
-    while h == 0.0:
+    taken = bars.heights_on(edge)
+    while h == 0.0 or h in taken:
         h = float(stream.random())
-    return Bar(edge_from_index(shape, idx), h)
+    return Bar(edge, h)
 
 
 class LocationSet:

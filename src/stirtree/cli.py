@@ -22,7 +22,7 @@ import sys
 from typing import Iterable, Iterator
 
 from stirtree import estimators, verify
-from stirtree.bars import Bar, LazyPoissonBars, sample_added
+from stirtree.bars import LazyPoissonBars, sample_added
 from stirtree.events import detect
 from stirtree.meander import EngineError, hit_level
 from stirtree.rng import TrialStreams
@@ -180,10 +180,8 @@ def _sim_rows(ns: dict) -> Iterator[dict]:
     for i in range(ns["trials"]):
         gen = streams.at(i)
         # the added bar first, then the bars as the runs query them
-        added = sample_added(shape, gen)
         bars = LazyPoissonBars(shape, ns["t"], gen)
-        while added.height in bars.heights_on(added.edge):
-            added = Bar(added.edge, float(gen.random()))
+        added = sample_added(bars, gen)
         cycle = [vertex_to_str(v, shape.d) for v in orbit(bars, ROOT)]
         traj = hit_level(bars)
         rec = detect(bars, added, traj, n1=ns["n1"])

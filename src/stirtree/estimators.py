@@ -11,6 +11,7 @@ from (seed, trial).
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import os
 from collections import Counter
@@ -61,49 +62,52 @@ _CHUNK = 4096
 def _map_batches(
     fn, shape: TreeShape, t: float, seed: int, trials: int, workers: int
 ) -> list:
-    """``fn((shape, t, seed, lo, hi))`` over fixed chunks of ``range(trials)``."""
+    """``fn((shape, t, seed, lo, hi))`` over fixed chunks of ``range(trials)``.
+
+    The jobs are made as they are run, and the pool is fed a window of a few
+    jobs per worker at a time, so a huge ``trials`` starts work at once.
+    """
     _check_trials(trials)
-    jobs = [
-        (shape, t, seed, lo, min(lo + _CHUNK, trials)) for lo in range(0, trials, _CHUNK)
-    ]
-    workers = min(workers, len(jobs), os.cpu_count() or 1)
+    starts = range(0, trials, _CHUNK)
+    jobs = ((shape, t, seed, lo, min(lo + _CHUNK, trials)) for lo in starts)
+    workers = min(workers, len(starts), os.cpu_count() or 1)
     if workers <= 1:
-        return [fn(job) for job in jobs]
+        return list(map(fn, jobs))
+    parts = []
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, jobs))
+        while window := list(itertools.islice(jobs, 4 * workers)):
+            parts += pool.map(fn, window)
+    return parts
 
 
 # --- boundary-hit probability ------------------------------------------------
 
 
-def _deepest_levels(bars: LazyPoissonBars, ts) -> list[int]:
-    """The deepest level of the root-origin run on the thinning of ``bars``
-    to each t of ``ts``, a descending grid with ts[0] = bars.t.
+def _thinning_runs(bars: LazyPoissonBars, views):
+    """Per view, the root-origin run on it and the poles that run visited.
 
-    The run at bars.t is made first.  Each lower t is run only where its
-    thinning differs from the last run's on a pole that run visited
+    ``views`` are ``bars`` itself, then thinnings of it in descending rate.
+    The run on ``bars`` is made first.  A thinning is run only where it
+    differs from the last run's view on a pole that run visited
     (:meth:`LazyPoissonBars.thinnings_differ`); elsewhere it is that same
-    run, so its level is copied.  Either way the stream ends where running
-    every t would leave it.
+    run, which is yielded again.  Each run is made only when its view is
+    asked for, so a caller may draw between two views, and the stream ends
+    where running every view would leave it.
     """
-    traj = hit_level(bars)
-    poles, t_ref = bars.built_poles(), bars.t
-    levels = []
-    for t in ts:
-        if bars.thinnings_differ(poles, t, t_ref):
-            view = bars.thinned(t)
+    traj = None
+    for view in views:
+        if traj is None or bars.thinnings_differ(poles, view.t, t_ref):
             traj = hit_level(view)
             poles = view.built_poles()
-        levels.append(traj.deepest)
-        t_ref = t
-    return levels
+        t_ref = view.t
+        yield traj, poles
 
 
 def _pn_batch(job) -> list[list[int]]:
     """Per t of the ascending grid, the deepest-level histogram of trials
     lo..hi-1.  Each trial draws one collection at the top rate t_max, on
     the stream of a single-t run at t_max, and reads every t > 0 off its
-    thinnings (:func:`_deepest_levels`)."""
+    thinnings (:func:`_thinning_runs`)."""
     shape, ts, seed, lo, hi = job
     hists = [[0] * (shape.n + 1) for _ in ts]
     if ts[0] == 0.0:  # no bars: every run wraps once at the root and returns
@@ -114,8 +118,9 @@ def _pn_batch(job) -> list[list[int]]:
         streams = TrialStreams(seed, "pn", shape.d, shape.n, down[0])
         for i in range(lo, hi):
             bars = LazyPoissonBars(shape, down[0], streams.at(i))
-            for (hist, _), level in zip(runs, _deepest_levels(bars, down)):
-                hist[level] += 1
+            views = map(bars.thinned, down)
+            for (hist, _), (traj, _) in zip(runs, _thinning_runs(bars, views)):
+                hist[traj.deepest] += 1
     return hists
 
 
@@ -175,29 +180,23 @@ def _russo_trial(shape: TreeShape, t: float, fd_step: float, gen) -> tuple[int, 
     """One paired trial of :func:`russo_check`: the depth-n hit indicators
     (plus, center, minus) of B+, B0 and B-, and a = I(B0 + A) - I(B0).
 
-    B0 is run only where it differs from B+ on the poles B+'s run visited,
-    and B- only where it differs from B0 on B0's; elsewhere each is the
-    run it is compared with (see :meth:`LazyPoissonBars.thinnings_differ`).
-    B0 + A runs only when B0's run visited an endpoint pole of A: otherwise
-    it is B0's run, and a = 0.
+    B+, B0 and B- come off the scan's thinning ladder
+    (:func:`_thinning_runs`), so each is run only where it differs from
+    the rate above it on the poles that rate's run visited.  B0 + A runs
+    between B0 and B-, and only when B0's run visited an endpoint pole of
+    A: otherwise it is B0's run, and a = 0.
     """
-    added = sample_added(shape, gen)
     top = LazyPoissonBars(shape, t + fd_step, gen)
     mid = top.thinned(t)
-    while added.height in mid.heights_on(added.edge):
-        added = Bar(added.edge, float(gen.random()))
-    plus = center = hit_level(top).reached
-    poles = top.built_poles()
-    if top.thinnings_differ(poles, t, top.t):
-        center = hit_level(mid).reached
-        poles = mid.built_poles()
-    over = mid.with_added(added)
+    added = sample_added(mid, gen)
+    runs = _thinning_runs(top, (top, mid, top.thinned(t - fd_step)))
+    plus = next(runs)[0].reached
+    traj, poles = next(runs)
+    center = traj.reached
     a = 0
     if added.edge in poles or added.edge[:-1] in poles:
-        a = hit_level(over).reached - center
-    minus = center
-    if top.thinnings_differ(poles, t - fd_step, t):
-        minus = hit_level(top.thinned(t - fd_step)).reached
+        a = hit_level(mid.with_added(added)).reached - center
+    minus = next(runs)[0].reached
     return plus, center, minus, a
 
 

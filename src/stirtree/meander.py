@@ -18,16 +18,12 @@ two exact bookkeeping rules used throughout:
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 from stirtree.bars import _DRAW_BUDGET, merge_intervals
 from stirtree.tree import ROOT, CapacityError
-
-# Test-only fault injection: when True the joint search is inclusive, i.e.
-# the right-continuity rule is skipped.  Never enable outside tests.
-_joint_search_inclusive = False
 
 
 class EngineError(RuntimeError):
@@ -151,7 +147,7 @@ def run(
     if level is not None and len(v0) >= level:
         raise ValueError("run started at or beyond the stop level")
 
-    search = bisect_left if _joint_search_inclusive else bisect_right
+    search = bisect_right  # strictly above: the right-continuity rule
     max_wraps = bars.shape.vertex_count
     pole = bars.pole
     budget = _DRAW_BUDGET

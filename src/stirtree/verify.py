@@ -148,7 +148,7 @@ def check_inclusions(samples: int, seed: int) -> CheckResult:
         for i in range(per_t):
             gen = streams.at(i)
             bars = LazyPoissonBars(shape, t, gen).realize()
-            added = sample_added(shape, gen)
+            added = sample_added(bars, gen)
             total += 1
             bad = inclusion_violations(bars, added)
             if bad:
@@ -221,7 +221,7 @@ def check_conditional_sampler(
         gen_r = cond_rej.at(b_i)
         got = tries = 0
         while got < per_instance and tries < 500_000:
-            a = sample_added(shape, gen_r)
+            a = sample_added(bars, gen_r)
             tries += 1
             if crossing_without_bottleneck(bars, a, traj):
                 rej.append(normalized_position(vl, a))

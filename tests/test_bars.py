@@ -64,16 +64,30 @@ def test_heights_strictly_increasing_and_open():
 def test_sample_added_marginals():
     trials = 100_000
     gen = TrialStreams(23, "added").at(0)
+    empty = BarCollection(SHAPE22, {})
     hits = 0
     hsum = 0.0
     for _ in range(trials):
-        bar = sample_added(SHAPE22, gen)
+        bar = sample_added(empty, gen)
         hits += len(bar.edge) == 1
         hsum += bar.height
     p = hits / trials
     expected = 2 / 6  # d / |E| root-layer mass
     assert abs(p - expected) < 4 * math.sqrt(expected * (1 - expected) / trials)
     assert abs(hsum / trials - 0.5) < 4 * math.sqrt(1 / 12 / trials)
+
+
+def test_sample_added_redraws_a_tie_then_zero(scripted_stream):
+    # edge 0, a height tying the bar there, 0.0, then a usable height
+    gen = scripted_stream(0, 0.5, 0.0, 0.75)
+    fixed = BarCollection(SHAPE22, {b"\x00": (0.5,)})
+    assert sample_added(fixed, gen) == Bar(b"\x00", 0.75)
+    assert gen.draws == ["integers", "random", "random", "random"]
+    # a lazy collection draws the edge's counts and heights after the height
+    gen = scripted_stream(0, 0.5, [1, 0], 0.5, 0.0, 0.75)
+    assert sample_added(LazyPoissonBars(SHAPE22, 0.5, gen), gen) == Bar(b"\x00", 0.75)
+    assert gen.draws == ["integers", "random", "poisson", "random", "random", "random"]
+    assert gen.values == []
 
 
 def test_reproducibility_bit_identical():
@@ -167,10 +181,11 @@ def test_sample_uniform_matches_added_on_root_layer():
     trials = 50_000
     direct = sum(sample_uniform_on(s, gen).edge == b"\x00" for _ in range(trials))
     gen2 = TrialStreams(41, "cmp2").at(0)
+    empty = BarCollection(SHAPE22, {})
     rej = 0
     got = 0
     while got < trials:
-        bar = sample_added(SHAPE22, gen2)
+        bar = sample_added(empty, gen2)
         if len(bar.edge) == 1:
             got += 1
             rej += bar.edge == b"\x00"

@@ -1,5 +1,6 @@
 """CLI behaviour: reproducible rows, formats, exit codes, fault injection."""
 
+import bisect
 import csv
 import json
 import math
@@ -438,6 +439,44 @@ def test_capacity_exit_3_before_the_power_of_a_huge_depth():
     assert time.monotonic() - start < 10  # startup only, no power computed
 
 
+_FIRST_CHUNK_OF_HUGE_TRIALS = """
+import sys
+import time
+
+from stirtree import estimators
+from stirtree.tree import TreeShape
+
+
+class Sentinel(Exception):
+    pass
+
+
+def first_job_raises(job):
+    if job[3] == 0:
+        raise Sentinel
+    return job[3]
+
+
+start = time.monotonic()
+try:
+    estimators._map_batches(
+        first_job_raises, TreeShape(2, 2), 0.5, 1, 10**14, int(sys.argv[1])
+    )
+except Sentinel:
+    print(time.monotonic() - start)
+"""
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_huge_trials_reach_the_first_chunk_at_once(workers):
+    # 10**14 trials are 2.4e10 chunks: their jobs are made as they run, so
+    # the first one runs at once instead of a MemoryError after every job
+    # tuple is built
+    res = _python_under_memory_limit("-c", _FIRST_CHUNK_OF_HUGE_TRIALS, str(workers))
+    assert res.returncode == 0 and res.stderr == ""
+    assert float(res.stdout) < 1.0
+
+
 def test_sim_draws_lazily_at_a_depth_realize_would_refuse():
     # (8, 12) has 7.9e10 edges; sim draws only the poles its runs visit
     res = _cli_under_memory_limit(
@@ -599,15 +638,13 @@ def test_root_orbit_that_never_closes_exit_4(monkeypatch, capsys):
     assert err.startswith("engine error: trajectory revisited state")
 
 
-def test_root_orbit_engine_fault_exit_4(capsys):
+def test_root_orbit_engine_fault_exit_4(capsys, monkeypatch):
     one = BarCollection.from_bars(TreeShape(2, 2), [Bar(b"\x01", 0.3)])
-    meander._joint_search_inclusive = True
-    try:
-        with pytest.raises(EngineError):
-            stirring.orbit(one, ROOT)
-        code = main(["sim", "--d", "2", "--n", "2", "--t", "0.5", "--trials", "3"])
-    finally:
-        meander._joint_search_inclusive = False
+    # an inclusive joint search skips the right-continuity rule
+    monkeypatch.setattr(meander, "bisect_right", bisect.bisect_left)
+    with pytest.raises(EngineError):
+        stirring.orbit(one, ROOT)
+    code = main(["sim", "--d", "2", "--n", "2", "--t", "0.5", "--trials", "3"])
     out, err = capsys.readouterr()
     assert code == 4 and out == ""  # trial 0 already fails
     assert err.startswith("engine error:")
@@ -801,13 +838,10 @@ def test_verify_default_suite_golden_lines(capsys):
     assert out.splitlines() == GOLDEN_VERIFY_DEFAULT_SUITE
 
 
-def test_injected_fault_caught_with_replay_seed():
+def test_injected_fault_caught_with_replay_seed(monkeypatch):
     # breaking the right-continuity rule must be caught by the oracle check
-    meander._joint_search_inclusive = True
-    try:
-        res = check_oracle_equivalence(40, seed=31)
-    finally:
-        meander._joint_search_inclusive = False
+    monkeypatch.setattr(meander, "bisect_right", bisect.bisect_left)
+    res = check_oracle_equivalence(40, seed=31)
     assert not res.passed
     assert res.replay["seed"] == 31
     assert "trial" in res.replay["first_failure"]
@@ -822,15 +856,13 @@ def _oracle_outcome(bars):
 
 
 @pytest.mark.parametrize("seed", [32, 42])  # first failures at trials 0 and 1
-def test_injected_fault_replays_from_trial_stream(seed):
+def test_injected_fault_replays_from_trial_stream(seed, monkeypatch):
     # the replay coordinates rebuild the first failing instance exactly
-    meander._joint_search_inclusive = True
-    try:
+    with monkeypatch.context() as patch:
+        patch.setattr(meander, "bisect_right", bisect.bisect_left)
         first = check_oracle_equivalence(40, seed).replay["first_failure"]
         d, n, t = first["d"], first["n"], first["t"]
         gen = TrialStreams(seed, "oracle", d, n, t).at(first["trial"])
         bars = LazyPoissonBars(TreeShape(d, n), t, gen).realize()
         assert _oracle_outcome(bars) == (False, first.get("error"))
-    finally:
-        meander._joint_search_inclusive = False
     assert _oracle_outcome(bars) == (True, None)  # the fault, not the sample

@@ -1,7 +1,6 @@
 """Estimator laws: analytic anchors, reproducibility, bounds, couplings."""
 
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -145,33 +144,17 @@ def test_russo_coupled_rhs_matches_independent_difference():
     assert rc.bias_allowance < h * abs(rc.rhs.mean)
 
 
-def test_russo_added_bar_redrawn_only_on_rate_t_collision(monkeypatch):
-    # every barred edge gets a bar at height 0.5, and so does the added bar:
-    # it must be redrawn exactly when that bar survives the thinning to t.
-    # Equal heights on one pole break the engine, so the runs are stubbed out.
-    distinct_heights = bars_mod._distinct_heights
-    with_added = bars_mod._Thinned.with_added
-    seen = []
-
-    def with_half(rng, k):
-        hs = distinct_heights(rng, k)
-        return tuple(sorted(hs[1:] + (0.5,))) if k else hs
-
-    def spy(self, bar):
-        seen.append((bar.height, bar.height in self._base.heights_on(bar.edge)))
-        return with_added(self, bar)  # raises on a collision left in place
-
-    monkeypatch.setattr(bars_mod, "_distinct_heights", with_half)
-    monkeypatch.setattr(
-        estimators,
-        "sample_added",
-        lambda shape, gen: Bar(bars_mod.sample_added(shape, gen).edge, 0.5),
-    )
-    monkeypatch.setattr(bars_mod._Thinned, "with_added", spy)
-    monkeypatch.setattr(estimators, "hit_level", lambda b: SimpleNamespace(reached=False))
-    russo_check(S22, 0.5, 0.05, 1000, 13)
-    assert any(h == 0.5 and on_top for h, on_top in seen)  # thinned out: kept
-    assert any(h != 0.5 for h, _on_top in seen)  # kept at rate t: redrawn
+def test_russo_added_bar_redrawn_only_on_rate_t_collision(scripted_stream):
+    # the added bar's first height 0.5 ties the one bar on its edge at the
+    # top rate 0.6; Russo draws it off the rate-0.3 view, so it keeps that
+    # height when the bar is thinned out (mark above 0.3 / 0.6) and is
+    # redrawn when the bar is kept
+    for mark, height in [(0.9, 0.5), (0.1, 0.25)]:
+        # edge 0, height 0.5, the root's child counts, the bar's height and
+        # mark, then a redrawn height
+        gen = scripted_stream(0, 0.5, [1, 0], 0.5, mark, 0.25)
+        top = LazyPoissonBars(S22, 0.6, gen)
+        assert sample_added(top.thinned(0.3), gen) == Bar(b"\x00", height)
 
 
 def test_russo_rejects_bad_step():
@@ -434,7 +417,9 @@ def test_skipped_thinned_runs_are_the_runs_they_stand_for(shape, scale, shares, 
     ts = sorted({t_max * f for f in shares} | {t_max}, reverse=True)
     assume(len(ts) >= 3)  # shares 1 ulp apart can round to one rate
     gen = TrialStreams(seed, "skip").at(0)
-    levels = estimators._deepest_levels(LazyPoissonBars(shape, t_max, gen), ts)
+    bars = LazyPoissonBars(shape, t_max, gen)
+    runs = estimators._thinning_runs(bars, map(bars.thinned, ts))
+    levels = [traj.deepest for traj, _poles in runs]
     ref_gen = TrialStreams(seed, "skip").at(0)
     ref = LazyPoissonBars(shape, t_max, ref_gen)
     assert levels == [hit_level(ref.thinned(t)).deepest for t in ts]
@@ -442,11 +427,17 @@ def test_skipped_thinned_runs_are_the_runs_they_stand_for(shape, scale, shares, 
 
 
 def _russo_trial_running_every_run(shape, t, h, gen):
-    added = sample_added(shape, gen)
+    # the added bar is drawn inline, not through sample_added: an edge
+    # index, a height, then the edge's heights on B0
+    edge = edge_from_index(shape, int(gen.integers(0, shape.edge_count)))
+    height = float(gen.random())
+    while height == 0.0:
+        height = float(gen.random())
     top = LazyPoissonBars(shape, t + h, gen)
     mid = top.thinned(t)
-    while added.height in mid.heights_on(added.edge):
-        added = Bar(added.edge, float(gen.random()))
+    while height in mid.heights_on(edge):
+        height = float(gen.random())
+    added = Bar(edge, height)
     plus = hit_level(top).reached
     center = hit_level(mid).reached
     a = hit_level(mid.with_added(added)).reached - center
@@ -496,6 +487,21 @@ def test_russo_skips_runs_on_unchanged_poles(monkeypatch):
     assert len(runs) < 4 * 500
     # B0 + A runs only where B0's run visited a pole of A
     assert sum(isinstance(b, bars_mod._WithAdded) for b in runs) < 500
+
+
+def test_russo_builds_the_overlay_only_for_its_run(monkeypatch):
+    runs = _counting_engine_runs(monkeypatch)
+    with_added = bars_mod._PoleIndexMixin.with_added
+    built = []
+
+    def spy(self, bar):
+        built.append(bar)
+        return with_added(self, bar)
+
+    monkeypatch.setattr(bars_mod._PoleIndexMixin, "with_added", spy)
+    estimators._russo_batch(0.05, (TreeShape(2, 2), 0.5, 5, 0, 500))
+    overlay_runs = sum(isinstance(b, bars_mod._WithAdded) for b in runs)
+    assert 0 < len(built) == overlay_runs
 
 
 @pytest.mark.parametrize("grid", [(0.2, 0.0, 0.4), (0.4, 0.2), (0.2, 0.2, 0.4)])

@@ -191,7 +191,7 @@ def test_inclusions_zero_violations_small():
         for i in range(800):
             gen = TrialStreams(149, "incl", t, i).at(0)
             bars = LazyPoissonBars(shape, t, gen).realize()
-            added = sample_added(shape, gen)
+            added = sample_added(bars, gen)
             assert inclusion_violations(bars, added) == [], (t, i)
 
 
@@ -202,7 +202,7 @@ def test_inclusions_hold_in_truncation_heavy_regimes():
         for i in range(1500):
             gen = TrialStreams(4242, "sweep", d, n, t, i).at(0)
             bars = LazyPoissonBars(shape, t, gen).realize()
-            added = sample_added(shape, gen)
+            added = sample_added(bars, gen)
             assert inclusion_violations(bars, added) == [], (d, n, t, i)
 
 
@@ -211,7 +211,7 @@ def test_crossing_without_bottleneck_equals_viable_membership():
     gen = TrialStreams(151, "ek2").at(0)
     for _ in range(2000):
         bars = LazyPoissonBars(shape, 0.7, gen).realize()
-        added = sample_added(shape, gen)
+        added = sample_added(bars, gen)
         traj = hit_level(bars)
         lhs = crossing_without_bottleneck(bars, added, traj)
         vl = viable_locations(bars, traj, multibar_cluster(bars))

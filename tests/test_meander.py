@@ -1,5 +1,6 @@
 """Engine behaviour: hand-traced trajectories, stop rules, and the M-invariants."""
 
+import bisect
 import math
 
 import pytest
@@ -194,14 +195,12 @@ def test_elapsed_time_is_wrap_count_on_return():
             assert ret == float(int(ret))  # whole laps exactly
 
 
-def test_fault_injection_breaks_engine():
+def test_fault_injection_breaks_engine(monkeypatch):
     bars = BarCollection.from_bars(S22, [Bar(b"\x00", 0.5)])
-    meander._joint_search_inclusive = True
-    try:
-        with pytest.raises(EngineError):
-            run(bars, SpaceTimePoint(ROOT, 0.0), level=2)
-    finally:
-        meander._joint_search_inclusive = False
+    # an inclusive joint search skips the right-continuity rule
+    monkeypatch.setattr(meander, "bisect_right", bisect.bisect_left)
+    with pytest.raises(EngineError):
+        run(bars, SpaceTimePoint(ROOT, 0.0), level=2)
 
 
 def test_run_is_pure():
