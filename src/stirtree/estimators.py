@@ -15,11 +15,10 @@ import itertools
 import math
 import os
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
-from stirtree.bars import Bar, LazyPoissonBars, check_rate, sample_added
+from stirtree.bars import BarCollection, LazyPoissonBars, check_rate, sample_added
 from stirtree.events import multibar_cluster, viable_locations
 from stirtree.meander import EngineError, hit_level
 from stirtree.rng import TrialStreams
@@ -65,7 +64,9 @@ def _map_batches(
     """``fn((shape, t, seed, lo, hi))`` over fixed chunks of ``range(trials)``.
 
     The jobs are made as they are run, and the pool is fed a window of a few
-    jobs per worker at a time, so a huge ``trials`` starts work at once.
+    jobs per worker at a time, so a huge ``trials`` starts work at once.  One
+    worker (the default), or one job, runs in process: the process pool and
+    the modules behind it are imported only when a pool is built.
     """
     _check_trials(trials)
     starts = range(0, trials, _CHUNK)
@@ -73,6 +74,8 @@ def _map_batches(
     workers = min(workers, len(starts), os.cpu_count() or 1)
     if workers <= 1:
         return list(map(fn, jobs))
+    from concurrent.futures import ProcessPoolExecutor
+
     parts = []
     with ProcessPoolExecutor(max_workers=workers) as pool:
         while window := list(itertools.islice(jobs, 4 * workers)):
@@ -503,7 +506,7 @@ def critical_scan(
     across t and across depth, and each ``stderr`` is marginal.  The rows
     at the largest t equal :func:`estimate_pn` on the deepest tree, and
     every row has the marginal law of an independent estimate at its t."""
-    if not t_grid:
+    if len(t_grid) == 0:
         raise ValueError("empty t grid")
     if len(set(t_grid)) < len(t_grid) or len(set(shapes)) < len(shapes):
         raise ValueError("duplicate depths or t grid points")
@@ -560,18 +563,17 @@ def bare_root_gain_check(
     _check_trials(trials)
     d = shape.d
     streams = TrialStreams(seed, "bare-root-gain", d, shape.n, t)
+    # the bar-free root layer: the added bar's edge is uniform on it
+    root_layer = BarCollection(TreeShape(d, 1), {})
     hits = 0
     for i in range(trials):
         gen = streams.at(i)
-        edge = bytes((int(gen.integers(0, d)),))
-        h = float(gen.random())
-        while h == 0.0:
-            h = float(gen.random())
+        added = sample_added(root_layer, gen)
         bars = LazyPoissonBars(shape, t, gen)
         bars.prefill_root([0] * d)
         if hit_level(bars).reached:
             raise EngineError("bar-free root layer cannot reach depth n unaided")
-        hits += hit_level(bars.with_added(Bar(edge, h))).reached
+        hits += hit_level(bars.with_added(added)).reached
     gain = _bernoulli(f"on-pivotal|bar-free-root(t={t})", hits, trials, seed)
     ref = estimate_pn(TreeShape(d, shape.n - 1), t, trials, seed + 7)
     denom = math.hypot(gain.stderr, ref.stderr)

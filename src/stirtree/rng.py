@@ -16,8 +16,12 @@ import numpy as np
 
 
 def stream_key(seed: int, *tags) -> np.ndarray:
-    """Derive a 128-bit Philox key from the seed and an arbitrary tag tuple."""
-    digest = hashlib.sha256(repr((seed,) + tags).encode()).digest()
+    """Derive a 128-bit Philox key from the seed and an arbitrary tag tuple.
+
+    A numpy scalar keys as the Python number it equals (numpy 2 writes
+    ``repr(np.float64(0.5))`` as ``'np.float64(0.5)'``)."""
+    parts = tuple(x.item() if isinstance(x, np.generic) else x for x in (seed,) + tags)
+    digest = hashlib.sha256(repr(parts).encode()).digest()
     return np.frombuffer(digest[:16], dtype=np.uint64)
 
 

@@ -367,7 +367,8 @@ def test_worker_pool_clamped_to_jobs_and_cpus(monkeypatch, capsys):
         def map(self, fn, jobs):
             return map(fn, jobs)
 
-    monkeypatch.setattr(estimators, "ProcessPoolExecutor", FakePool)
+    # _map_batches imports the pool class from its module when it builds one
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", FakePool)
     monkeypatch.setattr(estimators.os, "cpu_count", lambda: 4)
     base = ["estimate", "pn", "--d", "2", "--n", "2", "--t", "0.5", "--seed", "3"]
     for trials in ("20000", "5000", "100"):  # 5 jobs, 2 jobs, 1 job
@@ -465,6 +466,28 @@ try:
 except Sentinel:
     print(time.monotonic() - start)
 """
+
+
+_ONE_WORKER_RUNS = """
+import sys
+
+import stirtree.cli as cli
+
+for args in (
+    "scan --d 2 --n 2,3 --t-grid 0.5,0.6 --trials 50 --workers 1",
+    "estimate pn --d 2 --n 2 --t 0.5 --trials 50 --workers 1",
+):
+    assert cli.main(args.split()) == 0, args
+pool = {"concurrent.futures", "multiprocessing"}.intersection(sys.modules)
+assert not pool, f"loaded by a one-worker run: {sorted(pool)}"
+"""
+
+
+def test_one_worker_runs_load_no_process_pool():
+    # --workers 1, the default, runs in process; the pool's modules cost
+    # start-up time and resident memory that such a run does not use
+    res = _python_under_memory_limit("-c", _ONE_WORKER_RUNS)
+    assert res.returncode == 0, res.stderr
 
 
 @pytest.mark.parametrize("workers", [1, 2])

@@ -26,7 +26,7 @@ from stirtree.estimators import (
 )
 from stirtree.bars import Bar, BarCollection, LazyPoissonBars, sample_added
 from stirtree.meander import hit_level
-from stirtree.rng import TrialStreams
+from stirtree.rng import TrialStreams, stream_key
 from stirtree.tree import TreeShape, edge_from_index
 
 
@@ -561,3 +561,17 @@ def test_estimate_serialization():
     est = Estimate("x", 0.5, 0.01, 100, 7)
     d = est.to_dict()
     assert d["schema"] == 1 and d["mean"] == 0.5
+
+
+def test_numpy_scalars_key_as_the_python_numbers_they_equal():
+    # numpy 2 writes repr(np.float64(0.145)) as 'np.float64(0.145)'
+    assert np.array_equal(
+        stream_key(np.int64(3), "pn", np.int64(8), 4, np.float64(0.145)),
+        stream_key(3, "pn", 8, 4, 0.145),
+    )
+    numpy_pn = estimate_pn(TreeShape(np.int64(8), 4), np.float64(0.145), 2000, 3)
+    assert numpy_pn.mean == estimate_pn(TreeShape(8, 4), 0.145, 2000, 3).mean
+    grid = np.linspace(0.13, 0.16, 3)
+    shapes = [TreeShape(8, 3), TreeShape(8, 4)]
+    table = critical_scan(shapes, grid, 300, 5)
+    assert table == critical_scan(shapes, grid.tolist(), 300, 5)
