@@ -20,7 +20,7 @@ from stirtree.tree import (
     CapacityError,
     TreeShape,
     edge_from_index,
-    edge_index,
+    edge_key,
     is_valid_edge,
     vertex_from_str,
     vertex_to_str,
@@ -257,8 +257,9 @@ class BarCollection(_PoleIndexMixin):
         return self._by_edge.keys()
 
     def iter_bars(self) -> Iterable[Bar]:
-        """All bars in (edge-index, height) order; a stable serialization order."""
-        for e in sorted(self._by_edge, key=lambda e: edge_index(self.shape, e)):
+        """All bars in (edge, height) order (``tree.edge_key``); a stable
+        serialization order."""
+        for e in sorted(self._by_edge, key=edge_key):
             for h in self._by_edge[e]:
                 yield Bar(e, h)
 
@@ -530,8 +531,9 @@ def sample_added(bars, stream: np.random.Generator) -> Bar:
 class LocationSet:
     """Per-edge disjoint unions of half-open height intervals.
 
-    ``intervals`` is kept in edge-index order, the order :meth:`measure`
-    sums in and the sampler concatenates in, whatever order it was built in.
+    ``intervals`` is kept in edge order (``tree.edge_key``), the order
+    :meth:`measure` sums in and the sampler concatenates in, whatever order
+    it was built in.
     """
 
     __slots__ = ("shape", "intervals", "_measure")
@@ -545,7 +547,7 @@ class LocationSet:
         self.shape = shape
         self.intervals = {
             e: intervals[e]
-            for e in sorted(intervals, key=lambda e: edge_index(shape, e))
+            for e in sorted(intervals, key=edge_key)
             if intervals[e]
         }
         self._measure: float | None = None

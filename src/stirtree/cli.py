@@ -195,7 +195,7 @@ def _sim_rows(ns: dict) -> Iterator[dict]:
             # finite-tree proxy for the root lying on an unbounded cycle
             "boundary_truncated": traj.reached,
         }
-        row.update(zip(rec.CSV_FIELDS, rec.to_row(shape.d)))
+        row.update(rec.to_row(shape.d))
         yield row
 
 

@@ -66,7 +66,9 @@ def _map_batches(
     The jobs are made as they are run, and the pool is fed a window of a few
     jobs per worker at a time, so a huge ``trials`` starts work at once.  One
     worker (the default), or one job, runs in process: the process pool and
-    the modules behind it are imported only when a pool is built.
+    the modules behind it are imported only when a pool is built.  The pool
+    spawns its workers, since forking a process that runs more than one
+    thread (numpy's BLAS starts one) can deadlock the child.
     """
     _check_trials(trials)
     starts = range(0, trials, _CHUNK)
@@ -74,10 +76,12 @@ def _map_batches(
     workers = min(workers, len(starts), os.cpu_count() or 1)
     if workers <= 1:
         return list(map(fn, jobs))
+    import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
     parts = []
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    spawn = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=workers, mp_context=spawn) as pool:
         while window := list(itertools.islice(jobs, 4 * workers)):
             parts += pool.map(fn, window)
     return parts

@@ -14,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from stirtree.bars import Bar, LocationSet, merge_intervals
+from stirtree.bars import Bar, LocationSet
 from stirtree.meander import EngineError, SpaceTimePoint, Trajectory, hit_level, run
 from stirtree.tree import edge_from_index, path_to_root, vertex_to_str
 
@@ -33,30 +33,24 @@ class EventRecord:
     reached_plain: bool  # depth-n poles reached without the added bar
     reached_added: bool  # ... and with it
 
-    CSV_FIELDS = (
-        "crossed",
-        "bottleneck_edge",
-        "bottleneck_height",
-        "no_escape",
-        "pivot",
-        "bottleneck_zone",
-        "added_depth_index",
-        "reached_plain",
-        "reached_added",
-    )
-
-    def to_row(self, d: int) -> list:
-        return [
-            int(self.crossed),
-            "" if self.bottleneck_edge is None else vertex_to_str(self.bottleneck_edge, d),
-            "" if self.bottleneck_height is None else repr(self.bottleneck_height),
-            "" if self.no_escape is None else int(self.no_escape),
-            self.pivot,
-            self.bottleneck_zone or "",
-            self.added_depth_index,
-            int(self.reached_plain),
-            int(self.reached_added),
-        ]
+    def to_row(self, d: int) -> dict:
+        """The record's ``sim`` columns, keyed by field name, in field order."""
+        return {
+            "crossed": int(self.crossed),
+            "bottleneck_edge": (
+                "" if self.bottleneck_edge is None
+                else vertex_to_str(self.bottleneck_edge, d)
+            ),
+            "bottleneck_height": (
+                "" if self.bottleneck_height is None else repr(self.bottleneck_height)
+            ),
+            "no_escape": "" if self.no_escape is None else int(self.no_escape),
+            "pivot": self.pivot,
+            "bottleneck_zone": self.bottleneck_zone or "",
+            "added_depth_index": self.added_depth_index,
+            "reached_plain": int(self.reached_plain),
+            "reached_added": int(self.reached_added),
+        }
 
 
 @dataclass(frozen=True)
@@ -86,9 +80,8 @@ class EscapeRoutes:
 
 
 def _crossed(traj: Trajectory, added: Bar) -> bool:
-    return traj.covers(added.edge[:-1], added.height) or traj.covers(
-        added.edge, added.height
-    )
+    h = added.height
+    return any(a <= h < b for a, b in traj.touched(added.edge))
 
 
 def _bottleneck(bars, added: Bar) -> Optional[Bar]:
@@ -211,15 +204,10 @@ def viable_locations(
 
     An edge can contribute only if its root path consists of >=2-bar edges
     (it lies in the root cluster or on its boundary); it then contributes
-    the visited heights of its two endpoint poles along the root
-    trajectory.  ``cluster`` is ``multibar_cluster(bars)``.
+    the heights at which the root trajectory touched its joints
+    (``Trajectory.touched``).  ``cluster`` is ``multibar_cluster(bars)``.
     """
-    cov = trajectory.coverage()
-    out: dict[bytes, tuple[tuple[float, float], ...]] = {}
-    for e in cluster.cluster | cluster.boundary:
-        ivs = list(cov.get(e[:-1], ())) + list(cov.get(e, ()))
-        if ivs:
-            out[e] = merge_intervals(ivs)
+    out = {e: trajectory.touched(e) for e in cluster.cluster | cluster.boundary}
     return LocationSet(bars.shape, out, validate=False)
 
 
@@ -351,14 +339,12 @@ def untouched_locations(bars, trajectory: Trajectory) -> LocationSet:
     is meant for small trees (statistical checks of the exploration law).
     """
     shape = bars.shape
-    cov = trajectory.coverage()
     out: dict[bytes, tuple[tuple[float, float], ...]] = {}
     for i in range(shape.edge_count):
         e = edge_from_index(shape, i)
-        touched = merge_intervals(list(cov.get(e[:-1], ())) + list(cov.get(e, ())))
         holes: list[tuple[float, float]] = []
         lo = 0.0
-        for a, b in touched:
+        for a, b in trajectory.touched(e):
             if a > lo:
                 holes.append((lo, a))
             lo = b

@@ -22,7 +22,8 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
-from stirtree.bars import _DRAW_BUDGET, merge_intervals
+import stirtree.bars
+from stirtree.bars import merge_intervals
 from stirtree.tree import ROOT, CapacityError
 
 
@@ -72,14 +73,14 @@ class Trajectory:
             self._coverage = build_coverage(self.steps)
         return self._coverage
 
-    def covers(self, vertex: bytes, h: float) -> bool:
-        ivs = self.coverage().get(vertex)
-        if not ivs:
-            return False
-        for a, b in ivs:
-            if a <= h < b:
-                return True
-        return False
+    def touched(self, edge: bytes) -> tuple[tuple[float, float], ...]:
+        """Heights at which the run touched ``edge``'s joints: the merged
+        coverage of the edge's two endpoint poles."""
+        cov = self.coverage()
+        up, down = cov.get(edge[:-1], ()), cov.get(edge, ())
+        if up and down:
+            return merge_intervals([*up, *down])
+        return up or down
 
     def to_json_dict(self) -> dict:
         """Debug serialization; not a stable format."""
@@ -138,7 +139,7 @@ def run(
     the bars realized so far) and the wrap count within the vertex count.
     The record ``steps`` is the revisit guard: a state is new exactly when
     it is not yet a key.  It keeps one entry per state, so every run is
-    bounded by the sampler's draw budget too: past ``_DRAW_BUDGET``
+    bounded by the sampler's draw budget too: past ``bars._DRAW_BUDGET``
     crossings it raises ``CapacityError``.
     """
     v0, h0 = start
@@ -150,7 +151,7 @@ def run(
     search = bisect_right  # strictly above: the right-continuity rule
     max_wraps = bars.shape.vertex_count
     pole = bars.pole
-    budget = _DRAW_BUDGET
+    budget = stirtree.bars._DRAW_BUDGET
 
     v, h = v0, h0
     heights, hops = pole(v)

@@ -70,19 +70,14 @@ def path_to_root(v: bytes) -> tuple[bytes, ...]:
     return tuple(v[: k + 1] for k in range(len(v)))
 
 
-def edge_index(shape: TreeShape, e: bytes) -> int:
-    """Bijection from edges to ``range(edge_count)``, level-major order."""
-    d = shape.d
-    lvl = len(e)
-    below = d * (d ** (lvl - 1) - 1) // (d - 1)  # edges on shallower layers
-    offset = 0
-    for sym in e:
-        offset = offset * d + sym
-    return below + offset
+def edge_key(e: bytes) -> tuple[int, bytes]:
+    """Sort key of the edge order: level-major, then byte order within a
+    level, which is base-d order of the symbols."""
+    return len(e), e
 
 
 def edge_from_index(shape: TreeShape, idx: int) -> bytes:
-    """Inverse of :func:`edge_index`."""
+    """The edge at position ``idx`` of the order :func:`edge_key` sorts by."""
     if not 0 <= idx < shape.edge_count:
         raise ValueError(f"edge index {idx} out of range")
     d = shape.d

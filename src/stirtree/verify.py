@@ -79,18 +79,6 @@ def check_oracle_equivalence(instances: int, seed: int) -> CheckResult:
     return CheckResult("oracle-equivalence", not mismatches, detail, replay)
 
 
-_INCLUSION_NAMES = (
-    "pivot-subset-crossing",
-    "pivot-bottleneck-no-escape",
-    "crossing-no-bottleneck-matches-viable-set",
-    "viable-set-inside-cluster-closure",
-    "viable-mass-forces-cluster-size",
-    "static-routes-subset-witnessed",
-    "clusterless-confined-full-root-layer",
-    "bare-added-edge-never-off-pivotal",
-)
-
-
 def inclusion_violations(bars, added) -> list[str]:
     """Names of violated per-sample inclusions for one (B, A) draw."""
     d = bars.shape.d

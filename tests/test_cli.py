@@ -355,7 +355,7 @@ def test_worker_pool_clamped_to_jobs_and_cpus(monkeypatch, capsys):
     sizes = []
 
     class FakePool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, mp_context):
             sizes.append(max_workers)
 
         def __enter__(self):
@@ -375,6 +375,33 @@ def test_worker_pool_clamped_to_jobs_and_cpus(monkeypatch, capsys):
         assert main(base + ["--trials", trials, "--workers", "1000000"]) == 0
     capsys.readouterr()
     assert sizes == [4, 2]
+
+
+def test_worker_pool_spawns_its_workers(monkeypatch, capsys):
+    # forking a process that runs a second thread (numpy's BLAS starts one)
+    # can deadlock the child; a fake pool records the start method asked
+    # for, so no process is started
+    methods = []
+
+    class FakePool:
+        def __init__(self, max_workers, mp_context):
+            methods.append(mp_context.get_start_method())
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(estimators.os, "cpu_count", lambda: 2)
+    args = "estimate pn --d 2 --n 2 --t 0.5 --trials 9000 --workers 2".split()
+    assert main(args) == 0
+    capsys.readouterr()
+    assert methods == ["spawn"]
 
 
 def test_engine_error_exit_4(monkeypatch, capsys):
@@ -458,13 +485,14 @@ def first_job_raises(job):
     return job[3]
 
 
-start = time.monotonic()
-try:
-    estimators._map_batches(
-        first_job_raises, TreeShape(2, 2), 0.5, 1, 10**14, int(sys.argv[1])
-    )
-except Sentinel:
-    print(time.monotonic() - start)
+if __name__ == "__main__":  # a spawned worker imports this file as a module
+    start = time.monotonic()
+    try:
+        estimators._map_batches(
+            first_job_raises, TreeShape(2, 2), 0.5, 1, 10**14, int(sys.argv[1])
+        )
+    except Sentinel:
+        print(time.monotonic() - start)
 """
 
 
@@ -491,11 +519,14 @@ def test_one_worker_runs_load_no_process_pool():
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_huge_trials_reach_the_first_chunk_at_once(workers):
+def test_huge_trials_reach_the_first_chunk_at_once(workers, tmp_path):
     # 10**14 trials are 2.4e10 chunks: their jobs are made as they run, so
     # the first one runs at once instead of a MemoryError after every job
-    # tuple is built
-    res = _python_under_memory_limit("-c", _FIRST_CHUNK_OF_HUGE_TRIALS, str(workers))
+    # tuple is built; run from a file, whose job function a spawned worker
+    # can import
+    script = tmp_path / "first_chunk.py"
+    script.write_text(_FIRST_CHUNK_OF_HUGE_TRIALS)
+    res = _python_under_memory_limit(str(script), str(workers))
     assert res.returncode == 0 and res.stderr == ""
     assert float(res.stdout) < 1.0
 

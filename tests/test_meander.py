@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+import stirtree.bars as bars_mod
 import stirtree.meander as meander
 from stirtree.bars import Bar, BarCollection, LazyPoissonBars
 from stirtree.meander import (
@@ -51,7 +52,7 @@ def test_recorded_run_keeps_at_most_the_draw_budget_of_crossings(monkeypatch):
     bars = BarCollection.from_bars(S22, [Bar(b"\x00", 0.3), Bar(b"\x01", 0.6)])
     steps = run(bars, SpaceTimePoint(ROOT, 0.0)).steps
     assert sum(v != w for (v, _), (w, _) in steps.items()) == 4
-    monkeypatch.setattr(meander, "_DRAW_BUDGET", 3)
+    monkeypatch.setattr(bars_mod, "_DRAW_BUDGET", 3)
     for entry in (
         lambda: run(bars, SpaceTimePoint(ROOT, 0.0)),
         lambda: return_time(bars, SpaceTimePoint(ROOT, 0.0)),
@@ -59,7 +60,7 @@ def test_recorded_run_keeps_at_most_the_draw_budget_of_crossings(monkeypatch):
     ):
         with pytest.raises(CapacityError, match="over 3 crossings"):
             entry()
-    monkeypatch.setattr(meander, "_DRAW_BUDGET", 4)
+    monkeypatch.setattr(bars_mod, "_DRAW_BUDGET", 4)
     assert return_time(bars, SpaceTimePoint(ROOT, 0.0)) == 3.0
 
 

@@ -6,12 +6,14 @@ with a materialized collection holding the same bars, and the engine must
 agree with the transposition oracle.  Runs started exactly on a joint check
 the right-continuity rule, and runs that stop at the root origin are the
 plain runs cut at their first wrap on the root pole.  The deepest level a
-run on T_N lands on decides the hit event on every shallower tree T_n.
+run on T_N lands on decides the hit event on every shallower tree T_n.  The
+heights a run touched on an edge are its two endpoint poles' coverage.
 """
 
 from hypothesis import assume, example, given, settings, strategies as st
 
-from stirtree.bars import Bar, BarCollection, LazyPoissonBars
+from stirtree.bars import Bar, BarCollection, LazyPoissonBars, merge_intervals
+from stirtree.events import _crossed
 from stirtree.meander import SpaceTimePoint, hit_level, run
 from stirtree.rng import TrialStreams
 from stirtree.stirring import stirring_permutation, transposition_oracle
@@ -208,3 +210,18 @@ def test_origin_stop_cuts_the_run_at_its_first_root_wrap(shape, t, seed, pick, h
         assert stop.outcome.time == stop.wraps - h0
     else:
         assert stop == plain
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape=shapes, t=rates, seed=seeds, h=st.floats(0.0, 1.0, exclude_max=True))
+def test_touched_heights_are_the_two_endpoint_poles_coverage(shape, t, seed, h):
+    bars = LazyPoissonBars(shape, t, TrialStreams(seed, "prop-touched").at(0)).realize()
+    traj = hit_level(bars)
+    cov = traj.coverage()
+    for e in _edges(shape):
+        up, down = cov.get(e[:-1], ()), cov.get(e, ())
+        assert traj.touched(e) == merge_intervals(list(up) + list(down))
+        # the interval ends test the half-open rule; h is a point anywhere
+        for x in [h, *(end for iv in up + down for end in iv)]:
+            inside = any(a <= x < b for a, b in up + down)
+            assert _crossed(traj, Bar(e, x)) == inside

@@ -1,14 +1,18 @@
-"""Tree addressing: counts, paths, the edge-index bijection, serialization."""
+"""Tree addressing: counts, paths, the edge order, serialization."""
+
+import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from stirtree.bars import LocationSet
 from stirtree.tree import (
     ROOT,
     CapacityError,
     TreeShape,
     edge_from_index,
-    edge_index,
+    edge_key,
     is_valid_edge,
     path_to_root,
     vertex_from_str,
@@ -64,14 +68,23 @@ def test_path_structure(symbols):
         assert path[-1] == v and path_to_root(v[:-1]) == path[:-1]
 
 
-@given(st.integers(2, 6), st.integers(1, 5), st.integers(0, 10**6))
-@settings(max_examples=200, deadline=None)
-def test_edge_index_roundtrip(d, n, raw):
+@pytest.mark.parametrize("d, n", [(2, 1), (2, 6), (3, 4), (6, 3)])
+def test_edge_from_index_lists_every_edge_in_key_order(d, n):
     shape = TreeShape(d, n)
-    idx = raw % shape.edge_count
-    e = edge_from_index(shape, idx)
-    assert is_valid_edge(shape, e)
-    assert edge_index(shape, e) == idx
+    edges = [edge_from_index(shape, i) for i in range(shape.edge_count)]
+    # every address once: level by level, each level in lexicographic order
+    every = [
+        bytes(syms)
+        for lvl in range(1, n + 1)
+        for syms in itertools.product(range(d), repeat=lvl)
+    ]
+    assert edges == every
+    assert edges == sorted(edges, key=edge_key)
+    assert all(is_valid_edge(shape, e) for e in edges)
+    shuffled = edges[:]
+    random.Random(d * n).shuffle(shuffled)
+    locs = LocationSet(shape, {e: ((0.0, 0.5),) for e in shuffled})
+    assert list(locs.intervals) == edges
 
 
 def test_vertex_serialization():
