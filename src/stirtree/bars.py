@@ -17,8 +17,10 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from stirtree.tree import (
+    _SYMBOLS,
     CapacityError,
     TreeShape,
+    child_edges,
     edge_from_index,
     edge_key,
     is_valid_edge,
@@ -58,10 +60,6 @@ def _check_budget(values: float, what: str) -> None:
             f"{what} would draw about {values:.3g} values,"
             f" over the budget of {_DRAW_BUDGET}"
         )
-
-
-# One-byte child symbols: the children of v are ``v + s`` for the first d.
-_SYMBOLS = tuple(bytes((i,)) for i in range(256))
 
 
 def check_rate(t: float) -> None:
@@ -249,7 +247,7 @@ class BarCollection(_PoleIndexMixin):
     def _build_pole(self, v: bytes) -> _Pole:
         edges = [v] if v else []  # the parent edge, then the children
         if len(v) < self.shape.n:
-            edges += [v + s for s in _SYMBOLS[: self.shape.d]]
+            edges += child_edges(v, self.shape.d)
         by_edge = self._by_edge
         return _pole_of(v, [(hs, e) for e in edges if (hs := by_edge.get(e))])
 

@@ -22,7 +22,7 @@ from stirtree.bars import BarCollection, LazyPoissonBars, check_rate, sample_add
 from stirtree.events import multibar_cluster, viable_locations
 from stirtree.meander import EngineError, hit_level
 from stirtree.rng import TrialStreams
-from stirtree.tree import TreeShape
+from stirtree.tree import ROOT, TreeShape, child_edges
 
 
 @dataclass(frozen=True)
@@ -397,11 +397,11 @@ def tail_checks(
     else:
         parts = _map_batches(_cluster_tail_batch, shape, t, seed, trials, workers)
         for ell, count in zip(_CLUSTER_SIZES, map(sum, zip(*parts))):
-            emp = count / trials
-            se = math.sqrt(emp * (1.0 - emp) / trials)
+            label = f"P(cluster>= {ell})"
+            emp = _bernoulli(label, count, trials, seed)
             bound = cluster_size_bound(d, tau, ell)
-            ok = emp <= bound + _SLACK_SE * se
-            cluster_rows.append(TailRow(f"P(cluster>= {ell})", ell, emp, se, bound, ok))
+            ok = emp.mean <= bound + _SLACK_SE * emp.stderr
+            cluster_rows.append(TailRow(label, ell, emp.mean, emp.stderr, bound, ok))
 
     level_rows: list[TailRow] = []
     lv_trials = level_trials if level_trials is not None else min(trials, 20_000)
@@ -415,14 +415,13 @@ def tail_checks(
                 notes.append(f"level pair ({i},{k}) skipped: n-i < 1")
                 continue
             p = _bernoulli("plug-in", _reached(profile, shape.n - i), lv_trials, seed)
-            emp = count / lv_trials
-            se = math.sqrt(emp * (1.0 - emp) / lv_trials)
+            label = f"P(level-{i} visits >= {k})"
+            emp = _bernoulli(label, count, lv_trials, seed)
             base = 1.0 - p.mean * math.exp(-t)
             bound = base ** (k - 1)
             dslope = (k - 1) * base ** max(k - 2, 0) * math.exp(-t)
-            ok = emp <= bound + _SLACK_SE * (se + dslope * p.stderr)
-            label = f"P(level-{i} visits >= {k})"
-            level_rows.append(TailRow(label, k, emp, se, bound, ok))
+            ok = emp.mean <= bound + _SLACK_SE * (emp.stderr + dslope * p.stderr)
+            level_rows.append(TailRow(label, k, emp.mean, emp.stderr, bound, ok))
 
     return TailReport(tuple(cluster_rows), tuple(level_rows), tuple(notes))
 
@@ -538,14 +537,14 @@ def bar_cluster_reaches_boundary(bars) -> bool:
     Monotone under bar addition, unlike the meander hit indicator.
     """
     shape = bars.shape
-    stack = [bytes((i,)) for i in range(shape.d)]
+    stack = child_edges(ROOT, shape.d)
     while stack:
         e = stack.pop()
         if bars.count_on(e) == 0:
             continue
         if len(e) == shape.n:
             return True
-        stack.extend(e + bytes((i,)) for i in range(shape.d))
+        stack.extend(child_edges(e, shape.d))
     return False
 
 

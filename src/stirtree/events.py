@@ -16,7 +16,13 @@ from typing import Iterator, Optional
 
 from stirtree.bars import Bar, LocationSet
 from stirtree.meander import EngineError, SpaceTimePoint, Trajectory, hit_level, run
-from stirtree.tree import edge_from_index, path_to_root, vertex_to_str
+from stirtree.tree import (
+    ROOT,
+    child_edges,
+    edge_from_index,
+    path_to_root,
+    vertex_to_str,
+)
 
 
 @dataclass(frozen=True)
@@ -169,7 +175,7 @@ def multibar_cluster(bars) -> ClusterReport:
     """
     shape = bars.shape
     d, n = shape.d, shape.n
-    queue: deque = deque(bytes((i,)) for i in range(d))
+    queue: deque = deque(child_edges(ROOT, d))
     accepted: list[bytes] = []
     rejected: list[bytes] = []
     singles = 0
@@ -180,7 +186,7 @@ def multibar_cluster(bars) -> ClusterReport:
         if k >= 2:
             accepted.append(e)
             if len(e) < n:
-                queue.extend(e + bytes((i,)) for i in range(d))
+                queue.extend(child_edges(e, d))
             else:
                 truncated = True
         else:
@@ -214,7 +220,7 @@ def viable_locations(
 def root_stats(bars, trajectory: Trajectory, cluster: ClusterReport) -> RootStats:
     """Root-edge statistics; ``cluster`` is ``multibar_cluster(bars)``."""
     shape = bars.shape
-    root_edges = [bytes((i,)) for i in range(shape.d)]
+    root_edges = child_edges(ROOT, shape.d)
     counts = [bars.count_on(e) for e in root_edges]
     cutoff = shape.d**-0.5
     low_gap = all(
@@ -272,11 +278,8 @@ def _eval_routes(bars, cov: dict, tip: bytes) -> EscapeRoutes:
         s = hs[0]
         ep = e[:-1]
         hi = s + window
-        sibling_free = any(
-            bars.count_on(ep + bytes((i,))) == 0
-            for i in range(d)
-            if ep + bytes((i,)) != e
-        )
+        siblings = child_edges(ep, d)
+        sibling_free = any(bars.count_on(c) == 0 for c in siblings if c != e)
         if sibling_free:
             pole_heights, _ = bars.pole(ep)
             if not _any_height_in_cyclic(pole_heights, s, hi):
@@ -287,8 +290,7 @@ def _eval_routes(bars, cov: dict, tip: bytes) -> EscapeRoutes:
             if _any_height_in_cyclic(bars.heights_on(ep), s, hi):
                 continue
             esc_vertex = None
-            for i in range(d):
-                c = ep + bytes((i,))
+            for c in siblings:
                 # the tip pole holds the trajectory's current point, so it
                 # counts as visited even with zero covered length
                 if not cov.get(c) and c != tip:
@@ -309,10 +311,8 @@ def escape_routes(bars, trajectory: Trajectory) -> Iterator[EscapeRoutes]:
     a scan of every crossing linear in the trajectory size.
     """
     cov: dict[bytes, list[tuple[float, float]]] = {}
-    for (v, lo), (w, hi) in trajectory.steps.items():
-        hi = hi or 1.0  # a rise ends at its successor's height, a wrap at 1
-        if hi > lo:
-            cov.setdefault(v, []).append((lo, hi))
+    for v, lo, hi, w in trajectory.rises():
+        cov.setdefault(v, []).append((lo, hi))
         if w != v:  # a crossing: the tip is its landing vertex
             yield _eval_routes(bars, cov, w)
 
@@ -321,13 +321,9 @@ def escape_routes(bars, trajectory: Trajectory) -> Iterator[EscapeRoutes]:
 
 
 def crossed_bars(trajectory: Trajectory) -> set[Bar]:
-    """The bars the trajectory crossed: a crossing's edge is its longer
-    endpoint."""
-    return {
-        Bar(max(v, w, key=len), h)
-        for (v, _), (w, h) in trajectory.steps.items()
-        if w != v
-    }
+    """The bars the trajectory crossed, one per rise that ends on another
+    pole: a crossing's edge is its longer endpoint."""
+    return {Bar(max(v, w, key=len), h) for v, _, h, w in trajectory.rises() if w != v}
 
 
 def untouched_locations(bars, trajectory: Trajectory) -> LocationSet:

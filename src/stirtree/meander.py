@@ -20,11 +20,11 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 import stirtree.bars
 from stirtree.bars import merge_intervals
-from stirtree.tree import ROOT, CapacityError
+from stirtree.tree import ROOT, CapacityError, vertex_to_str
 
 
 class EngineError(RuntimeError):
@@ -67,10 +67,28 @@ class Trajectory:
         """The run stopped on first landing at its stop level."""
         return self.outcome.kind == "hit_level"
 
+    def rises(self) -> Iterator[tuple[bytes, float, float, bytes]]:
+        """Each state's rise ``(pole, lo, hi, next vertex)``, in run order: a
+        rise ends at its successor's height, or at 1.0 for a wrap (bar
+        heights are > 0), and only rises of positive length are kept."""
+        for (v, lo), (w, hi) in self.steps.items():
+            hi = hi or 1.0
+            if hi > lo:
+                yield v, lo, hi, w
+
     def coverage(self) -> dict[bytes, tuple[tuple[float, float], ...]]:
-        """Per-pole union of visited heights, merged half-open intervals."""
+        """Per-pole union of the rises, merged half-open intervals."""
         if self._coverage is None:
-            self._coverage = build_coverage(self.steps)
+            per_pole: dict[bytes, list[tuple[float, float]]] = {}
+            for v, lo, hi, _w in self.rises():
+                per_pole.setdefault(v, []).append((lo, hi))
+            for v, ivs in per_pole.items():
+                ivs.sort()
+                for i in range(len(ivs) - 1):
+                    if ivs[i + 1][0] < ivs[i][1]:
+                        raise EngineError(f"overlapping coverage on pole {v!r}")
+                per_pole[v] = merge_intervals(ivs)
+            self._coverage = per_pole
         return self._coverage
 
     def touched(self, edge: bytes) -> tuple[tuple[float, float], ...]:
@@ -84,8 +102,6 @@ class Trajectory:
 
     def to_json_dict(self) -> dict:
         """Debug serialization; not a stable format."""
-        from stirtree.tree import vertex_to_str
-
         return {
             "start": [vertex_to_str(self.start.vertex, 36), self.start.height],
             "outcome": {
@@ -99,24 +115,6 @@ class Trajectory:
                 for (v, h), (w, hw) in self.steps.items()
             ],
         }
-
-
-def build_coverage(steps: dict) -> dict[bytes, tuple[tuple[float, float], ...]]:
-    """Per-pole union of the rises of ``Trajectory.steps``: each rise ends at
-    its successor's height, or at 1.0 for a wrap (bar heights are > 0)."""
-    per_pole: dict[bytes, list[tuple[float, float]]] = {}
-    for (v, lo), (_w, hi) in steps.items():
-        hi = hi or 1.0
-        if hi > lo:
-            per_pole.setdefault(v, []).append((lo, hi))
-    out = {}
-    for v, ivs in per_pole.items():
-        ivs.sort()
-        for i in range(len(ivs) - 1):
-            if ivs[i + 1][0] < ivs[i][1]:
-                raise EngineError(f"overlapping coverage on pole {v!r}")
-        out[v] = merge_intervals(ivs)
-    return out
 
 
 def run(

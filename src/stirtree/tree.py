@@ -26,6 +26,9 @@ _MAX_DEPTH = 256
 
 _DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
 
+# One-byte child symbols: the children of v are ``v + s`` for the first d.
+_SYMBOLS = tuple(bytes((i,)) for i in range(256))
+
 
 class CapacityError(ValueError):
     """Raised when a shape is past the byte-address degree (255) or the depth
@@ -68,6 +71,11 @@ def is_valid_edge(shape: TreeShape, e: bytes) -> bool:
 def path_to_root(v: bytes) -> tuple[bytes, ...]:
     """Edges of the path from the root to v, ordered from the root outward."""
     return tuple(v[: k + 1] for k in range(len(v)))
+
+
+def child_edges(v: bytes, d: int) -> list[bytes]:
+    """The d edges below v, in symbol order, which is :func:`edge_key` order."""
+    return [v + s for s in _SYMBOLS[:d]]
 
 
 def edge_key(e: bytes) -> tuple[int, bytes]:

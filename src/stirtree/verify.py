@@ -32,7 +32,7 @@ from stirtree.events import (
 from stirtree.meander import EngineError, SpaceTimePoint, hit_level, return_time
 from stirtree.rng import TrialStreams
 from stirtree.stirring import stirring_permutation, transposition_oracle
-from stirtree.tree import ROOT, TreeShape
+from stirtree.tree import ROOT, TreeShape, child_edges
 from stirtree import estimators, ks
 
 
@@ -114,7 +114,7 @@ def inclusion_violations(bars, added) -> list[str]:
             break
     if rstats.confined_clusterless:
         full = ((0.0, 1.0),)
-        root_edges = {bytes((i,)) for i in range(d)}
+        root_edges = set(child_edges(ROOT, d))
         if set(vl.intervals) != root_edges or any(
             vl.intervals[e] != full for e in root_edges
         ):

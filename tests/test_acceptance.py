@@ -19,7 +19,6 @@ import pytest
 import stirtree.meander as meander
 from stirtree.bars import LazyPoissonBars
 from stirtree.estimators import (
-    cluster_size_bound,
     estimate_pn,
     generation_survival,
     gw_extinction,

@@ -7,13 +7,14 @@ agree with the transposition oracle.  Runs started exactly on a joint check
 the right-continuity rule, and runs that stop at the root origin are the
 plain runs cut at their first wrap on the root pole.  The deepest level a
 run on T_N lands on decides the hit event on every shallower tree T_n.  The
-heights a run touched on an edge are its two endpoint poles' coverage.
+heights a run touched on an edge are its two endpoint poles' coverage, and
+a run's rises are its coverage, its time and its crossings.
 """
 
 from hypothesis import assume, example, given, settings, strategies as st
 
 from stirtree.bars import Bar, BarCollection, LazyPoissonBars, merge_intervals
-from stirtree.events import _crossed
+from stirtree.events import _crossed, escape_routes
 from stirtree.meander import SpaceTimePoint, hit_level, run
 from stirtree.rng import TrialStreams
 from stirtree.stirring import stirring_permutation, transposition_oracle
@@ -225,3 +226,19 @@ def test_touched_heights_are_the_two_endpoint_poles_coverage(shape, t, seed, h):
         for x in [h, *(end for iv in up + down for end in iv)]:
             inside = any(a <= x < b for a, b in up + down)
             assert _crossed(traj, Bar(e, x)) == inside
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape=shapes, t=rates, seed=seeds)
+def test_rises_make_the_coverage_the_time_and_the_crossings(shape, t, seed):
+    bars = LazyPoissonBars(shape, t, TrialStreams(seed, "prop-rises").at(0)).realize()
+    traj = hit_level(bars)
+    rises = list(traj.rises())
+    assert all(0.0 <= lo < hi <= 1.0 for _v, lo, hi, _w in rises)
+    per_pole: dict = {}
+    for v, lo, hi, _w in rises:
+        per_pole.setdefault(v, []).append((lo, hi))
+    assert {v: merge_intervals(ivs) for v, ivs in per_pole.items()} == traj.coverage()
+    assert abs(sum(hi - lo for _v, lo, hi, _w in rises) - traj.outcome.time) < 1e-9
+    crossings = sum(w != v for v, _lo, _hi, w in rises)
+    assert len(list(escape_routes(bars, traj))) == crossings

@@ -11,6 +11,7 @@ from stirtree.tree import (
     ROOT,
     CapacityError,
     TreeShape,
+    child_edges,
     edge_from_index,
     edge_key,
     is_valid_edge,
@@ -80,6 +81,10 @@ def test_edge_from_index_lists_every_edge_in_key_order(d, n):
     ]
     assert edges == every
     assert edges == sorted(edges, key=edge_key)
+    # each level lists the children of the level above, parent by parent
+    levels = [[ROOT]] + [[e for e in edges if len(e) == lvl] for lvl in range(1, n + 1)]
+    for lvl in range(n):
+        assert levels[lvl + 1] == [c for v in levels[lvl] for c in child_edges(v, d)]
     assert all(is_valid_edge(shape, e) for e in edges)
     shuffled = edges[:]
     random.Random(d * n).shuffle(shuffled)
