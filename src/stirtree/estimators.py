@@ -58,33 +58,51 @@ def _check_trials(trials: int) -> None:
 _CHUNK = 4096
 
 
-def _map_batches(
-    fn, shape: TreeShape, t: float, seed: int, trials: int, workers: int
-) -> list:
-    """``fn((shape, t, seed, lo, hi))`` over fixed chunks of ``range(trials)``.
+def _count_chunk(job) -> Counter:
+    """The tally of trials lo..hi-1, each run on its own counter block."""
+    trial, purpose, shape, t, seed, lo, hi = job
+    streams = TrialStreams(seed, purpose, shape.d, shape.n, t)
+    tally = Counter()
+    for i in range(lo, hi):
+        trial(shape, t, streams.at(i), tally)
+    return tally
 
-    The jobs are made as they are run, and the pool is fed a window of a few
-    jobs per worker at a time, so a huge ``trials`` starts work at once.  One
-    worker (the default), or one job, runs in process: the process pool and
-    the modules behind it are imported only when a pool is built.  The pool
-    spawns its workers, since forking a process that runs more than one
-    thread (numpy's BLAS starts one) can deadlock the child.
+
+def _count(
+    trial, purpose, shape: TreeShape, t: float, seed: int, trials: int, workers: int
+) -> Counter:
+    """The one trial loop: ``trial(shape, t, gen, tally)`` for each trial
+    i < trials, with ``gen`` block i of the (seed, purpose, shape, t) key.
+
+    Each chunk adds to its own tally; the tallies are merged in chunk order
+    with ``Counter.update`` (``+`` drops non-positive entries), so float sums
+    too are those of any worker count.  Jobs are made as they run, and the
+    pool is fed a few per worker at a time, so a huge ``trials`` starts at
+    once.  One worker, or one job, runs in process and imports no pool.  The
+    pool spawns its workers: forking a process that runs a second thread
+    (numpy's BLAS starts one) can deadlock the child.
     """
     _check_trials(trials)
     starts = range(0, trials, _CHUNK)
-    jobs = ((shape, t, seed, lo, min(lo + _CHUNK, trials)) for lo in starts)
+    jobs = (
+        (trial, purpose, shape, t, seed, lo, min(lo + _CHUNK, trials)) for lo in starts
+    )
     workers = min(workers, len(starts), os.cpu_count() or 1)
     if workers <= 1:
-        return list(map(fn, jobs))
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+        parts = map(_count_chunk, jobs)
+    else:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
 
-    parts = []
-    spawn = multiprocessing.get_context("spawn")
-    with ProcessPoolExecutor(max_workers=workers, mp_context=spawn) as pool:
-        while window := list(itertools.islice(jobs, 4 * workers)):
-            parts += pool.map(fn, window)
-    return parts
+        parts = []
+        spawn = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=workers, mp_context=spawn) as pool:
+            while window := list(itertools.islice(jobs, 4 * workers)):
+                parts += pool.map(_count_chunk, window)
+    tally = Counter()
+    for part in parts:
+        tally.update(part)
+    return tally
 
 
 # --- boundary-hit probability ------------------------------------------------
@@ -110,25 +128,12 @@ def _thinning_runs(bars: LazyPoissonBars, views):
         yield traj, poles
 
 
-def _pn_batch(job) -> list[list[int]]:
-    """Per t of the ascending grid, the deepest-level histogram of trials
-    lo..hi-1.  Each trial draws one collection at the top rate t_max, on
-    the stream of a single-t run at t_max, and reads every t > 0 off its
-    thinnings (:func:`_thinning_runs`)."""
-    shape, ts, seed, lo, hi = job
-    hists = [[0] * (shape.n + 1) for _ in ts]
-    if ts[0] == 0.0:  # no bars: every run wraps once at the root and returns
-        hists[0][0] = hi - lo
-    runs = [(hist, t) for hist, t in zip(hists, ts) if t > 0.0][::-1]
-    if runs:
-        down = [t for _, t in runs]
-        streams = TrialStreams(seed, "pn", shape.d, shape.n, down[0])
-        for i in range(lo, hi):
-            bars = LazyPoissonBars(shape, down[0], streams.at(i))
-            views = map(bars.thinned, down)
-            for (hist, _), (traj, _) in zip(runs, _thinning_runs(bars, views)):
-                hist[traj.deepest] += 1
-    return hists
+def _pn_trial(down, shape: TreeShape, t: float, gen, tally) -> None:
+    """Adds (rate, deepest level) per rate of ``down``, descending from t: one
+    draw at t, the top rate, read off its thinnings (:func:`_thinning_runs`)."""
+    bars = LazyPoissonBars(shape, t, gen)
+    for rate, (traj, _) in zip(down, _thinning_runs(bars, map(bars.thinned, down))):
+        tally[rate, traj.deepest] += 1
 
 
 def depth_profiles(
@@ -151,10 +156,15 @@ def depth_profiles(
     ts = tuple(t_grid)
     for t in ts:  # a negative t below t_max would thin to no bars, silently
         check_rate(t)
-    if any(a >= b for a, b in zip(ts, ts[1:])):  # _pn_batch reads t_max as ts[-1]
+    if any(a >= b for a, b in zip(ts, ts[1:])):  # the reversed grid descends from t_max
         raise ValueError("t grid must be strictly ascending")
-    parts = _map_batches(_pn_batch, shape, ts, seed, trials, workers)
-    return [[sum(level) for level in zip(*hists)] for hists in zip(*parts)]
+    _check_trials(trials)
+    # t = 0 has no bars: every run wraps once at the root and returns
+    tally = Counter({(0.0, 0): trials})
+    if down := tuple(t for t in reversed(ts) if t > 0.0):  # the t_max stream
+        trial = functools.partial(_pn_trial, down)
+        tally.update(_count(trial, "pn", shape, down[0], seed, trials, workers))
+    return [[tally[t, k] for k in range(shape.n + 1)] for t in ts]
 
 
 def _reached(profile: list[int], n: int) -> int:
@@ -207,21 +217,23 @@ def _russo_trial(shape: TreeShape, t: float, fd_step: float, gen) -> tuple[int, 
     return plus, center, minus, a
 
 
-def _russo_batch(fd_step: float, job) -> tuple[int, ...]:
-    """Paired trials lo..hi-1; the integer tallies of :func:`russo_check`:
+def _russo_count(fd_step: float, shape: TreeShape, t: float, gen, tally) -> None:
+    """Adds the outcome (plus, center, minus, a) of one paired trial."""
+    tally[_russo_trial(shape, t, fd_step, gen)] += 1
+
+
+def _russo_sums(tally: Counter) -> tuple[int, ...]:
+    """The integer tallies of :func:`russo_check` from the trial outcomes:
     (on, off, sum b, sum b^2, sum a*b, sum of I(B+) - 2 I(B0) + I(B-))."""
-    shape, t, seed, lo, hi = job
-    streams = TrialStreams(seed, "russo", shape.d, shape.n, t)
     on = off = sb = sbb = sab = second = 0
-    for i in range(lo, hi):
-        plus, center, minus, a = _russo_trial(shape, t, fd_step, streams.at(i))
+    for (plus, center, minus, a), count in tally.items():
         b = plus - minus
-        on += a == 1
-        off += a == -1
-        sb += b
-        sbb += b * b
-        sab += a * b
-        second += plus - 2 * center + minus
+        on += count * (a == 1)
+        off += count * (a == -1)
+        sb += count * b
+        sbb += count * b * b
+        sab += count * a * b
+        second += count * (plus - 2 * center + minus)
     return on, off, sb, sbb, sab, second
 
 
@@ -247,9 +259,9 @@ def russo_check(
     """
     if not 0.0 < fd_step < t:
         raise ValueError("fd_step must lie in (0, t)")
-    batch = functools.partial(_russo_batch, fd_step)
-    parts = _map_batches(batch, shape, t, seed, trials, workers)
-    on, off, sb, sbb, sab, second = map(sum, zip(*parts))
+    trial = functools.partial(_russo_count, fd_step)
+    tally = _count(trial, "russo", shape, t, seed, trials, workers)
+    on, off, sb, sbb, sab, second = _russo_sums(tally)
     ecount = shape.edge_count
     scale = 2.0 * fd_step
     ma, se_a = _mean_se(on - off, on + off, trials)
@@ -271,26 +283,22 @@ def russo_check(
 # --- viable-location mass -----------------------------------------------------
 
 
-def _z_batch(job) -> tuple[float, float]:
-    shape, t, seed, lo, hi = job
-    streams = TrialStreams(seed, "z", shape.d, shape.n, t)
-    s = s2 = 0.0
-    for i in range(lo, hi):
-        bars = LazyPoissonBars(shape, t, streams.at(i))
-        # the run draws before the cluster: a seed's values depend on that order
-        traj = hit_level(bars)
-        m = viable_locations(bars, traj, multibar_cluster(bars)).measure()
-        s += m
-        s2 += m * m
-    return s, s2
+def _z_trial(shape: TreeShape, t: float, gen, tally) -> None:
+    """Adds the viable-location mass m and m^2."""
+    bars = LazyPoissonBars(shape, t, gen)
+    # the run draws before the cluster: a seed's values depend on that order
+    traj = hit_level(bars)
+    m = viable_locations(bars, traj, multibar_cluster(bars)).measure()
+    tally["m"] += m
+    tally["m2"] += m * m
 
 
 def z_estimate(
     shape: TreeShape, t: float, trials: int, seed: int, workers: int = 1
 ) -> Estimate:
     """Mean Lebesgue mass of the viable-location set under Poisson-t bars."""
-    parts = _map_batches(_z_batch, shape, t, seed, trials, workers)
-    mean, se = _mean_se(*map(sum, zip(*parts)), trials)
+    tally = _count(_z_trial, "z", shape, t, seed, trials, workers)
+    mean, se = _mean_se(tally["m"], tally["m2"], trials)
     return Estimate(f"z(d={shape.d},n={shape.n},t={t})", mean, se, trials, seed)
 
 
@@ -335,39 +343,24 @@ def cluster_size_bound(d: int, tau: float, ell: int) -> float:
     return 1.1 * math.exp(-1.0) * (math.e * tau * tau / d) ** ell
 
 
-def _cluster_tail_batch(job) -> list[int]:
-    """Trials lo..hi-1 with root cluster size >= 1, 2, 3, 4; root layer
-    first, deeper lazily."""
-    shape, t, seed, lo, hi = job
-    streams = TrialStreams(seed, "tails-deep", shape.d, shape.n, t)
-    at_least = [0] * len(_CLUSTER_SIZES)
-    for i in range(lo, hi):
-        gen = streams.at(i)
-        counts = gen.poisson(t, size=shape.d).tolist()
-        if max(counts) >= 2:
-            bars = LazyPoissonBars(shape, t, gen)
-            bars.prefill_root(counts)
-            size = multibar_cluster(bars).size
-            for k, ell in enumerate(_CLUSTER_SIZES):
-                at_least[k] += size >= ell
-    return at_least
+def _cluster_trial(shape: TreeShape, t: float, gen, tally) -> None:
+    """Adds the root cluster size if a root edge, drawn first, has >= 2 bars."""
+    counts = gen.poisson(t, size=shape.d).tolist()
+    if max(counts) >= 2:
+        bars = LazyPoissonBars(shape, t, gen)
+        bars.prefill_root(counts)
+        tally[multibar_cluster(bars).size] += 1
 
 
 _LEVEL_PAIRS = ((1, 2), (1, 3), (2, 2))  # (level i, visits k) of the level tail rows
 
 
-def _level_tail_batch(job) -> list[int]:
-    """Trials lo..hi-1 whose root-origin run visits at least k level-i
-    poles, per (i, k) of ``_LEVEL_PAIRS``."""
-    shape, t, seed, lo, hi = job
-    streams = TrialStreams(seed, "tails-level", shape.d, shape.n, t)
-    at_least = [0] * len(_LEVEL_PAIRS)
-    for j in range(lo, hi):
-        bars = LazyPoissonBars(shape, t, streams.at(j))
-        visits = Counter(map(len, hit_level(bars).coverage()))
-        for m, (i, k) in enumerate(_LEVEL_PAIRS):
-            at_least[m] += visits[i] >= k
-    return at_least
+def _level_trial(shape: TreeShape, t: float, gen, tally) -> None:
+    """Adds each (i, k) of ``_LEVEL_PAIRS`` with >= k level-i poles visited."""
+    visits = Counter(map(len, hit_level(LazyPoissonBars(shape, t, gen)).coverage()))
+    for i, k in _LEVEL_PAIRS:
+        if visits[i] >= k:
+            tally[i, k] += 1
 
 
 def tail_checks(
@@ -395,8 +388,9 @@ def tail_checks(
     if d < 11 * tau * tau:
         notes.append(f"cluster tail skipped: d={d} < 11*tau^2={11 * tau * tau:.3g}")
     else:
-        parts = _map_batches(_cluster_tail_batch, shape, t, seed, trials, workers)
-        for ell, count in zip(_CLUSTER_SIZES, map(sum, zip(*parts))):
+        sizes = _count(_cluster_trial, "tails-deep", shape, t, seed, trials, workers)
+        for ell in _CLUSTER_SIZES:
+            count = sum(n for size, n in sizes.items() if size >= ell)
             label = f"P(cluster>= {ell})"
             emp = _bernoulli(label, count, trials, seed)
             bound = cluster_size_bound(d, tau, ell)
@@ -406,17 +400,17 @@ def tail_checks(
     level_rows: list[TailRow] = []
     lv_trials = level_trials if level_trials is not None else min(trials, 20_000)
     if lv_trials > 0:
-        parts = _map_batches(_level_tail_batch, shape, t, seed, lv_trials, workers)
+        pairs = _count(_level_trial, "tails-level", shape, t, seed, lv_trials, workers)
         if shape.n > 1:  # one profile on T_{n-1} holds each depth-(n-i) plug-in
             shallow = TreeShape(d, shape.n - 1)
             profile = depth_profiles(shallow, (t,), lv_trials, seed + 101, workers)[0]
-        for (i, k), count in zip(_LEVEL_PAIRS, map(sum, zip(*parts))):
+        for i, k in _LEVEL_PAIRS:
             if shape.n - i < 1:
                 notes.append(f"level pair ({i},{k}) skipped: n-i < 1")
                 continue
             p = _bernoulli("plug-in", _reached(profile, shape.n - i), lv_trials, seed)
             label = f"P(level-{i} visits >= {k})"
-            emp = _bernoulli(label, count, lv_trials, seed)
+            emp = _bernoulli(label, pairs[i, k], lv_trials, seed)
             base = 1.0 - p.mean * math.exp(-t)
             bound = base ** (k - 1)
             dslope = (k - 1) * base ** max(k - 2, 0) * math.exp(-t)
@@ -551,6 +545,16 @@ def bar_cluster_reaches_boundary(bars) -> bool:
 # --- gain-channel check --------------------------------------------------------------
 
 
+def _bare_root_trial(root_layer, shape: TreeShape, t: float, gen, tally) -> None:
+    """Adds the hit with the added bar on the bar-free ``root_layer``."""
+    added = sample_added(root_layer, gen)
+    bars = LazyPoissonBars(shape, t, gen)
+    bars.prefill_root([0] * shape.d)
+    if hit_level(bars).reached:
+        raise EngineError("bar-free root layer cannot reach depth n unaided")
+    tally["hit"] += hit_level(bars.with_added(added)).reached
+
+
 def bare_root_gain_check(
     shape: TreeShape, t: float, trials: int, seed: int
 ) -> tuple[Estimate, Estimate, float]:
@@ -563,20 +567,10 @@ def bare_root_gain_check(
     """
     if shape.n < 2:
         raise ValueError("needs depth >= 2")
-    _check_trials(trials)
     d = shape.d
-    streams = TrialStreams(seed, "bare-root-gain", d, shape.n, t)
     # the bar-free root layer: the added bar's edge is uniform on it
-    root_layer = BarCollection(TreeShape(d, 1), {})
-    hits = 0
-    for i in range(trials):
-        gen = streams.at(i)
-        added = sample_added(root_layer, gen)
-        bars = LazyPoissonBars(shape, t, gen)
-        bars.prefill_root([0] * d)
-        if hit_level(bars).reached:
-            raise EngineError("bar-free root layer cannot reach depth n unaided")
-        hits += hit_level(bars.with_added(added)).reached
+    trial = functools.partial(_bare_root_trial, BarCollection(TreeShape(d, 1), {}))
+    hits = _count(trial, "bare-root-gain", shape, t, seed, trials, 1)["hit"]
     gain = _bernoulli(f"on-pivotal|bar-free-root(t={t})", hits, trials, seed)
     ref = estimate_pn(TreeShape(d, shape.n - 1), t, trials, seed + 7)
     denom = math.hypot(gain.stderr, ref.stderr)

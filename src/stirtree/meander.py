@@ -70,11 +70,9 @@ class Trajectory:
     def rises(self) -> Iterator[tuple[bytes, float, float, bytes]]:
         """Each state's rise ``(pole, lo, hi, next vertex)``, in run order: a
         rise ends at its successor's height, or at 1.0 for a wrap (bar
-        heights are > 0), and only rises of positive length are kept."""
+        heights are > 0)."""
         for (v, lo), (w, hi) in self.steps.items():
-            hi = hi or 1.0
-            if hi > lo:
-                yield v, lo, hi, w
+            yield v, lo, hi or 1.0, w
 
     def coverage(self) -> dict[bytes, tuple[tuple[float, float], ...]]:
         """Per-pole union of the rises, merged half-open intervals."""

@@ -1,11 +1,13 @@
 """Per-trial indicators read off the coupled draw that ``scan`` runs, and a
 scripted stream.
 
-``estimators._pn_batch`` draws one rate-t_max collection per trial on the
-``"pn"`` stream and thins it to every lower t from the top down; the
+The scan's trial (``estimators._pn_trial``) draws one rate-t_max collection
+on the ``"pn"`` stream and thins it to every lower t from the top down; the
 indicator fixtures read that coupling trial by trial, as (trials, len(ts))
 boolean arrays with ts strictly ascending.
 """
+
+import functools
 
 import numpy as np
 import pytest
@@ -16,12 +18,14 @@ from stirtree.rng import TrialStreams
 
 
 def _hit_indicators(shape, ts, trials, seed):
-    # a one-trial chunk's histograms are one-hot at the trial's deepest
-    # level, so the depth-n hit is each histogram's last entry
-    rows = [
-        [hist[-1] for hist in estimators._pn_batch((shape, tuple(ts), seed, i, i + 1))]
-        for i in range(trials)
-    ]
+    # a one-trial chunk's tally holds the trial's deepest level at each rate,
+    # so the depth-n hit is its count at (t, n)
+    down = tuple(reversed(ts))
+    trial = functools.partial(estimators._pn_trial, down)
+    rows = []
+    for i in range(trials):
+        tally = estimators._count_chunk((trial, "pn", shape, down[0], seed, i, i + 1))
+        rows.append([tally[t, shape.n] for t in ts])
     return np.array(rows, dtype=bool)
 
 

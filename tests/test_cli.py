@@ -19,8 +19,10 @@ import stirtree.cli as cli
 import stirtree.estimators as estimators
 import stirtree.meander as meander
 import stirtree.stirring as stirring
-from stirtree.bars import Bar, BarCollection, LazyPoissonBars
+import stirtree.verify as verify
+from stirtree.bars import Bar, BarCollection, LazyPoissonBars, sample_added
 from stirtree.cli import main
+from stirtree.events import multibar_cluster, viable_locations
 from stirtree.meander import EngineError
 from stirtree.rng import TrialStreams
 from stirtree.stirring import stirring_permutation, transposition_oracle
@@ -367,7 +369,7 @@ def test_worker_pool_clamped_to_jobs_and_cpus(monkeypatch, capsys):
         def map(self, fn, jobs):
             return map(fn, jobs)
 
-    # _map_batches imports the pool class from its module when it builds one
+    # _count imports the pool class from its module when it builds one
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", FakePool)
     monkeypatch.setattr(estimators.os, "cpu_count", lambda: 4)
     base = ["estimate", "pn", "--d", "2", "--n", "2", "--t", "0.5", "--seed", "3"]
@@ -479,17 +481,17 @@ class Sentinel(Exception):
     pass
 
 
-def first_job_raises(job):
-    if job[3] == 0:
-        raise Sentinel
-    return job[3]
+def first_trial_raises(shape, t, gen, tally):
+    # the first trial each chunk runs raises: in the first chunk, trial 0
+    raise Sentinel
 
 
 if __name__ == "__main__":  # a spawned worker imports this file as a module
     start = time.monotonic()
     try:
-        estimators._map_batches(
-            first_job_raises, TreeShape(2, 2), 0.5, 1, 10**14, int(sys.argv[1])
+        estimators._count(
+            first_trial_raises, "huge", TreeShape(2, 2), 0.5, 1, 10**14,
+            int(sys.argv[1]),
         )
     except Sentinel:
         print(time.monotonic() - start)
@@ -522,7 +524,7 @@ def test_one_worker_runs_load_no_process_pool():
 def test_huge_trials_reach_the_first_chunk_at_once(workers, tmp_path):
     # 10**14 trials are 2.4e10 chunks: their jobs are made as they run, so
     # the first one runs at once instead of a MemoryError after every job
-    # tuple is built; run from a file, whose job function a spawned worker
+    # tuple is built; run from a file, whose trial function a spawned worker
     # can import
     script = tmp_path / "first_chunk.py"
     script.write_text(_FIRST_CHUNK_OF_HUGE_TRIALS)
@@ -830,6 +832,12 @@ def test_verify_subsuite_and_verdict(tmp_path, capsys):
     assert data["passed"] is True and len(data["checks"]) == 2
 
 
+def test_verify_trials_leave_the_conditional_scale_alone():
+    # the conditional check keeps its fixed 40 x 25, whatever --trials says
+    (res,) = verify.run_suite(1, trials=5, only=("conditional",))
+    assert " over 40 collections x 25," in res.detail
+
+
 def test_verify_unknown_check_exit_2(capsys):
     code = main(["verify", "--only", "oracle,bogus", "--trials", "10"])
     out, err = capsys.readouterr()
@@ -899,6 +907,47 @@ def test_injected_fault_caught_with_replay_seed(monkeypatch):
     assert not res.passed
     assert res.replay["seed"] == 31
     assert "trial" in res.replay["first_failure"]
+
+
+def test_oracle_check_fails_on_a_permutation_that_is_not_a_bijection(
+    monkeypatch, capsys
+):
+    # an engine whose orbits lose a vertex builds no permutation: a mismatch
+    # with replay coordinates, not a usage error (exit 2)
+    orbit = stirring.orbit
+
+    def lossy(bars, v):  # drops the last vertex of each cycle of length >= 3
+        cyc = orbit(bars, v)
+        return cyc[:-1] if len(cyc) >= 3 else cyc
+
+    monkeypatch.setattr(stirring, "orbit", lossy)
+    args = ["verify", "--only", "oracle", "--trials", "40", "--seed", "31"]
+    assert run_cli(args, capsys) == (1, (
+        "[FAIL] oracle-equivalence: 40 instances, 27 mismatches (replay: {'seed':"
+        " 31, 'first_failure': {'d': 2, 'n': 2, 't': 1.0, 'trial': 2, 'error':"
+        " 'mapping is not injective'}})\n"
+    ))
+
+
+def test_conditional_check_fails_on_an_accepted_bar_outside_the_viable_set(
+    monkeypatch, capsys
+):
+    # a detector that accepts every bar accepts bars the viable set does not
+    # hold: a violation with replay coordinates, not a usage error (exit 2)
+    monkeypatch.setattr(verify, "crossing_without_bottleneck", lambda *a: True)
+    code, out = run_cli(["verify", "--only", "conditional", "--seed", "3"], capsys)
+    assert code == 1 and out.startswith("[FAIL] conditional-sampler:")
+    assert out.endswith(
+        ", 976 accepted bars outside the viable set"
+        " (replay: {'seed': 3, 'first_failure': {'instance': 0, 'try': 1}})\n"
+    )
+    # the coordinates replay the bar: the first draw of instance 0's stream
+    bars = LazyPoissonBars(
+        TreeShape(3, 4), 0.4, TrialStreams(3, "cond-b", 3, 4, 0.4).at(0)
+    ).realize()
+    bar = sample_added(bars, TrialStreams(3, "cond-rej", 3, 4, 0.4).at(0))
+    vl = viable_locations(bars, meander.hit_level(bars), multibar_cluster(bars))
+    assert not vl.contains(bar.edge, bar.height)
 
 
 def _oracle_outcome(bars):

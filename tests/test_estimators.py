@@ -476,14 +476,14 @@ def _counting_engine_runs(monkeypatch):
 def test_scan_skips_thinned_runs_on_unchanged_poles(monkeypatch):
     # three rates would take three runs per trial with no skipping
     runs = _counting_engine_runs(monkeypatch)
-    estimators._pn_batch((TreeShape(8, 8), (0.13, 0.145, 0.16), 5, 0, 500))
+    depth_profiles(TreeShape(8, 8), (0.13, 0.145, 0.16), 500, 5)
     assert len(runs) < 3 * 500
 
 
 def test_russo_skips_runs_on_unchanged_poles(monkeypatch):
     # B+, B0, B0 + A and B- would take four runs per trial with no skipping
     runs = _counting_engine_runs(monkeypatch)
-    estimators._russo_batch(0.05, (TreeShape(2, 2), 0.5, 5, 0, 500))
+    russo_check(TreeShape(2, 2), 0.5, 0.05, 500, 5)
     assert len(runs) < 4 * 500
     # B0 + A runs only where B0's run visited a pole of A
     assert sum(isinstance(b, bars_mod._WithAdded) for b in runs) < 500
@@ -499,7 +499,7 @@ def test_russo_builds_the_overlay_only_for_its_run(monkeypatch):
         return with_added(self, bar)
 
     monkeypatch.setattr(bars_mod._PoleIndexMixin, "with_added", spy)
-    estimators._russo_batch(0.05, (TreeShape(2, 2), 0.5, 5, 0, 500))
+    russo_check(TreeShape(2, 2), 0.5, 0.05, 500, 5)
     overlay_runs = sum(isinstance(b, bars_mod._WithAdded) for b in runs)
     assert 0 < len(built) == overlay_runs
 

@@ -7,10 +7,14 @@ values, so a change that claims bit-identical draws must leave them alone.
 The trial counts are small; the whole module runs in about a second.
 """
 
+import functools
+
 import pytest
 
 from stirtree.estimators import (
-    _russo_batch,
+    _count,
+    _russo_count,
+    _russo_sums,
     bare_root_gain_check,
     critical_scan,
     estimate_pn,
@@ -38,8 +42,9 @@ def test_russo_pivotal_frequencies():
 def test_russo_tallies():
     # on, off, sum b, sum b^2, sum a*b and the second difference: the minus
     # run enters through b and the second difference only
-    tallies = _russo_batch(0.05, (TreeShape(2, 2), 0.5, 6, 0, 2000))
-    assert tallies == (353, 73, 159, 223, 14, 17)
+    trial = functools.partial(_russo_count, 0.05)
+    tally = _count(trial, "russo", TreeShape(2, 2), 0.5, 6, 2000, 1)
+    assert _russo_sums(tally) == (353, 73, 159, 223, 14, 17)
 
 
 def test_scan_rows():

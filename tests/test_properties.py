@@ -229,11 +229,21 @@ def test_touched_heights_are_the_two_endpoint_poles_coverage(shape, t, seed, h):
 
 
 @settings(max_examples=60, deadline=None)
-@given(shape=shapes, t=rates, seed=seeds)
-def test_rises_make_the_coverage_the_time_and_the_crossings(shape, t, seed):
+@given(shape=shapes, t=rates, seed=seeds, pick=st.integers(0, 10**6))
+def test_rises_make_the_coverage_the_time_and_the_crossings(shape, t, seed, pick):
     bars = LazyPoissonBars(shape, t, TrialStreams(seed, "prop-rises").at(0)).realize()
-    traj = hit_level(bars)
+    # the root origin, or a bar joint above depth n, where return_time starts
+    joints = [
+        SpaceTimePoint(v, b.height)
+        for b in bars.iter_bars()
+        for v in (b.edge[:-1], b.edge)
+        if len(v) < shape.n
+    ]
+    starts = [SpaceTimePoint(ROOT, 0.0), *joints]
+    traj = run(bars, starts[pick % len(starts)], level=shape.n)
     rises = list(traj.rises())
+    # one rise per state, each of positive length: the engine keeps no empty one
+    assert len(rises) == len(traj.steps)
     assert all(0.0 <= lo < hi <= 1.0 for _v, lo, hi, _w in rises)
     per_pole: dict = {}
     for v, lo, hi, _w in rises:
