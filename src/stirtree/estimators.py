@@ -48,6 +48,13 @@ def _mean_se(s: float, s2: float, trials: int) -> tuple[float, float]:
     return mean, math.sqrt(max(s2 / trials - mean * mean, 0.0) / trials)
 
 
+def _zscore(diff: float, se: float) -> float:
+    """diff / se; a nonzero diff over a zero se is infinite, so it never passes."""
+    if se > 0:
+        return diff / se
+    return math.copysign(math.inf, diff) if diff else 0.0
+
+
 def _check_trials(trials: int) -> None:
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -275,8 +282,7 @@ def russo_check(
     rhs_label = f"russo-rhs(t={t},h={fd_step})"
     rhs = Estimate(rhs_label, mb / scale, se_b / scale, trials, seed)
     bias = abs(second) / trials
-    denom = math.hypot(se_x, bias)
-    z = mx / denom if denom > 0 else 0.0
+    z = _zscore(mx, math.hypot(se_x, bias))
     return RussoCheck(lhs, rhs, z, bias, on / trials, off / trials)
 
 
@@ -356,8 +362,11 @@ _LEVEL_PAIRS = ((1, 2), (1, 3), (2, 2))  # (level i, visits k) of the level tail
 
 
 def _level_trial(shape: TreeShape, t: float, gen, tally) -> None:
-    """Adds each (i, k) of ``_LEVEL_PAIRS`` with >= k level-i poles visited."""
-    visits = Counter(map(len, hit_level(LazyPoissonBars(shape, t, gen)).coverage()))
+    """Adds the run's deepest level, and each (i, k) of ``_LEVEL_PAIRS`` with
+    >= k level-i poles visited."""
+    traj = hit_level(LazyPoissonBars(shape, t, gen))
+    tally["deepest", traj.deepest] += 1
+    visits = Counter(map(len, traj.coverage()))
     for i, k in _LEVEL_PAIRS:
         if visits[i] >= k:
             tally[i, k] += 1
@@ -374,9 +383,12 @@ def tail_checks(
     """Empirical cluster-size and level-visit tails against their bounds.
 
     The cluster part needs d >= 11 tau^2 and is otherwise skipped with a
-    notice.  The level-visit part plugs independently seeded estimates of
-    the deeper hit probabilities, read from one depth profile, into the
-    bound and widens the flag by the propagated plug-in error.
+    notice.  The level-visit part plugs estimates of the deeper hit
+    probabilities into the bound, read off the deepest levels of its own
+    runs (the depth profile of :func:`depth_profiles`), and widens the flag
+    by the propagated plug-in error.  The two errors are added, not taken
+    in quadrature, which bounds the error of the difference whatever the
+    correlation of the plug-in and the visit count on shared runs.
     """
     _check_trials(trials)
     check_rate(t)  # NaN would slip past the d < 11 tau^2 test below
@@ -401,9 +413,7 @@ def tail_checks(
     lv_trials = level_trials if level_trials is not None else min(trials, 20_000)
     if lv_trials > 0:
         pairs = _count(_level_trial, "tails-level", shape, t, seed, lv_trials, workers)
-        if shape.n > 1:  # one profile on T_{n-1} holds each depth-(n-i) plug-in
-            shallow = TreeShape(d, shape.n - 1)
-            profile = depth_profiles(shallow, (t,), lv_trials, seed + 101, workers)[0]
+        profile = [pairs["deepest", k] for k in range(shape.n + 1)]
         for i, k in _LEVEL_PAIRS:
             if shape.n - i < 1:
                 notes.append(f"level pair ({i},{k}) skipped: n-i < 1")
@@ -572,7 +582,5 @@ def bare_root_gain_check(
     trial = functools.partial(_bare_root_trial, BarCollection(TreeShape(d, 1), {}))
     hits = _count(trial, "bare-root-gain", shape, t, seed, trials, 1)["hit"]
     gain = _bernoulli(f"on-pivotal|bar-free-root(t={t})", hits, trials, seed)
-    ref = estimate_pn(TreeShape(d, shape.n - 1), t, trials, seed + 7)
-    denom = math.hypot(gain.stderr, ref.stderr)
-    z = (gain.mean - ref.mean) / denom if denom else 0.0
-    return gain, ref, z
+    ref = estimate_pn(TreeShape(d, shape.n - 1), t, trials, seed)
+    return gain, ref, _zscore(gain.mean - ref.mean, math.hypot(gain.stderr, ref.stderr))

@@ -3,14 +3,14 @@
 ``two_sample_pvalue`` and ``uniform_pvalue`` give the p-values of scipy
 1.17.1's ``ks_2samp(a, b)`` (method ``auto``) and ``kstest(x, "uniform")``:
 the same statistic and the same choice of method per input.  The two-sample
-test is exact up to sizes of 10 000 (a closed form for equal sizes, a
-lattice-path count otherwise) and asymptotic past them; both ends and the
-one-sample test read the distribution of the one-sample statistic D_n,
-dispatched as in Simard & L'Ecuyer, "Computing the two-sided
-Kolmogorov-Smirnov distribution", J. Stat. Softw. 39(11) (2011): the
-Ruben–Gambino ends, twice the one-sided Smirnov tail, the Durbin matrix
-in the form of Marsaglia, Tsang & Wang, "Evaluating Kolmogorov's
-distribution", J. Stat. Softw. 8(18) (2003), and the Pelz–Good expansion.
+test takes two samples of one size n; it is exact up to n = 10 000 (a closed
+form) and asymptotic past it.  Its asymptotic end and the one-sample test
+read the distribution of the one-sample statistic D_n, dispatched as in
+Simard & L'Ecuyer, "Computing the two-sided Kolmogorov-Smirnov
+distribution", J. Stat. Softw. 39(11) (2011): the Ruben–Gambino ends,
+twice the one-sided Smirnov tail, the Durbin matrix in the form of
+Marsaglia, Tsang & Wang, "Evaluating Kolmogorov's distribution", J. Stat.
+Softw. 8(18) (2003), and the Pelz–Good expansion.
 Durbin's matrix also covers the small-n region where scipy runs the
 Pomeranz recursion; both are exact.  The methods follow scipy's
 ``stats/_ksstats.py`` (BSD-3-Clause).
@@ -32,33 +32,29 @@ _SCALE = 2.0**_SCALE_EXP
 def two_sample_pvalue(a, b) -> float:
     """p-value of the two-sided two-sample KS test of ``a`` against ``b``.
 
-    Entries may repeat or be infinite; neither sample may be empty.
+    The samples must be non-empty and of one size; entries may repeat or
+    be infinite.
     """
     a = np.sort(np.asarray(a, dtype=float))
     b = np.sort(np.asarray(b, dtype=float))
-    n1, n2 = len(a), len(b)
-    if min(n1, n2) == 0:
-        raise ValueError("a two-sample KS test needs two non-empty samples")
+    n = len(a)
+    if n == 0 or len(b) != n:
+        raise ValueError("a two-sample KS test needs two non-empty samples of one size")
     both = np.concatenate([a, b])
     diffs = (
-        np.searchsorted(a, both, side="right") / n1
-        - np.searchsorted(b, both, side="right") / n2
+        np.searchsorted(a, both, side="right") / n
+        - np.searchsorted(b, both, side="right") / n
     )
     d = max(float(np.clip(-diffs.min(), 0, 1)), float(diffs.max()))
-    if max(n1, n2) <= _EXACT_MAX_N:
-        g = math.gcd(n1, n2)
-        lcm = (n1 // g) * n2
-        h = int(np.round(d * lcm))
-        d = h / lcm
+    if n <= _EXACT_MAX_N:
+        h = int(np.round(d * n))
+        d = h / n
         if h == 0:
             return 1.0
-        if n1 == n2:
-            p = _outside_square(n1, h)
-        else:
-            p = _outside_band(max(n1, n2), min(n1, n2), g, h)
+        p = _outside_square(n, h)
         if 0 <= p <= 1:
             return p
-    return _kolmogorov_sf(d, round(n1 * n2 / (n1 + n2)))
+    return _kolmogorov_sf(d, round(n / 2))  # the effective size n·n/(n + n)
 
 
 def uniform_pvalue(x) -> float:
@@ -79,36 +75,6 @@ def _outside_square(n: int, h: int) -> float:
             term = (n - k * h - j) * term / (n + k * h + j + 1)
         p = term * (1.0 - p)
     return 2 * p
-
-
-def _outside_band(m: int, n: int, g: int, h: int) -> float:
-    """Share of lattice paths (0, 0) → (m, n), m >= n, that leave the band.
-
-    The band is |(n/g)·i - (m/g)·j| < h.  A point's value is the share of
-    the paths to it that have left the band (Hodges' inside method in the
-    1 - p form of Viehmann, arXiv:2102.08037): 1 outside the band, else
-    the step-weighted mean of its two predecessors.  Each point depends
-    only on the antidiagonal before it, so the band is swept one
-    antidiagonal i + j = s at a time and only that slice is kept.
-    """
-    mg, ng = m // g, n // g
-    width = mg + ng
-    lo = 0
-    prev = np.zeros(1)  # the slice s = 0: the origin, inside the band
-    for s in range(1, m + n + 1):
-        # band points of antidiagonal s, by i: mg·s - h < width·i < mg·s + h
-        lo_s = max((mg * s - h) // width + 1, s - n, 0)
-        hi_s = min(-(-(mg * s + h) // width) - 1, m, s)
-        if lo_s > hi_s:
-            return 1.0  # every path leaves the band
-        ext = np.ones(len(prev) + 2)  # i from lo - 1, a one at each end
-        ext[1:-1] = prev
-        i = np.arange(lo_s, hi_s + 1)
-        left = ext[lo_s - lo : hi_s - lo + 1]  # the point (i - 1, j)
-        down = ext[lo_s - lo + 1 : hi_s - lo + 2]  # the point (i, j - 1)
-        prev = (left * i + down * (s - i)) / s
-        lo = lo_s
-    return float(prev[-1])
 
 
 def _kolmogorov_sf(d: float, n: int) -> float:

@@ -188,9 +188,11 @@ def check_conditional_sampler(
 
     For each fixed collection, rejection sampling accepts uniform added bars
     on crossing-without-bottleneck (decided by the event detector), while the
-    direct route draws from the viable-location set; positions normalized by
-    the set's inverse CDF pool into one two-sample KS test.  An accepted bar
-    outside the set is a violation: the detector and the set disagree.
+    direct route draws from the viable-location set, as many bars per
+    collection as rejection accepted inside it; positions normalized by the
+    set's inverse CDF pool into one two-sample KS test of two equal-size
+    samples.  An accepted bar outside the set is a violation: the detector
+    and the set disagree.
     """
     shape = TreeShape(3, 4)
     t = 0.4
@@ -207,19 +209,20 @@ def check_conditional_sampler(
         if vl.measure() <= 0.0:
             continue  # not reachable; cannot happen from the root pole
         gen_r = cond_rej.at(b_i)
-        got = tries = 0
+        got = tries = inside = 0
         while got < per_instance and tries < 500_000:
             a = sample_added(bars, gen_r)
             tries += 1
             if crossing_without_bottleneck(bars, a, traj):
                 got += 1
                 if vl.contains(a.edge, a.height):
+                    inside += 1
                     rej.append(normalized_position(vl, a))
                 else:  # replay: the try-th bar drawn on the cond-rej stream
                     outside.append({"instance": b_i, "try": tries})
         tries_total += tries
         gen_d = cond_dir.at(b_i)
-        for _ in range(per_instance):
+        for _ in range(inside):
             direct.append(normalized_position(vl, sample_uniform_on(vl, gen_d)))
     p = ks.two_sample_pvalue(rej, direct) if rej else 0.0
     passed = bool(not outside and p > _KS_P_FLOOR)
@@ -338,9 +341,13 @@ def run_suite(
     workers: int = 1,
 ) -> list[CheckResult]:
     """Run the named checks at suite-default scales, or all at ``trials`` but
-    ``conditional``, which keeps its fixed 40 collections x 25 added bars."""
+    ``conditional``, which keeps its fixed 40 collections x 25 added bars.
+    An unknown or repeated name is refused before any check runs."""
     chosen = only or SUITE
     unknown = [name for name in chosen if name not in _SUITE_CHECKS]
     if unknown:
         raise ValueError(f"unknown check {unknown[0]!r}; choose from {SUITE}")
+    repeated = [name for i, name in enumerate(chosen) if name in chosen[:i]]
+    if repeated:
+        raise ValueError(f"check {repeated[0]!r} is named twice")
     return [_SUITE_CHECKS[name](seed, trials, workers) for name in chosen]

@@ -2,6 +2,7 @@
 
 import bisect
 import csv
+import itertools
 import json
 import math
 import os
@@ -20,6 +21,7 @@ import stirtree.estimators as estimators
 import stirtree.meander as meander
 import stirtree.stirring as stirring
 import stirtree.verify as verify
+from stirtree import ks
 from stirtree.bars import Bar, BarCollection, LazyPoissonBars, sample_added
 from stirtree.cli import main
 from stirtree.events import multibar_cluster, viable_locations
@@ -845,6 +847,22 @@ def test_verify_unknown_check_exit_2(capsys):
     assert out == ""  # rejected before any check runs
 
 
+def test_verify_repeated_check_exit_2(capsys):
+    code = main(["verify", "--only", "oracle,oracle", "--trials", "10"])
+    out, err = capsys.readouterr()
+    assert code == 2 and "check 'oracle' is named twice" in err
+    assert out == ""  # rejected before any check runs
+
+
+def test_verify_russo_with_zero_stderr_and_a_gap_fails(capsys):
+    # two trials of one outcome: both standard errors are 0, but lhs != rhs
+    assert run_cli(["verify", "--only", "russo", "--trials", "2", "--seed", "1"],
+                   capsys) == (1, (
+        "[FAIL] russo-derivative: lhs=6.0000±0.0000 rhs=0.0000±0.0000"
+        " bias=0.0000 z=inf (replay: {'seed': 1})\n"
+    ))
+
+
 @pytest.mark.parametrize(
     "seed, check, code, line",
     [
@@ -948,6 +966,30 @@ def test_conditional_check_fails_on_an_accepted_bar_outside_the_viable_set(
     bar = sample_added(bars, TrialStreams(3, "cond-rej", 3, 4, 0.4).at(0))
     vl = viable_locations(bars, meander.hit_level(bars), multibar_cluster(bars))
     assert not vl.contains(bar.edge, bar.height)
+
+
+def test_conditional_check_pairs_its_two_samples(monkeypatch):
+    # a detector that also accepts every tenth bar it would refuse accepts
+    # some outside the viable set; the direct arm is still drawn to the
+    # count of accepted bars inside it, collection by collection
+    detector = verify.crossing_without_bottleneck
+    refused = itertools.count()
+    monkeypatch.setattr(
+        verify, "crossing_without_bottleneck",
+        lambda *a: detector(*a) or next(refused) % 10 == 0,
+    )
+    sizes = []
+    two_sample = ks.two_sample_pvalue
+
+    def recording(a, b):
+        sizes.append((len(a), len(b)))
+        return two_sample(a, b)
+
+    monkeypatch.setattr(ks, "two_sample_pvalue", recording)
+    res = verify.check_conditional_sampler(4, 25, 3)
+    assert not res.passed and "accepted bars outside the viable set" in res.detail
+    ((rejection, direct),) = sizes
+    assert rejection == direct < 4 * 25
 
 
 def _oracle_outcome(bars):

@@ -176,6 +176,13 @@ def test_bare_root_gain_channel():
     assert 0 < gain.mean < 1
 
 
+@pytest.mark.parametrize("seed, z", [(2, math.inf), (7, -math.inf), (0, 0.0)])
+def test_bare_root_gain_z_with_zero_stderr(seed, z):
+    # one trial has no spread: a gap between the rates is infinitely many
+    # standard errors, and no gap is none
+    assert bare_root_gain_check(TreeShape(2, 3), 0.45, 1, seed)[2] == z
+
+
 def test_z_zero_intensity_exact():
     est = z_estimate(TreeShape(3, 2), 0.0, 500, 43)
     assert est.mean == 3.0 and est.stderr == 0.0
