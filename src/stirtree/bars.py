@@ -602,29 +602,6 @@ def merge_intervals(ivs: list[tuple[float, float]]) -> tuple[tuple[float, float]
     return tuple(out)
 
 
-def sample_uniform_on(s: LocationSet, stream: np.random.Generator) -> Bar:
-    """Bar with normalized-Lebesgue law on the set, via inverse CDF over the
-    concatenated intervals (edges in index order, intervals ascending)."""
-    total = s.measure()
-    if total <= 0.0:
-        raise ValueError("cannot sample from a measure-zero location set")
-    u = float(stream.random()) * total
-    acc = 0.0
-    for e, ivs in s.intervals.items():
-        for a, b in ivs:
-            width = b - a
-            if u < acc + width:
-                h = a + (u - acc)
-                if h >= b:  # float guard at the right endpoint
-                    h = b - (b - a) * 1e-16
-                return Bar(e, h)
-            acc += width
-    # u == total up to rounding: return the last point
-    e, ivs = next(reversed(s.intervals.items()))
-    a, b = ivs[-1]
-    return Bar(e, a + (b - a) * 0.5)
-
-
 def normalized_position(s: LocationSet, bar: Bar) -> float:
     """Position of a bar inside the set's concatenated intervals, in [0, 1).
 

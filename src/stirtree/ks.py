@@ -3,9 +3,12 @@
 ``two_sample_pvalue`` and ``uniform_pvalue`` give the p-values of scipy
 1.17.1's ``ks_2samp(a, b)`` (method ``auto``) and ``kstest(x, "uniform")``:
 the same statistic and the same choice of method per input.  The two-sample
-test takes two samples of one size n; it is exact up to n = 10 000 (a closed
-form) and asymptotic past it.  Its asymptotic end and the one-sample test
-read the distribution of the one-sample statistic D_n, dispatched as in
+test serves ``verify``'s shift check, which compares return-time samples
+of one size n; it is exact up to n = 10 000 (a closed form) and asymptotic
+past it.  The one-sample test serves the conditional and exploration
+checks, whose pooled positions are U[0, 1) under their laws.  The
+two-sample test's asymptotic end and the one-sample test read the
+distribution of the one-sample statistic D_n, dispatched as in
 Simard & L'Ecuyer, "Computing the two-sided Kolmogorov-Smirnov
 distribution", J. Stat. Softw. 39(11) (2011): the Ruben–Gambino ends,
 twice the one-sided Smirnov tail, the Durbin matrix in the form of

@@ -2,7 +2,9 @@
 
 Each check returns a :class:`CheckResult`; a failing stochastic check always
 carries enough replay data (seed plus trial coordinates) to rerun the exact
-offending sample.
+offending sample.  The shift check compares samples with each other by the
+two-sample KS test; the conditional and exploration checks test their pooled
+positions against U[0, 1) by the one-sample test.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from stirtree.bars import (
     _check_budget,
     normalized_position,
     sample_added,
-    sample_uniform_on,
 )
 from stirtree.events import (
     crossed_bars,
@@ -184,23 +185,21 @@ def check_shift_invariance(trials: int, seed: int) -> CheckResult:
 def check_conditional_sampler(
     instances: int, per_instance: int, seed: int
 ) -> CheckResult:
-    """Rejection-conditioned added bars match the direct viable-set sampler.
+    """Rejection-conditioned added bars are uniform on the viable set.
 
     For each fixed collection, rejection sampling accepts uniform added bars
-    on crossing-without-bottleneck (decided by the event detector), while the
-    direct route draws from the viable-location set, as many bars per
-    collection as rejection accepted inside it; positions normalized by the
-    set's inverse CDF pool into one two-sample KS test of two equal-size
-    samples.  An accepted bar outside the set is a violation: the detector
-    and the set disagree.
+    on crossing-without-bottleneck (decided by the event detector); their
+    positions, normalized by the viable-location set's inverse CDF, pool
+    into one one-sample KS test against U[0, 1).  An accepted bar outside
+    the set is a violation: the detector and the set disagree.
     """
     shape = TreeShape(3, 4)
     t = 0.4
-    cond_b, cond_rej, cond_dir = (
+    cond_b, cond_rej = (
         TrialStreams(seed, purpose, shape.d, shape.n, t)
-        for purpose in ("cond-b", "cond-rej", "cond-dir")
+        for purpose in ("cond-b", "cond-rej")
     )
-    rej, direct, outside = [], [], []
+    rej, outside = [], []
     tries_total = 0
     for b_i in range(instances):
         bars = LazyPoissonBars(shape, t, cond_b.at(b_i)).realize()
@@ -209,22 +208,18 @@ def check_conditional_sampler(
         if vl.measure() <= 0.0:
             continue  # not reachable; cannot happen from the root pole
         gen_r = cond_rej.at(b_i)
-        got = tries = inside = 0
+        got = tries = 0
         while got < per_instance and tries < 500_000:
             a = sample_added(bars, gen_r)
             tries += 1
             if crossing_without_bottleneck(bars, a, traj):
                 got += 1
                 if vl.contains(a.edge, a.height):
-                    inside += 1
                     rej.append(normalized_position(vl, a))
                 else:  # replay: the try-th bar drawn on the cond-rej stream
                     outside.append({"instance": b_i, "try": tries})
         tries_total += tries
-        gen_d = cond_dir.at(b_i)
-        for _ in range(inside):
-            direct.append(normalized_position(vl, sample_uniform_on(vl, gen_d)))
-    p = ks.two_sample_pvalue(rej, direct) if rej else 0.0
+    p = ks.uniform_pvalue(rej) if rej else 0.0
     passed = bool(not outside and p > _KS_P_FLOOR)
     efficiency = (len(rej) + len(outside)) / tries_total if tries_total else 0.0
     detail = (

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from stirtree import ks
 from stirtree.bars import (
     Bar,
     BarCollection,
@@ -15,7 +16,6 @@ from stirtree.bars import (
     merge_intervals,
     normalized_position,
     sample_added,
-    sample_uniform_on,
 )
 from stirtree.meander import hit_level
 from stirtree.rng import TrialStreams
@@ -150,55 +150,33 @@ def test_merge_intervals_fuses_adjacent():
     assert merge_intervals([(0.0, 0.3), (0.4, 0.6)]) == ((0.0, 0.3), (0.4, 0.6))
 
 
-def test_sample_uniform_on_single_edge():
-    s = LocationSet(SHAPE22, {b"\x01": ((0.0, 1.0),)})
-    gen = TrialStreams(31, "uni").at(0)
-    for _ in range(50):
-        bar = sample_uniform_on(s, gen)
-        assert bar.edge == b"\x01"
-        assert 0.0 <= bar.height < 1.0
-
-
-def test_sample_uniform_length_proportional():
-    s = LocationSet(
-        SHAPE22, {b"\x00": ((0.0, 0.25),), b"\x01": ((0.1, 0.85),)}
-    )
-    gen = TrialStreams(37, "prop").at(0)
-    trials = 100_000
-    first = 0
-    for _ in range(trials):
-        bar = sample_uniform_on(s, gen)
-        assert s.contains(bar.edge, bar.height)
-        first += bar.edge == b"\x00"
-    p = first / trials
-    assert abs(p - 0.25) < 4 * math.sqrt(0.25 * 0.75 / trials)
-
-
 def test_sample_uniform_matches_added_on_root_layer():
-    # uniform on the full root layer agrees with the added-bar law given E_0
-    s = LocationSet(SHAPE22, {b"\x00": ((0.0, 1.0),), b"\x01": ((0.0, 1.0),)})
-    gen = TrialStreams(41, "cmp").at(0)
-    trials = 50_000
-    direct = sum(sample_uniform_on(s, gen).edge == b"\x00" for _ in range(trials))
-    gen2 = TrialStreams(41, "cmp2").at(0)
+    # the added bar given E_0 is uniform on the root layer: each of its two
+    # edges takes exactly half
+    gen = TrialStreams(41, "cmp2").at(0)
     empty = BarCollection(SHAPE22, {})
-    rej = 0
-    got = 0
+    trials = 50_000
+    got = first = 0
     while got < trials:
-        bar = sample_added(empty, gen2)
+        bar = sample_added(empty, gen)
         if len(bar.edge) == 1:
             got += 1
-            rej += bar.edge == b"\x00"
-    diff = direct / trials - rej / trials
-    assert abs(diff) < 4 * math.sqrt(2 * 0.25 / trials)
+            first += bar.edge == b"\x00"
+    assert abs(first / trials - 0.5) < 4 * math.sqrt(0.25 / trials)
 
 
 def test_normalized_position_uniform():
+    # uniform bars on the set, kept by rejection from its two whole edges,
+    # map to uniform positions
     s = LocationSet(SHAPE22, {b"\x00": ((0.2, 0.4),), b"\x01": ((0.5, 0.9),)})
     gen = TrialStreams(43, "pos").at(0)
-    xs = [normalized_position(s, sample_uniform_on(s, gen)) for _ in range(20_000)]
+    draws = zip(gen.integers(0, 2, size=60_000).tolist(), gen.random(60_000).tolist())
+    bars = [Bar(bytes((e,)), h) for e, h in draws if s.contains(bytes((e,)), h)]
+    xs = [normalized_position(s, bar) for bar in bars]
+    assert len(xs) > 15_000
     assert 0.0 <= min(xs) and max(xs) < 1.0
     assert abs(np.mean(xs) - 0.5) < 4 * math.sqrt(1 / 12 / len(xs))
+    assert ks.uniform_pvalue(xs) > 1e-3
 
 
 def test_lazy_poisson_matches_law_and_replays():

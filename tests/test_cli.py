@@ -7,6 +7,7 @@ import json
 import math
 import os
 import resource
+import runpy
 import subprocess
 import sys
 import time
@@ -22,7 +23,13 @@ import stirtree.meander as meander
 import stirtree.stirring as stirring
 import stirtree.verify as verify
 from stirtree import ks
-from stirtree.bars import Bar, BarCollection, LazyPoissonBars, sample_added
+from stirtree.bars import (
+    Bar,
+    BarCollection,
+    LazyPoissonBars,
+    normalized_position,
+    sample_added,
+)
 from stirtree.cli import main
 from stirtree.events import multibar_cluster, viable_locations
 from stirtree.meander import EngineError
@@ -866,10 +873,12 @@ def test_verify_russo_with_zero_stderr_and_a_gap_fails(capsys):
 @pytest.mark.parametrize(
     "seed, check, code, line",
     [
-        # the two known false alarms of the KS checks, pinned as they stand
-        (1406002, "conditional", 1,
-         "[FAIL] conditional-sampler: pooled KS p=0.0007214 over 40 collections"
-         " x 25, rejection efficiency 0.016 (replay: {'seed': 1406002})"),
+        # the conditional check's two-sample form failed here (p=0.0007214),
+        # a false alarm its one-sample test of the same positions does not
+        # raise; the exploration check's known false alarm, pinned as it stands
+        (1406002, "conditional", 0,
+         "[PASS] conditional-sampler: pooled KS p=0.04012 over 40 collections"
+         " x 25, rejection efficiency 0.016"),
         (9404000, "exploration", 1,
          "[FAIL] exploration-law: 0 touched leftovers, count z=-0.22, position KS"
          " p=0.0002952 (replay: {'seed': 9404000})"),
@@ -905,7 +914,7 @@ GOLDEN_VERIFY_DEFAULT_SUITE = [
     "[PASS] russo-derivative: lhs=0.8533±0.0067 rhs=0.8465±0.0084 bias=0.0034 z=0.60",
     "[PASS] tail-bounds: 7 tail rows, 0 beyond bound+4se",
     "[PASS] viable-mass-bracket: mean=13.692±0.031 bracket [5.886, 19.200]",
-    "[PASS] conditional-sampler: pooled KS p=0.8882 over 40 collections x 25,"
+    "[PASS] conditional-sampler: pooled KS p=0.5389 over 40 collections x 25,"
     " rejection efficiency 0.018",
     "[PASS] exploration-law: 0 touched leftovers, count z=-0.29, position KS p=0.558",
 ]
@@ -968,28 +977,61 @@ def test_conditional_check_fails_on_an_accepted_bar_outside_the_viable_set(
     assert not vl.contains(bar.edge, bar.height)
 
 
-def test_conditional_check_pairs_its_two_samples(monkeypatch):
+def test_conditional_check_tests_the_accepted_positions_against_uniform(
+    monkeypatch,
+):
     # a detector that also accepts every tenth bar it would refuse accepts
-    # some outside the viable set; the direct arm is still drawn to the
-    # count of accepted bars inside it, collection by collection
+    # some outside the viable set; the one-sample test gets the positions of
+    # exactly the accepted bars inside it, in the order they were accepted
     detector = verify.crossing_without_bottleneck
     refused = itertools.count()
-    monkeypatch.setattr(
-        verify, "crossing_without_bottleneck",
-        lambda *a: detector(*a) or next(refused) % 10 == 0,
-    )
-    sizes = []
-    two_sample = ks.two_sample_pvalue
+    accepted = []
 
-    def recording(a, b):
-        sizes.append((len(a), len(b)))
-        return two_sample(a, b)
+    def accept(bars, added, traj):
+        ok = detector(bars, added, traj) or next(refused) % 10 == 0
+        if ok:
+            accepted.append((bars, added, traj))
+        return ok
 
-    monkeypatch.setattr(ks, "two_sample_pvalue", recording)
+    monkeypatch.setattr(verify, "crossing_without_bottleneck", accept)
+    handed = []
+    uniform = ks.uniform_pvalue
+
+    def recording(x):
+        handed.append(list(x))
+        return uniform(x)
+
+    def refuse(a, b):
+        raise AssertionError("the conditional check ran a two-sample test")
+
+    monkeypatch.setattr(ks, "uniform_pvalue", recording)
+    monkeypatch.setattr(ks, "two_sample_pvalue", refuse)
     res = verify.check_conditional_sampler(4, 25, 3)
     assert not res.passed and "accepted bars outside the viable set" in res.detail
-    ((rejection, direct),) = sizes
-    assert rejection == direct < 4 * 25
+    inside = []
+    for bars, added, traj in accepted:
+        vl = viable_locations(bars, traj, multibar_cluster(bars))
+        if vl.contains(added.edge, added.height):
+            inside.append(normalized_position(vl, added))
+    assert len(accepted) == 4 * 25 and 0 < len(inside) < len(accepted)
+    assert handed == [inside]
+
+
+def test_conditional_check_catches_a_thinned_top_of_the_viable_set(monkeypatch):
+    # the calibration's fault: every other accepted bar in the top tenth of
+    # the viable set is refused.  At seed 96 the check passes without it and
+    # fails with it; the former two-sample form read p=0.1083 and passed
+    scripts = Path(__file__).resolve().parents[1] / "scripts"
+    thin_the_top = runpy.run_path(str(scripts / "calibrate_conditional.py"))[
+        "thin_the_top"
+    ]
+    assert verify.check_conditional_sampler(40, 25, 96).passed
+    monkeypatch.setattr(
+        verify, "crossing_without_bottleneck",
+        thin_the_top(verify.crossing_without_bottleneck),
+    )
+    res = verify.check_conditional_sampler(40, 25, 96)
+    assert not res.passed and res.detail.startswith("pooled KS p=0.0005094 ")
 
 
 def _oracle_outcome(bars):
