@@ -256,7 +256,7 @@ def cmd_estimate(ns: dict) -> int:
 
 
 def cmd_verify(ns: dict) -> int:
-    only = tuple(ns["only"].split(",")) if ns["only"] else None
+    only = None if ns["only"] is None else tuple(ns["only"].split(","))
     results = verify.run_suite(
         ns["seed"], trials=ns["trials"], only=only, workers=ns["workers"]
     )

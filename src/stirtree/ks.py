@@ -1,22 +1,17 @@
-"""Two-sided Kolmogorov–Smirnov p-values with numpy alone.
+"""The two-sided one-sample Kolmogorov–Smirnov p-value with numpy alone.
 
-``two_sample_pvalue`` and ``uniform_pvalue`` give the p-values of scipy
-1.17.1's ``ks_2samp(a, b)`` (method ``auto``) and ``kstest(x, "uniform")``:
-the same statistic and the same choice of method per input.  The two-sample
-test serves ``verify``'s shift check, which compares return-time samples
-of one size n; it is exact up to n = 10 000 (a closed form) and asymptotic
-past it.  The one-sample test serves the conditional and exploration
-checks, whose pooled positions are U[0, 1) under their laws.  The
-two-sample test's asymptotic end and the one-sample test read the
-distribution of the one-sample statistic D_n, dispatched as in
-Simard & L'Ecuyer, "Computing the two-sided Kolmogorov-Smirnov
-distribution", J. Stat. Softw. 39(11) (2011): the Ruben–Gambino ends,
-twice the one-sided Smirnov tail, the Durbin matrix in the form of
-Marsaglia, Tsang & Wang, "Evaluating Kolmogorov's distribution", J. Stat.
-Softw. 8(18) (2003), and the Pelz–Good expansion.
-Durbin's matrix also covers the small-n region where scipy runs the
-Pomeranz recursion; both are exact.  The methods follow scipy's
-``stats/_ksstats.py`` (BSD-3-Clause).
+``uniform_pvalue`` gives the p-value of scipy 1.17.1's
+``kstest(x, "uniform")``: the same statistic and the same choice of method
+per input.  It serves ``verify``'s conditional and exploration checks,
+whose pooled positions are U[0, 1) under their laws.  It reads the
+distribution of the statistic D_n, dispatched as in Simard & L'Ecuyer,
+"Computing the two-sided Kolmogorov-Smirnov distribution", J. Stat. Softw.
+39(11) (2011): the Ruben–Gambino ends, twice the one-sided Smirnov tail,
+the Durbin matrix in the form of Marsaglia, Tsang & Wang, "Evaluating
+Kolmogorov's distribution", J. Stat. Softw. 8(18) (2003), and the
+Pelz–Good expansion.  Durbin's matrix also covers the small-n region where
+scipy runs the Pomeranz recursion; both are exact.  The methods follow
+scipy's ``stats/_ksstats.py`` (BSD-3-Clause).
 """
 
 from __future__ import annotations
@@ -25,39 +20,9 @@ import math
 
 import numpy as np
 
-# sizes up to which the two-sample p-value is exact
-_EXACT_MAX_N = 10_000
 # rescaling step of the Durbin matrix power, 2**128
 _SCALE_EXP = 128
 _SCALE = 2.0**_SCALE_EXP
-
-
-def two_sample_pvalue(a, b) -> float:
-    """p-value of the two-sided two-sample KS test of ``a`` against ``b``.
-
-    The samples must be non-empty and of one size; entries may repeat or
-    be infinite.
-    """
-    a = np.sort(np.asarray(a, dtype=float))
-    b = np.sort(np.asarray(b, dtype=float))
-    n = len(a)
-    if n == 0 or len(b) != n:
-        raise ValueError("a two-sample KS test needs two non-empty samples of one size")
-    both = np.concatenate([a, b])
-    diffs = (
-        np.searchsorted(a, both, side="right") / n
-        - np.searchsorted(b, both, side="right") / n
-    )
-    d = max(float(np.clip(-diffs.min(), 0, 1)), float(diffs.max()))
-    if n <= _EXACT_MAX_N:
-        h = int(np.round(d * n))
-        d = h / n
-        if h == 0:
-            return 1.0
-        p = _outside_square(n, h)
-        if 0 <= p <= 1:
-            return p
-    return _kolmogorov_sf(d, round(n / 2))  # the effective size n·n/(n + n)
 
 
 def uniform_pvalue(x) -> float:
@@ -67,17 +32,6 @@ def uniform_pvalue(x) -> float:
     d_plus = float(np.max(np.arange(1.0, n + 1) / n - x))
     d_minus = float(np.max(x - np.arange(0.0, n) / n))
     return _kolmogorov_sf(max(d_plus, d_minus), n)
-
-
-def _outside_square(n: int, h: int) -> float:
-    """P(D_{n,n} >= h/n): 2·Σ_k (-1)^(k+1) C(2n, n-kh)/C(2n, n), Horner form."""
-    p = 0.0
-    for k in range(n // h, -1, -1):
-        term = 1.0
-        for j in range(h):
-            term = (n - k * h - j) * term / (n + k * h + j + 1)
-        p = term * (1.0 - p)
-    return 2 * p
 
 
 def _kolmogorov_sf(d: float, n: int) -> float:

@@ -2,9 +2,10 @@
 
 Each check returns a :class:`CheckResult`; a failing stochastic check always
 carries enough replay data (seed plus trial coordinates) to rerun the exact
-offending sample.  The shift check compares samples with each other by the
-two-sample KS test; the conditional and exploration checks test their pooled
-positions against U[0, 1) by the one-sample test.
+offending sample.  The shift check is exact per sample: a run from a start
+height h is the run from height 0 among the bars turned down by h.  The
+conditional and exploration checks test their pooled positions against
+U[0, 1) by the one-sample KS test.
 """
 
 from __future__ import annotations
@@ -12,11 +13,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from stirtree.bars import (
+    BarCollection,
     LazyPoissonBars,
-    _check_budget,
     normalized_position,
     sample_added,
 )
@@ -52,7 +51,7 @@ class CheckResult:
         return text
 
 
-# The KS checks (shift, conditional, exploration) fail at p-values up to this.
+# The KS checks (conditional, exploration) fail at p-values up to this.
 _KS_P_FLOOR = 1e-3
 
 ORACLE_GRID = tuple(
@@ -146,40 +145,56 @@ def check_inclusions(samples: int, seed: int) -> CheckResult:
     return CheckResult("event-inclusions", not violations, detail, replay)
 
 
-def check_shift_invariance(trials: int, seed: int) -> CheckResult:
-    """Return-time laws from the root pole agree across start heights.
+def turned(bars: BarCollection, h: float) -> BarCollection:
+    """``bars`` with every height turned down by h around the time circle.
 
-    Truncated runs (depth-n poles hit first) enter as +inf, so the censoring
-    pattern is compared too.  Two-sample KS on every pair of start heights.
-    The return times of all heights are kept, so their count is charged to
-    the draw budget before the first draw.
+    A height x > h goes to x - h, one below it to x - h + 1.0; for heights
+    and h on the sampler's 2**-53 grid both are exact, so the turned bars
+    keep their order around the circle.  A bar at exactly h would turn to
+    0.0, a height the sampler never draws, and is left out.
+    """
+    by_edge = {}
+    for e in bars.edges_with_bars():
+        hs = bars.heights_on(e)
+        above = tuple(x - h for x in hs if x > h)
+        by_edge[e] = above + tuple(x - h + 1.0 for x in hs if x < h)
+    return BarCollection(bars.shape, by_edge, validate=False)
+
+
+def check_shift_invariance(trials: int, seed: int) -> CheckResult:
+    """The run from (root, h) is the run from the root origin, turned.
+
+    Per realized collection B and start height h, the return time from
+    (root, h) among B must equal the one from (root, 0) among B turned down
+    by h, exactly; a run that hits depth n first (None) must match None.
+    An ``EngineError`` on either side counts as a mismatch.
     """
     shape = TreeShape(2, 4)
     t = 0.5
-    heights = (0.0, 0.25, 0.5, 0.75)
-    _check_budget(
-        len(heights) * trials, f"the shift check at {trials} trials per height"
+    heights = (0.25, 0.5, 0.75)
+    streams = TrialStreams(seed, "shift", shape.d, shape.n, t)
+    origin = SpaceTimePoint(ROOT, 0.0)
+    mismatches = []
+    for i in range(trials):
+        bars = LazyPoissonBars(shape, t, streams.at(i)).realize()
+        for h in heights:
+            moved = turned(bars, h)
+            if moved.count < bars.count:
+                continue  # a bar sat at exactly h: no turned start to compare
+            try:
+                start = SpaceTimePoint(ROOT, h)
+                ok = return_time(bars, start) == return_time(moved, origin)
+            except EngineError as exc:
+                mismatches.append({"trial": i, "height": h, "error": str(exc)})
+                continue
+            if not ok:
+                mismatches.append({"trial": i, "height": h})
+    detail = (
+        f"{trials} collections x start heights {heights},"
+        f" {len(mismatches)} mismatches"
     )
-    samples = {}
-    for h in heights:
-        vals = np.empty(trials)
-        streams = TrialStreams(seed, "shift", shape.d, shape.n, t, h)
-        for i in range(trials):
-            bars = LazyPoissonBars(shape, t, streams.at(i)).realize()
-            ret = return_time(bars, SpaceTimePoint(ROOT, h))
-            vals[i] = np.inf if ret is None else ret
-        samples[h] = vals
-    worst = None
-    for i, a in enumerate(heights):
-        for b in heights[i + 1 :]:
-            p = ks.two_sample_pvalue(samples[a], samples[b])
-            if worst is None or p < worst[2]:
-                worst = (a, b, p)
-    passed = bool(worst[2] > _KS_P_FLOOR)
-    detail = f"min pairwise KS p={worst[2]:.4g} at heights {worst[:2]}"
-    return CheckResult(
-        "shift-invariance", passed, detail, {"seed": seed} if not passed else {}
-    )
+    replay = {"seed": seed, "first_failure": mismatches[0]} if mismatches else {}
+    return CheckResult("shift-invariance", not mismatches, detail, replay)
 
 
 def check_conditional_sampler(
@@ -337,8 +352,11 @@ def run_suite(
 ) -> list[CheckResult]:
     """Run the named checks at suite-default scales, or all at ``trials`` but
     ``conditional``, which keeps its fixed 40 collections x 25 added bars.
-    An unknown or repeated name is refused before any check runs."""
-    chosen = only or SUITE
+    An empty list, and an unknown or repeated name, are refused before any
+    check runs."""
+    chosen = SUITE if only is None else only
+    if not chosen:
+        raise ValueError(f"no check named; choose from {SUITE}")
     unknown = [name for name in chosen if name not in _SUITE_CHECKS]
     if unknown:
         raise ValueError(f"unknown check {unknown[0]!r}; choose from {SUITE}")

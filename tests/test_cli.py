@@ -854,6 +854,19 @@ def test_verify_unknown_check_exit_2(capsys):
     assert out == ""  # rejected before any check runs
 
 
+def test_verify_empty_check_list_exit_2(tmp_path, capsys):
+    # an empty --only, on the command line or in a config, names no check
+    config = tmp_path / "only.json"
+    config.write_text('{"only": ""}')
+    for args in (["--only", ""], ["--config", str(config)]):
+        code = main(["verify", *args, "--trials", "1", "--seed", "3"])
+        out, err = capsys.readouterr()
+        assert code == 2 and "unknown check ''" in err
+        assert out == ""  # rejected before any check runs
+    with pytest.raises(ValueError, match="no check named"):
+        verify.run_suite(3, trials=1, only=())
+
+
 def test_verify_repeated_check_exit_2(capsys):
     code = main(["verify", "--only", "oracle,oracle", "--trials", "10"])
     out, err = capsys.readouterr()
@@ -882,8 +895,6 @@ def test_verify_russo_with_zero_stderr_and_a_gap_fails(capsys):
         (9404000, "exploration", 1,
          "[FAIL] exploration-law: 0 touched leftovers, count z=-0.22, position KS"
          " p=0.0002952 (replay: {'seed': 9404000})"),
-        (10, "shift", 0,
-         "[PASS] shift-invariance: min pairwise KS p=0.8188 at heights (0.0, 0.75)"),
     ],
 )
 def test_verify_ks_golden_lines(seed, check, code, line, capsys):
@@ -892,15 +903,17 @@ def test_verify_ks_golden_lines(seed, check, code, line, capsys):
     )
 
 
-@pytest.mark.parametrize("trials", [625_001, 300_000_000])
-def test_verify_shift_past_the_draw_budget_exits_3(trials):
-    # the check keeps four return times per trial: past 625 000 trials that
-    # is over the draw budget, refused before the first draw
-    res = _cli_under_memory_limit("verify", "--only", "shift", "--trials", str(trials))
-    assert (res.returncode, res.stdout) == (3, "")
-    assert res.stderr == (
-        f"capacity error: the shift check at {trials} trials per height would"
-        f" draw about {4 * trials:.3g} values, over the budget of 2500000\n"
+# the shift check is exact: every passing seed prints this line
+SHIFT_PASS = (
+    "[PASS] shift-invariance: 2000 collections x start heights (0.25, 0.5, 0.75),"
+    " 0 mismatches"
+)
+
+
+@pytest.mark.parametrize("seed", [10, 1])
+def test_verify_shift_line_is_the_same_for_every_passing_seed(seed, capsys):
+    assert run_cli(["verify", "--seed", str(seed), "--only", "shift"], capsys) == (
+        0, SHIFT_PASS + "\n"
     )
 
 
@@ -910,7 +923,7 @@ def test_verify_shift_past_the_draw_budget_exits_3(trials):
 GOLDEN_VERIFY_DEFAULT_SUITE = [
     "[PASS] oracle-equivalence: 2400 instances, 0 mismatches",
     "[PASS] event-inclusions: 3000 samples over t=(0.2, 0.33, 0.5), 0 violations",
-    "[PASS] shift-invariance: min pairwise KS p=0.7948 at heights (0.25, 0.5)",
+    SHIFT_PASS,
     "[PASS] russo-derivative: lhs=0.8533±0.0067 rhs=0.8465±0.0084 bias=0.0034 z=0.60",
     "[PASS] tail-bounds: 7 tail rows, 0 beyond bound+4se",
     "[PASS] viable-mass-bracket: mean=13.692±0.031 bracket [5.886, 19.200]",
@@ -1001,11 +1014,7 @@ def test_conditional_check_tests_the_accepted_positions_against_uniform(
         handed.append(list(x))
         return uniform(x)
 
-    def refuse(a, b):
-        raise AssertionError("the conditional check ran a two-sample test")
-
     monkeypatch.setattr(ks, "uniform_pvalue", recording)
-    monkeypatch.setattr(ks, "two_sample_pvalue", refuse)
     res = verify.check_conditional_sampler(4, 25, 3)
     assert not res.passed and "accepted bars outside the viable set" in res.detail
     inside = []
@@ -1032,6 +1041,47 @@ def test_conditional_check_catches_a_thinned_top_of_the_viable_set(monkeypatch):
     )
     res = verify.check_conditional_sampler(40, 25, 96)
     assert not res.passed and res.detail.startswith("pooled KS p=0.0005094 ")
+
+
+def _skip_top_joints(heights, h):
+    """A joint search that misses every joint above 0.999: which joints it
+    misses depends on where the time circle is cut."""
+    i = bisect.bisect_right(heights, h)
+    return len(heights) if i < len(heights) and heights[i] > 0.999 else i
+
+
+def _shift_outcome(bars, h):
+    """Whether the run from (root, h) is the root-origin run, turned by h."""
+    return meander.return_time(bars, meander.SpaceTimePoint(ROOT, h)) == (
+        meander.return_time(verify.turned(bars, h), meander.SpaceTimePoint(ROOT, 0.0))
+    )
+
+
+def test_shift_check_catches_a_frame_dependent_fault_with_replay(monkeypatch):
+    # the former KS form of the check passed this fault at seed 12 (p=0.6921);
+    # the replay coordinates rebuild the first failing collection exactly
+    with monkeypatch.context() as patch:
+        patch.setattr(meander, "bisect_right", _skip_top_joints)
+        res = verify.check_shift_invariance(2000, 12)
+        assert not res.passed and res.detail.endswith(", 14 mismatches")
+        first = res.replay["first_failure"]
+        assert res.replay["seed"] == 12 and first == {"trial": 40, "height": 0.25}
+        gen = TrialStreams(12, "shift", 2, 4, 0.5).at(first["trial"])
+        bars = LazyPoissonBars(TreeShape(2, 4), 0.5, gen).realize()
+        assert not _shift_outcome(bars, first["height"])
+    assert _shift_outcome(bars, first["height"])  # the fault, not the sample
+
+
+def test_shift_check_counts_an_engine_error_as_a_mismatch(monkeypatch, capsys):
+    # the inclusive joint search revisits states: a [FAIL] with replay
+    # coordinates, not an engine error (exit 4)
+    monkeypatch.setattr(meander, "bisect_right", bisect.bisect_left)
+    code, out = run_cli(
+        ["verify", "--only", "shift", "--trials", "20", "--seed", "12"], capsys
+    )
+    assert code == 1 and out.startswith("[FAIL] shift-invariance: 20 collections")
+    assert ", 39 mismatches (replay: {'seed': 12, 'first_failure': {'trial': 1," in out
+    assert "'height': 0.25, 'error': \"trajectory revisited state " in out
 
 
 def _oracle_outcome(bars):

@@ -18,38 +18,6 @@ from stirtree import ks
 RTOL = 1e-9
 
 
-def _samples(seed, n1, n2, shift=0.0):
-    rng = np.random.default_rng(seed)
-    return rng.exponential(size=n1), rng.exponential(size=n2) + shift
-
-
-def _with_ties(a, b):
-    return np.round(a, 1), np.round(b, 1)
-
-
-def _truncated(a, b):
-    # the shift check's runs that hit depth n first enter as +inf
-    return np.where(a > 1.5, np.inf, a), np.where(b > 1.5, np.inf, b)
-
-
-TWO_SAMPLE = {
-    "equal sizes": _samples(1, 60, 60, 0.3),
-    "equal sizes, large": _samples(2, 2000, 2000, 0.05),
-    "sizes over 10 000": _samples(5, 12_000, 12_000, 0.02),
-    "ties": _with_ties(*_samples(6, 90, 90, 0.1)),
-    "+inf entries": _truncated(*_samples(8, 500, 500, 0.05)),
-    "one in each": ([0.5], [0.25]),
-}
-
-
-@pytest.mark.parametrize("name", TWO_SAMPLE)
-def test_two_sample_pvalue_matches_scipy(name):
-    stats = pytest.importorskip("scipy.stats")
-    a, b = TWO_SAMPLE[name]
-    want = stats.ks_2samp(a, b).pvalue
-    assert ks.two_sample_pvalue(a, b) == pytest.approx(want, rel=RTOL, abs=0)
-
-
 # (n, d) per region of P(D_n >= d), in _kolmogorov_sf's order of tests
 ONE_SAMPLE = {
     "n·d <= 1/2": [(10, 0.04), (1000, 0.0004)],
@@ -101,16 +69,6 @@ def test_uniform_pvalue_matches_scipy(n, power):
     x = np.random.default_rng(n).random(n) ** power
     want = stats.kstest(x, "uniform").pvalue
     assert ks.uniform_pvalue(x) == pytest.approx(want, rel=RTOL, abs=0)
-
-
-def test_empty_sample_is_refused():
-    with pytest.raises(ValueError):
-        ks.two_sample_pvalue([], [1.0])
-
-
-def test_unequal_sizes_are_refused():
-    with pytest.raises(ValueError):
-        ks.two_sample_pvalue([0.5, 0.25], [1.0])
 
 
 _SCIPY_BLOCKED = textwrap.dedent(

@@ -8,7 +8,8 @@ the right-continuity rule, and runs that stop at the root origin are the
 plain runs cut at their first wrap on the root pole.  The deepest level a
 run on T_N lands on decides the hit event on every shallower tree T_n.  The
 heights a run touched on an edge are its two endpoint poles' coverage, and
-a run's rises are its coverage, its time and its crossings.
+a run's rises are its coverage, its time and its crossings.  Turning a
+collection around the time circle and back is exact.
 """
 
 from hypothesis import assume, example, given, settings, strategies as st
@@ -19,6 +20,7 @@ from stirtree.meander import SpaceTimePoint, hit_level, run
 from stirtree.rng import TrialStreams
 from stirtree.stirring import stirring_permutation, transposition_oracle
 from stirtree.tree import ROOT, TreeShape, edge_from_index
+from stirtree.verify import turned
 
 shapes = st.builds(TreeShape, st.integers(2, 4), st.integers(1, 4))
 rates = st.floats(0.01, 1.5)
@@ -252,3 +254,19 @@ def test_rises_make_the_coverage_the_time_and_the_crossings(shape, t, seed, pick
     assert abs(sum(hi - lo for _v, lo, hi, _w in rises) - traj.outcome.time) < 1e-9
     crossings = sum(w != v for v, _lo, _hi, w in rises)
     assert len(list(escape_routes(bars, traj))) == crossings
+
+
+@settings(max_examples=60, deadline=None)
+@example(shape=TreeShape(2, 4), t=0.5, seed=12, k=2**51)  # h = 1/4, as verify turns
+@given(shape=shapes, t=rates, seed=seeds, k=st.integers(1, 2**53 - 1))
+def test_turning_by_h_then_by_one_minus_h_gives_back_the_collection(
+    shape, t, seed, k
+):
+    # the sampler's heights and h are multiples of 2**-53: both turns are exact
+    h = k / 2**53
+    bars = LazyPoissonBars(shape, t, TrialStreams(seed, "prop-turn").at(0)).realize()
+    once = turned(bars, h)
+    counts = {e: bars.count_on(e) for e in bars.edges_with_bars()}
+    assert {e: once.count_on(e) for e in once.edges_with_bars()} == counts
+    assert all(0.0 < b.height < 1.0 for b in once.iter_bars())
+    assert turned(once, 1.0 - h) == bars
